@@ -10,7 +10,7 @@ from .contracts import (
     QuotaTerms,
     Settlement,
 )
-from .errors import SimulationError
+from .errors import InvariantViolation, SimulationError
 from .ledger import Block, GasSchedule, Ledger, TxRecord
 from .oracle import oracle_settlement
 from .orchestrator import SessionOrchestrator, SessionRequest
@@ -35,6 +35,7 @@ __all__ = [
     "FlexibleTerms",
     "GasSchedule",
     "IncomeShares",
+    "InvariantViolation",
     "Ledger",
     "QosPreferences",
     "Quote",

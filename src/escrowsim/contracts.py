@@ -18,6 +18,7 @@ from typing import Optional
 from .errors import (
     AlreadyVoted,
     InvalidShares,
+    InvariantViolation,
     NoOpenSession,
     NotAVoter,
     NotEndUser,
@@ -260,6 +261,13 @@ def _payouts_for_charge(ledger: Ledger, contract: AgreementContract, charge: int
     return {contract.owner: charge} if charge > 0 else {}
 
 
+def _require_empty_escrow(contract: AgreementContract) -> None:
+    if contract.escrow != 0:
+        raise InvariantViolation(
+            f"{contract.address} still holds {contract.escrow} wei after settling"
+        )
+
+
 def _execute_settlement(
     ledger: Ledger,
     contract: AgreementContract,
@@ -274,7 +282,7 @@ def _execute_settlement(
     for recipient, amount in payouts.items():
         ledger.escrow_out(contract.address, recipient, amount, kind="charge")
     ledger.escrow_out(contract.address, contract.end_user, refund, kind="refund")
-    assert contract.escrow == 0
+    _require_empty_escrow(contract)
     contract.state = ContractState.SETTLED
     contract.settlement = Settlement(charge=charge, refund=refund, payouts=payouts)
     return contract.settlement
@@ -386,7 +394,7 @@ def quota_stop(ledger: Ledger, contract: AgreementContract, caller: str, now: Bl
         charge=total, refund=0, payouts={contract.owner: total} if total else {}
     )
     if terms.minutes_remaining() == 0:
-        assert contract.escrow == 0
+        _require_empty_escrow(contract)
         contract.state = ContractState.SETTLED
     return minutes
 

@@ -5,6 +5,14 @@ class SimulationError(Exception):
     """Base class for every error raised by the simulator."""
 
 
+class InvariantViolation(Exception):
+    """A money invariant broke: a simulator defect, never an input error.
+
+    Deliberately not a ``SimulationError``: the scenario runner files those
+    as event errors and carries on, while this must stop the run.
+    """
+
+
 # ---- ledger ----------------------------------------------------------------
 
 class UnknownAddress(SimulationError):

@@ -109,8 +109,8 @@ class Ledger:
 
     ``jitter_seed=None`` selects deterministic block production (exact
     ``block_interval`` spacing); an integer seed draws integer intervals
-    uniformly from ``JITTER_INTERVAL_RANGE`` so the mean converges to the
-    configured interval.
+    uniformly from ``JITTER_INTERVAL_RANGE`` (5..25 s, mean 15 s) and
+    ignores ``block_interval``.
     """
 
     def __init__(
@@ -143,17 +143,78 @@ class Ledger:
 
     # ---- block production -----------------------------------------------
 
-    def produce_block(self) -> Block:
-        """Append one block and deliver every wakeup now due, in order."""
-        if self._rng is None:
-            interval = self.block_interval
-        else:
-            interval = self._rng.randint(*JITTER_INTERVAL_RANGE)
+    def produce_block(self, interval: Optional[int] = None) -> Block:
+        """Append one block and deliver every wakeup now due, in order.
+
+        ``interval`` is a jitter draw ``advance_to`` has already taken; by
+        default the interval is drawn (jittered grid) or fixed here.
+        """
+        if interval is None:
+            if self._rng is None:
+                interval = self.block_interval
+            else:
+                interval = self._rng.randint(*JITTER_INTERVAL_RANGE)
         prev = self.current_block
         block = Block(height=prev.height + 1, timestamp=prev.timestamp + interval)
         self.current_block = block
         self._deliver_due_wakeups(block)
         return block
+
+    def advance_to(self, t: int) -> Block:
+        """Produce blocks until the latest block's timestamp is >= ``t``.
+
+        The result equals calling ``produce_block`` while the timestamp is
+        below ``t``: the same heights, timestamps, wakeup deliveries and RNG
+        draws.  Blocks before the next armed wakeup hold no transaction and
+        deliver nothing, so they are skipped without being built; they still
+        count in heights.  The deterministic grid skips in closed form; the
+        jittered grid still draws every interval, so the RNG stream is
+        unchanged.  A ``t`` at or before the current timestamp is a no-op.
+        """
+        while self.current_block.timestamp < t:
+            due = self._next_wakeup_at()
+            target = t if due is None else min(t, due)
+            height, ts = self.current_block.height, self.current_block.timestamp
+            if self._rng is None:
+                interval = None
+                skipped = max(0, (target - ts - 1) // self.block_interval)
+                height += skipped
+                ts += skipped * self.block_interval
+            else:
+                randint = self._rng.randint
+                lo, hi = JITTER_INTERVAL_RANGE
+                interval = randint(lo, hi)
+                while ts + interval < target:
+                    height += 1
+                    ts += interval
+                    interval = randint(lo, hi)
+            if height != self.current_block.height:
+                self.current_block = Block(height=height, timestamp=ts)
+            self.produce_block(interval)  # the first block at or past target
+        return self.current_block
+
+    def drain_wakeups(self) -> Block:
+        """Produce blocks until no wakeup is armed, skipping empty ones.
+
+        Equals calling ``produce_block`` while ``armed_wakeup_count() > 0``;
+        a wakeup already due is delivered by the next block.
+        """
+        while (due := self._next_wakeup_at()) is not None:
+            self.advance_to(max(due, self.current_block.timestamp + 1))
+        return self.current_block
+
+    def _next_wakeup_at(self) -> Optional[int]:
+        """Fire time of the earliest armed wakeup, or None.
+
+        Heap entries left behind by a cancel or a reschedule are dropped here.
+        """
+        heap, armed = self._wakeup_heap, self._wakeup_armed
+        while heap:
+            fire_at, _, addr = heap[0]
+            if armed.get(addr) == fire_at:
+                return fire_at
+            heapq.heappop(heap)
+        return None
 
     def _deliver_due_wakeups(self, block: Block) -> None:
         while self._wakeup_heap and self._wakeup_heap[0][0] <= block.timestamp:

@@ -15,6 +15,7 @@ point >= t; a release-time wakeup beats any event sharing its block.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import random
 from dataclasses import dataclass, field
@@ -92,6 +93,9 @@ class _Oracle:
         self.sessions: dict[str, _Contract] = {}
         self.ballots: dict[str, _Contract] = {}
         self._seq = 0
+        # (wakeup_ts, push order, contract), pushed once per funded contract
+        self._wakeups: list[tuple[int, int, _Contract]] = []
+        self._wakeup_seq = 0
 
     # ---- quoting, recomputed with rationals --------------------------------
 
@@ -143,10 +147,10 @@ class _Oracle:
         }
 
     def _fire_due_wakeups(self, ts: Optional[int]) -> None:
-        for c in self.contracts:
-            if c.settled or c.funded_ts is None or c.wakeup_ts is None:
-                continue
-            if ts is not None and c.wakeup_ts > ts:
+        wakeups = self._wakeups
+        while wakeups and (ts is None or wakeups[0][0] <= ts):
+            c = heapq.heappop(wakeups)[2]
+            if c.settled:
                 continue
             if c.active:
                 self._settle(c, used=c.lock)
@@ -181,6 +185,8 @@ class _Oracle:
             c.end_user = ev.actor
             c.escrow = value
             c.wakeup_ts = self.grid.at_or_after(ts + c.lock)
+            self._wakeup_seq += 1
+            heapq.heappush(self._wakeups, (c.wakeup_ts, self._wakeup_seq, c))
         elif action == "countersign":
             c = self.sessions.get(p["session"])
             if (

@@ -38,7 +38,7 @@ from .errors import (
     SimulationError,
     ValidationError,
 )
-from .ledger import DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
+from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
 from .orchestrator import SessionOrchestrator, SessionRecord, SessionRequest
 from .pricing import QosPreferences, RateCard
 from .units import gwei, parse_wei
@@ -117,6 +117,13 @@ def _int_field(obj: dict, key: str, where: str, default=None, minimum=0) -> int:
         raise ValidationError(f"{where}.{key}: must be an integer")
     if value < minimum:
         raise ValidationError(f"{where}.{key}: must be >= {minimum}, got {value}")
+    return value
+
+
+def _bool_field(obj: dict, key: str, where: str, default: bool) -> bool:
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}.{key}: must be a boolean")
     return value
 
 
@@ -226,7 +233,9 @@ def _parse_config(raw: dict) -> ScenarioConfig:
         raise ValidationError("config.provider: must be an object")
     _check_keys(provider, {"region", "gdpr_compliant"}, "config.provider")
     cfg.provider_region = provider.get("region", "EU")
-    cfg.provider_gdpr_compliant = bool(provider.get("gdpr_compliant", True))
+    cfg.provider_gdpr_compliant = _bool_field(
+        provider, "gdpr_compliant", "config.provider", default=True
+    )
     if not isinstance(cfg.provider_region, str):
         raise ValidationError("config.provider.region: must be a string")
     return cfg
@@ -307,6 +316,13 @@ def _validate_params(action: str, p: dict, where: str, genesis: dict[str, int]) 
                 raise ValidationError(
                     f"{where}.constraints.allowed_regions: must be a list of strings"
                 )
+            _bool_field(c, "gdpr_required", f"{where}.constraints", default=False)
+            _int_field(
+                c,
+                "price_multiplier_bp",
+                f"{where}.constraints",
+                default=sc.IDENTITY_MULTIPLIER_BP,
+            )
         if "shares" in p:
             shares = p["shares"]
             if not isinstance(shares, dict) or not shares:
@@ -413,6 +429,11 @@ def parse_scenario(document) -> ScenarioScript:
         raise ValidationError("genesis: must be a non-empty object")
     genesis: dict[str, int] = {}
     for name, amount in raw_genesis.items():
+        if name.startswith(CONTRACT_ADDRESS_PREFIX):
+            raise ValidationError(
+                f"genesis.{name}: the prefix {CONTRACT_ADDRESS_PREFIX!r} is reserved"
+                " for contract addresses"
+            )
         if not isinstance(amount, str):
             raise ValidationError(f"genesis.{name}: amount must be a decimal string")
         try:
@@ -483,9 +504,9 @@ class _Runner:
         self.errors: list[dict] = []
 
     def run(self, corrupt_wei: int = 0) -> SettlementReport:
+        ledger = self.ledger
         for index, event in enumerate(self.script.events):
-            while self.ledger.current_block.timestamp < event.at_time:
-                self.ledger.produce_block()
+            ledger.advance_to(event.at_time)
             try:
                 self._apply(event)
             except SimulationError as exc:
@@ -494,15 +515,13 @@ class _Runner:
                 self._record_error(index, event, "ValueError", str(exc))
         horizon = self.script.config.run_until_seconds
         if horizon is not None:
-            while self.ledger.current_block.timestamp < horizon:
-                self.ledger.produce_block()
-        while self.ledger.armed_wakeup_count() > 0:
-            self.ledger.produce_block()
+            ledger.advance_to(horizon)
+        ledger.drain_wakeups()
         if corrupt_wei:
             # fault-injection hook: mint wei out of thin air so the
             # conservation verdict trips (CLI/CI plumbing test only)
-            first = next(iter(self.ledger.accounts))
-            self.ledger.accounts[first] += corrupt_wei
+            first = next(iter(ledger.accounts))
+            ledger.accounts[first] += corrupt_wei
         return self._build_report()
 
     def _record_error(self, index: int, event: ScriptEvent, name: str, detail: str) -> None:
@@ -602,7 +621,7 @@ class _Runner:
         if "constraints" in p:
             c = p["constraints"]
             constraints = ConstraintTerms(
-                gdpr_required=bool(c.get("gdpr_required", False)),
+                gdpr_required=c.get("gdpr_required", False),
                 allowed_regions=frozenset(c.get("allowed_regions", [])),
                 price_multiplier_bp=c.get("price_multiplier_bp", sc.IDENTITY_MULTIPLIER_BP),
             )

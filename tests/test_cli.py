@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -71,6 +72,41 @@ def test_run_rejects_invalid_scenario(tmp_path, capsys):
     _, err = capsys.readouterr()
     assert code == 2
     assert "error: ValidationError" in err
+
+
+# (path to the key, value, text the error must name); each once passed
+# parsing and then crashed the run or was misread
+PARSE_TIME_REJECTS = {
+    "genesis-contract-prefix": (("genesis", "sc-1"), "1000", "genesis.sc-1"),
+    "multiplier-not-int": (
+        ("events", 0, "params", "constraints"), {"price_multiplier_bp": "x"},
+        "constraints.price_multiplier_bp",
+    ),
+    "gdpr-required-not-bool": (
+        ("events", 0, "params", "constraints"), {"gdpr_required": "false"},
+        "constraints.gdpr_required",
+    ),
+    "provider-gdpr-not-bool": (
+        ("config", "provider"), {"gdpr_compliant": "false"},
+        "config.provider.gdpr_compliant",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_TIME_REJECTS))
+def test_run_rejects_reserved_or_mistyped_fields_at_parse_time(tmp_path, capsys, case):
+    path, value, named = PARSE_TIME_REJECTS[case]
+    doc = copy.deepcopy(GOOD_SCENARIO)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    code = main(["run", write_scenario(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: ValidationError" in err
+    assert named in err
 
 
 def test_run_missing_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Contract templates: state machine, settlement math, quota, shares, voting."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,12 +20,14 @@ from escrowsim.contracts import (
 from escrowsim.errors import (
     AlreadyVoted,
     InvalidShares,
+    InvariantViolation,
     NoOpenSession,
     NotAVoter,
     NotEndUser,
     NotOwner,
     NotYetReleased,
     SessionAlreadyOpen,
+    SimulationError,
     WrongState,
 )
 from escrowsim.ledger import Block, GasSchedule, Ledger
@@ -349,6 +353,42 @@ def test_quota_records_one_pair_per_session():
         sc.quota_stop(ledger, c, "user", Block(i, 1000 * i + 90))
     assert len(c.quota.sessions) == 4
     assert all(s["stop"] is not None for s in c.quota.sessions)
+
+
+# ---- money invariants ---------------------------------------------------------
+
+def test_invariant_violation_when_settlement_leaves_escrow(monkeypatch):
+    ledger = make_ledger()
+    c = activate(ledger, deploy(ledger))
+    monkeypatch.setattr(sc, "_payouts_for_charge", lambda *_: {})  # the charge goes nowhere
+    with pytest.raises(InvariantViolation, match="after settling"):
+        sc.stop_and_settle(ledger, c, "user", Block(120, 1800))
+
+
+def test_invariant_violation_when_exhausted_quota_leaves_escrow():
+    ledger = make_ledger()
+    c = quota_contract(ledger)
+    sc.quota_purchase(ledger, c, "user", 3, 3 * 10**15)
+    c.escrow += 1  # stray wei the minutes can never bill
+    sc.quota_start(ledger, c, "user", Block(1, 0))
+    with pytest.raises(InvariantViolation, match="after settling"):
+        sc.quota_stop(ledger, c, "user", Block(40, 600))
+
+
+def test_invariant_violation_is_not_a_simulation_error():
+    # the scenario runner files SimulationErrors as event errors and carries on
+    assert not issubclass(InvariantViolation, SimulationError)
+
+
+def test_invariant_checks_survive_python_O():
+    # python -O strips assert statements; the two checks above must still raise
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         __file__, "-k", "invariant_violation_when"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert "2 passed" in proc.stdout
 
 
 # ---- income division --------------------------------------------------------------------------

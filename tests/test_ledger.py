@@ -1,8 +1,11 @@
 """Ledger: blocks, transfers, fees, escrow plumbing, wakeups, conservation."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escrowsim.contracts import AgreementContract, ContractKind
 from escrowsim.errors import (
@@ -11,7 +14,8 @@ from escrowsim.errors import (
     UnknownAddress,
     ValidationError,
 )
-from escrowsim.ledger import GasSchedule, Ledger, replay_balances
+from escrowsim.ledger import Block, GasSchedule, Ledger, replay_balances
+from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 from escrowsim.units import eth, format_eth, gwei, parse_wei
 
 
@@ -290,3 +294,117 @@ def test_reschedule_replaces_previous_wakeup():
     for _ in range(10):
         ledger.produce_block()
     assert fired == [105]
+
+
+# ---- next-event time advance ------------------------------------------------------
+
+WAKEUP_ADDRS = ("sc-1", "sc-2", "sc-3")
+
+# (op, address, offset from the current timestamp)
+LEDGER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.sampled_from(WAKEUP_ADDRS), st.integers(-30, 2_000)),
+        st.tuples(st.just("cancel"), st.sampled_from(WAKEUP_ADDRS), st.just(0)),
+        st.tuples(st.just("advance"), st.just(""), st.integers(-50, 3_000)),
+        st.tuples(st.just("drain"), st.just(""), st.just(0)),
+    ),
+    max_size=25,
+)
+
+
+def _replay(ops, interval, jitter_seed, rearm_offsets, skip):
+    """Apply ``ops`` with ``advance_to``/``drain_wakeups`` (skip) or block by block."""
+    ledger = Ledger({"a": eth(1)}, gas=zero_gas(), block_interval=interval,
+                    jitter_seed=jitter_seed)
+    deliveries = []
+    rearms = list(rearm_offsets)
+
+    def handler(addr, block):
+        deliveries.append((addr, block.height, block.timestamp))
+        if addr == WAKEUP_ADDRS[0] and rearms:  # re-arm from inside the delivery
+            ledger.schedule_wakeup(addr, block.timestamp + rearms.pop())
+
+    ledger.wakeup_handler = handler
+    blocks = []
+    for op, addr, offset in ops:
+        now = ledger.current_block.timestamp
+        if op == "schedule":
+            ledger.schedule_wakeup(addr, now + offset)
+        elif op == "cancel":
+            ledger.cancel_wakeup(addr)
+        elif op == "advance" and skip:
+            blocks.append(ledger.advance_to(now + offset))
+        elif op == "advance":
+            while ledger.current_block.timestamp < now + offset:
+                ledger.produce_block()
+            blocks.append(ledger.current_block)
+        elif skip:
+            blocks.append(ledger.drain_wakeups())
+        else:
+            while ledger.armed_wakeup_count() > 0:
+                ledger.produce_block()
+            blocks.append(ledger.current_block)
+    rng_state = ledger._rng.getstate() if ledger._rng is not None else None
+    return blocks, deliveries, ledger.armed_wakeup_count(), rng_state
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ops=LEDGER_OPS,
+    interval=st.integers(1, 60),
+    jitter_seed=st.one_of(st.none(), st.integers(0, 2**31)),
+    rearm_offsets=st.lists(st.integers(-20, 500), max_size=4),
+)
+def test_advance_to_matches_block_by_block_production(ops, interval, jitter_seed, rearm_offsets):
+    skipped = _replay(ops, interval, jitter_seed, rearm_offsets, skip=True)
+    reference = _replay(ops, interval, jitter_seed, rearm_offsets, skip=False)
+    assert skipped == reference
+
+
+def test_advance_to_at_or_before_now_builds_nothing():
+    ledger = Ledger({"a": eth(1)}, gas=zero_gas(), jitter_seed=3)
+    fired = []
+    ledger.wakeup_handler = lambda addr, block: fired.append(addr)
+    ledger.advance_to(100)
+    block, state = ledger.current_block, ledger._rng.getstate()
+    ledger.schedule_wakeup("sc-1", fire_at=block.timestamp)  # due, not yet delivered
+    assert ledger.advance_to(block.timestamp) == block
+    assert ledger.advance_to(0) == block
+    assert ledger._rng.getstate() == state
+    assert fired == []
+    ledger.drain_wakeups()  # the next block delivers it
+    assert fired == ["sc-1"]
+    assert ledger.current_block.height == block.height + 1
+
+
+def test_advance_to_stops_at_the_first_block_at_or_past_t():
+    ledger = Ledger({"a": eth(1)}, gas=zero_gas(), block_interval=7)
+    assert ledger.advance_to(100) == Block(height=15, timestamp=105)
+    assert ledger.advance_to(105) == Block(height=15, timestamp=105)
+    assert ledger.advance_to(106) == Block(height=16, timestamp=112)
+
+
+@pytest.mark.parametrize("jitter_seed", [None, 5])
+def test_idle_horizon_builds_only_blocks_that_do_work(monkeypatch, jitter_seed):
+    doc = generate_random_script(0)
+    doc["config"].pop("jitter_seed", None)
+    if jitter_seed is not None:
+        doc["config"]["jitter_seed"] = jitter_seed
+    doc["config"]["run_until_seconds"] = 10**7
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(Ledger, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("produce_block", "schedule_wakeup"):
+        monkeypatch.setattr(Ledger, name, counted(name))
+    report = run_scenario(parse_scenario(doc)).report
+    assert report["final_block"]["timestamp"] >= 10**7
+    assert report["final_block"]["height"] >= 10**7 // 25  # empty blocks still count
+    assert calls["produce_block"] <= len(doc["events"]) + calls["schedule_wakeup"] + 1
