@@ -84,7 +84,7 @@ class QuotaTerms:
         return self.minutes_purchased - self.minutes_consumed
 
 
-@dataclass
+@dataclass(frozen=True)
 class IncomeShares:
     """Ordered integer shares over a common denominator; they must sum exactly."""
 
@@ -112,7 +112,7 @@ class VotingState:
     enacted: bool = False  # sticky once a tally reaches strict majority
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintTerms:
     """Legal/regional admissibility plus a price multiplier in basis points."""
 
@@ -125,23 +125,24 @@ class ConstraintTerms:
             raise ValueError("price multiplier must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlexibleTerms:
     """Standby guarantee: a non-refundable minimum charge for fast deployment."""
 
     standby_rate: int  # wei per second
     standby_window_seconds: int
-    min_charge: int = -1  # derived when left unset
 
     def __post_init__(self) -> None:
         require_amount(self.standby_rate, "standby_rate")
-        if self.standby_window_seconds < 0:
-            raise ValueError("standby window must be >= 0")
-        derived = self.standby_rate * self.standby_window_seconds
-        if self.min_charge == -1:
-            self.min_charge = derived
-        elif self.min_charge != derived:
-            raise ValueError("min_charge must equal standby_rate * standby_window_seconds")
+        if self.standby_window_seconds < 1:
+            raise ValueError(
+                f"standby window must be >= 1 second, got {self.standby_window_seconds}"
+            )
+
+    @property
+    def min_charge(self) -> int:
+        """Charged whatever the usage: the standby rate over the whole window."""
+        return self.standby_rate * self.standby_window_seconds
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,17 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import GasPriceOutOfRange, InsufficientFunds, UnknownAddress, ValidationError
 from .units import WEI_PER_GWEI, gwei, require_amount
 
+if TYPE_CHECKING:
+    from .contracts import AgreementContract
+
 DEFAULT_BLOCK_INTERVAL = 15      # seconds, mean inter-block time
 JITTER_INTERVAL_RANGE = (5, 25)  # uniform integer draw, mean 15
+GAS_PRICE_BOUNDS_GWEI = (1, 40)
 
 CONTRACT_ADDRESS_PREFIX = "sc-"
 
@@ -49,7 +53,7 @@ class GasSchedule:
     contract_call_gas: int = 50_000
     contract_deploy_gas: int = 200_000
     gas_price_wei: int = gwei(20)
-    price_bounds_gwei: Optional[tuple[int, int]] = (1, 40)
+    price_bounds_gwei: Optional[tuple[int, int]] = GAS_PRICE_BOUNDS_GWEI
 
     def __post_init__(self) -> None:
         require_amount(self.gas_price_wei, "gas_price_wei")
@@ -96,14 +100,6 @@ class TxRecord:
         )
 
 
-@dataclass(frozen=True)
-class Wakeup:
-    """A scheduled timeout call, delivered at the first block >= fire_at."""
-
-    contract_address: str
-    fire_at: int
-
-
 class Ledger:
     """Single-writer ledger state: accounts, contracts, fees, blocks, wakeups.
 
@@ -127,7 +123,7 @@ class Ledger:
                 )
             require_amount(balance, f"genesis balance of {name}")
         self.accounts: dict[str, int] = dict(genesis)
-        self.contracts: dict[str, object] = {}
+        self.contracts: dict[str, AgreementContract] = {}
         self.fee_sink: int = 0
         self.current_block = Block(height=0, timestamp=0)
         self.genesis_total: int = sum(genesis.values())
@@ -244,7 +240,7 @@ class Ledger:
         if addr in self.accounts:
             return self.accounts[addr]
         if addr in self.contracts:
-            return self.contracts[addr].escrow  # type: ignore[attr-defined]
+            return self.contracts[addr].escrow
         raise UnknownAddress(addr)
 
     def _require_account(self, addr: str) -> None:
@@ -268,7 +264,7 @@ class Ledger:
 
     # ---- contract plumbing -------------------------------------------------
 
-    def register_contract(self, contract: object, payer: str) -> str:
+    def register_contract(self, contract: AgreementContract, payer: str) -> str:
         """Assign a fresh contract address; the payer covers the deploy fee."""
         self._require_account(payer)
         fee = self.gas.deploy_fee()
@@ -307,7 +303,7 @@ class Ledger:
                 f"{caller} has {self.accounts[caller]} wei, needs {value + fee}"
             )
         self.accounts[caller] -= value + fee
-        contract.escrow += value  # type: ignore[attr-defined]
+        contract.escrow += value
         self.fee_sink += fee
         self._log(caller, contract_addr, value, fee, kind)
 
@@ -320,11 +316,11 @@ class Ledger:
         if value == 0:
             return
         self._require_account(to_addr)
-        if contract.escrow < value:  # type: ignore[attr-defined]
+        if contract.escrow < value:
             raise InsufficientFunds(
                 f"{contract_addr} escrow {contract.escrow} < release {value}"
             )
-        contract.escrow -= value  # type: ignore[attr-defined]
+        contract.escrow -= value
         self.accounts[to_addr] += value
         self._log(contract_addr, to_addr, value, 0, kind)
 
@@ -333,7 +329,7 @@ class Ledger:
     def conservation_check(self) -> bool:
         """Exact integer check of the conservation invariant."""
         total = sum(self.accounts.values()) + self.fee_sink
-        total += sum(c.escrow for c in self.contracts.values())  # type: ignore[attr-defined]
+        total += sum(c.escrow for c in self.contracts.values())
         return total == self.genesis_total
 
     def _log(self, from_addr: str, to_addr: str, value: int, fee: int, kind: str) -> TxRecord:

@@ -3,13 +3,16 @@
 Recomputes every contract's expected settlement directly from a parsed
 script using exact rational arithmetic (``fractions.Fraction``), without
 touching the ledger, the orchestrator, or the contract state machines.
-The only shared inputs are the script's configuration values.  Used by the
-test suite to cross-check the engine on large randomized sweeps.
+The only shared inputs are the parsed script's configuration values and
+typed events; quotes, minimum charges and settlements are computed here
+anew.  Used by the test suite to cross-check the engine on large randomized
+sweeps.
 
 The oracle re-derives the block grid from the script config: deterministic
 runs tick at exact multiples of the interval, jittered runs replay the
 seeded uniform draws.  An event at time t takes effect at the first grid
-point >= t; a release-time wakeup beats any event sharing its block.
+point >= t; a release-time wakeup beats any event sharing its block.  A
+payment lands only up to ``quote_ttl_blocks`` blocks after its request.
 """
 
 from __future__ import annotations
@@ -22,42 +25,61 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .contracts import ContractKind
 from .ledger import JITTER_INTERVAL_RANGE
-from .scenario import PAY_QUOTED, PAY_WRONG, ScenarioScript, ScriptEvent
+from .scenario import (
+    ApproveAndPay,
+    CastVote,
+    Countersign,
+    DeployBallot,
+    EndSession,
+    QosSample,
+    QuotaPurchase,
+    QuotaStart,
+    QuotaStop,
+    RequestSession,
+    ScenarioScript,
+    Tally,
+    Transfer,
+    handler_table,
+    resolve_payment,
+)
 
 _BP = 10_000
 
 
 class _Grid:
-    """Block timestamps reconstructed from the script's timing config."""
+    """Block heights and timestamps reconstructed from the script's timing config."""
 
     def __init__(self, interval: int, jitter_seed: Optional[int]) -> None:
         self._interval = interval
         self._rng = random.Random(jitter_seed) if jitter_seed is not None else None
-        self._points = [0]
+        self._points = [0]  # jittered grid: every block timestamp drawn so far
 
-    def at_or_after(self, t: int) -> int:
-        while self._points[-1] < t:
-            if self._rng is None:
-                step = self._interval
-            else:
-                step = self._rng.randint(*JITTER_INTERVAL_RANGE)
-            self._points.append(self._points[-1] + step)
-        return self._points[bisect.bisect_left(self._points, t)]
+    def at_or_after(self, t: int) -> tuple[int, int]:
+        """(height, timestamp) of the first block whose timestamp is >= t."""
+        if self._rng is None:
+            height = max(0, -(-t // self._interval))
+            return height, height * self._interval
+        points = self._points
+        while points[-1] < t:
+            points.append(points[-1] + self._rng.randint(*JITTER_INTERVAL_RANGE))
+        height = bisect.bisect_left(points, t)
+        return height, points[height]
 
 
 @dataclass
 class _Contract:
     address: str
-    kind: str
+    kind: ContractKind
     owner: str
     end_user: str = ""
     price: int = 0
     per_minute: int = 0
     min_charge: int = 0
     lock: int = 0
+    quote_expires_at: int = 0  # last block height that accepts the payment
     funded_ts: Optional[int] = None
-    wakeup_ts: Optional[int] = None
     active: bool = False
     settled: bool = False
     samples_up: int = 0
@@ -107,20 +129,21 @@ class _Oracle:
             avail_bp = _BP
         return Fraction(quality_bp * avail_bp * constraint_bp, _BP**3)
 
-    def _quote(self, p: dict, constraint_bp: int) -> tuple[int, int, int]:
-        """(price, per_minute, min_charge) for one request's parameters."""
+    def _quote(self, ev: RequestSession, constraint_bp: int) -> tuple[int, int, int]:
+        """(price, per_minute, min_charge) for one request."""
+        prefs = ev.prefs
         factor = self._multipliers(
-            p["video_quality"], p["availability_target_bp"], constraint_bp
+            prefs.video_quality, prefs.availability_target_bp, constraint_bp
         )
-        period = p["max_period_seconds"]
+        period = prefs.max_period_seconds
         base = self.card.base_rate_wei_per_second
-        if p["kind"] == "time_limited_quota":
+        if prefs.monetization_kind is ContractKind.TIME_LIMITED_QUOTA:
             per_minute = math.floor(base * 60 * factor)
             return per_minute * math.ceil(Fraction(period, 60)), per_minute, 0
-        if p["kind"] == "flexible_period":
-            if "standby" in p:
-                rate = int(p["standby"]["rate_wei_per_second"])
-                window = p["standby"]["window_seconds"]
+        if prefs.monetization_kind is ContractKind.FLEXIBLE_PERIOD:
+            if ev.standby is not None:
+                rate = ev.standby.standby_rate
+                window = ev.standby.standby_window_seconds
             else:
                 rate = self.card.standby_rate_wei_per_second
                 window = period
@@ -132,9 +155,9 @@ class _Oracle:
 
     def run(self) -> dict[str, dict]:
         for event in self.script.events:
-            ts = self.grid.at_or_after(event.at_time)
+            height, ts = self.grid.at_or_after(event.at_time)
             self._fire_due_wakeups(ts)
-            self._apply(event, ts)
+            _ORACLE_HANDLERS[type(event)](self, event, height, ts)
         self._fire_due_wakeups(None)  # horizon: everything armed settles
         return {
             c.address: {
@@ -159,7 +182,7 @@ class _Oracle:
                 c.escrow = 0
                 c.settled = True
 
-    def _new_contract(self, kind: str, owner: str) -> _Contract:
+    def _new_contract(self, kind: ContractKind, owner: str) -> _Contract:
         self._seq += 1
         contract = _Contract(
             address=f"sc-{self._seq}", kind=kind, owner=owner, threshold_bp=self.threshold
@@ -167,156 +190,106 @@ class _Oracle:
         self.contracts.append(contract)
         return contract
 
-    def _apply(self, ev: ScriptEvent, ts: int) -> None:
-        p = ev.params
-        action = ev.action
-        if action == "request_session":
-            self._request(ev)
-        elif action == "approve_and_pay":
-            c = self.sessions.get(p["session"])
-            if c is None or c.kind == "time_limited_quota" or c.funded_ts is not None:
-                return
-            if c.settled:
-                return
-            value = self._value(p["value"], c.price)
-            if value != c.price:
-                return
-            c.funded_ts = ts
-            c.end_user = ev.actor
-            c.escrow = value
-            c.wakeup_ts = self.grid.at_or_after(ts + c.lock)
-            self._wakeup_seq += 1
-            heapq.heappush(self._wakeups, (c.wakeup_ts, self._wakeup_seq, c))
-        elif action == "countersign":
-            c = self.sessions.get(p["session"])
-            if (
-                c is not None
-                and c.funded_ts is not None
-                and not c.settled
-                and not c.active
-                and ev.actor == c.owner
-            ):
-                c.active = True
-        elif action == "qos_sample":
-            c = self.sessions.get(p["session"])
-            if c is not None and c.active and not c.settled:
-                c.samples_total += 1
-                c.samples_up += 1 if p["available"] else 0
-        elif action == "end_session":
-            c = self.sessions.get(p["session"])
-            if c is not None and c.active and not c.settled and ev.actor == c.end_user:
-                self._settle(c, used=min(ts - c.funded_ts, c.lock))
-        elif action == "quota_purchase":
-            self._quota_purchase(ev)
-        elif action == "quota_start":
-            c = self.sessions.get(p["session"])
-            if (
-                c is not None
-                and c.kind == "time_limited_quota"
-                and c.funded_ts is not None
-                and not c.settled
-                and c.open_start_ts is None
-                and c.minutes_purchased - c.minutes_consumed > 0
-                and ev.actor == c.end_user
-            ):
-                c.open_start_ts = ts
-        elif action == "quota_stop":
-            self._quota_stop(ev, ts)
-        elif action == "deploy_ballot":
-            ballot = self._new_contract("consensus_decision", ev.actor)
-            ballot.voters = frozenset(p["voters"])
-            self.ballots[p["ballot"]] = ballot
-        elif action == "cast_vote":
-            ballot = self.ballots.get(p["ballot"])
-            if (
-                ballot is not None
-                and ev.actor in ballot.voters
-                and ev.actor not in ballot.votes
-            ):
-                ballot.votes[ev.actor] = p["choice"]
-        elif action == "tally":
-            ballot = self.ballots.get(p["ballot"])
-            if ballot is not None:
-                yes = sum(1 for v in ballot.votes.values() if v == "yes")
-                if 2 * yes > len(ballot.voters):
-                    ballot.enacted = True
-        # transfers do not touch settlements
-
-    def _value(self, token: str, quoted: int) -> int:
-        if token == PAY_QUOTED:
-            return quoted
-        if token == PAY_WRONG:
-            return quoted + 1
-        return int(token)
-
-    def _request(self, ev: ScriptEvent) -> None:
-        p = ev.params
-        if not 0 < p["availability_target_bp"] <= _BP:
-            return
-        if p["max_period_seconds"] <= 0:
-            return
-        if p["video_quality"] not in self.card.video_multiplier_bp:
-            return
+    def _request_session(self, ev: RequestSession, height: int, ts: int) -> None:
         constraint_bp = _BP
-        if "constraints" in p:
-            c = p["constraints"]
-            regions = c.get("allowed_regions", [])
-            if c.get("gdpr_required", False) and not self.gdpr_ok:
+        if ev.constraints is not None:
+            c = ev.constraints
+            if c.gdpr_required and not self.gdpr_ok:
                 return
-            if regions and self.region not in regions:
+            if c.allowed_regions and self.region not in c.allowed_regions:
                 return
-            constraint_bp = c.get("price_multiplier_bp", _BP)
-        if p["kind"] == "consensus_decision":
-            ballot = self.ballots.get(p["ballot"])
+            constraint_bp = c.price_multiplier_bp
+        kind = ev.prefs.monetization_kind
+        if kind is ContractKind.CONSENSUS_DECISION:
+            ballot = self.ballots.get(ev.ballot)
             if ballot is None or not ballot.enacted:
                 return
-        price, per_minute, min_charge = self._quote(p, constraint_bp)
+        price, per_minute, min_charge = self._quote(ev, constraint_bp)
         if price <= 0:
             return
         division = None
-        if p["kind"] == "income_division":
-            division = self._new_contract("income_division", p["owner"])
-            numerators = {addr: pair[0] for addr, pair in p["shares"].items()}
-            denominator = next(iter(p["shares"].values()))[1]
-            valid = (
-                numerators
-                and denominator > 0
-                and all(n > 0 for n in numerators.values())
-                and sum(numerators.values()) == denominator
-            )
-            if not valid:
-                return  # orphan division contract, no agreement
-            division.numerators = numerators
-            division.denominator = denominator
-        contract = self._new_contract(p["kind"], p["owner"])
+        if kind is ContractKind.INCOME_DIVISION:
+            division = self._new_contract(ContractKind.INCOME_DIVISION, ev.owner)
+            division.numerators = ev.shares.numerators
+            division.denominator = ev.shares.denominator
+        contract = self._new_contract(kind, ev.owner)
         contract.price = price
         contract.per_minute = per_minute
         contract.min_charge = min_charge
-        contract.lock = p["max_period_seconds"]
+        contract.lock = ev.prefs.max_period_seconds
+        contract.quote_expires_at = height + self.card.quote_ttl_blocks
         contract.division = division
-        self.sessions[p["session"]] = contract
+        self.sessions[ev.session] = contract
 
-    def _quota_purchase(self, ev: ScriptEvent) -> None:
-        p = ev.params
-        c = self.sessions.get(p["session"])
-        if c is None or c.kind != "time_limited_quota" or c.funded_ts is not None:
+    def _approve_and_pay(self, ev: ApproveAndPay, height: int, ts: int) -> None:
+        c = self.sessions.get(ev.session)
+        if c is None or c.kind is ContractKind.TIME_LIMITED_QUOTA:
             return
-        if p["minutes"] <= 0:
+        if c.funded_ts is not None or c.settled or height > c.quote_expires_at:
             return
-        cost = c.per_minute * p["minutes"]
-        if self._value(p["value"], cost) != cost:
+        if resolve_payment(ev.value, c.price) != c.price:
+            return
+        c.funded_ts = ts
+        c.end_user = ev.actor
+        c.escrow = c.price
+        self._wakeup_seq += 1
+        release = self.grid.at_or_after(ts + c.lock)[1]
+        heapq.heappush(self._wakeups, (release, self._wakeup_seq, c))
+
+    def _countersign(self, ev: Countersign, height: int, ts: int) -> None:
+        c = self.sessions.get(ev.session)
+        if (
+            c is not None
+            and c.funded_ts is not None
+            and not c.settled
+            and not c.active
+            and ev.actor == c.owner
+        ):
+            c.active = True
+
+    def _qos_sample(self, ev: QosSample, height: int, ts: int) -> None:
+        c = self.sessions.get(ev.session)
+        if c is not None and c.active and not c.settled:
+            c.samples_total += 1
+            c.samples_up += 1 if ev.available else 0
+
+    def _end_session(self, ev: EndSession, height: int, ts: int) -> None:
+        c = self.sessions.get(ev.session)
+        if c is not None and c.active and not c.settled and ev.actor == c.end_user:
+            self._settle(c, used=min(ts - c.funded_ts, c.lock))
+
+    def _quota_purchase(self, ev: QuotaPurchase, height: int, ts: int) -> None:
+        c = self.sessions.get(ev.session)
+        if c is None or c.kind is not ContractKind.TIME_LIMITED_QUOTA:
+            return
+        if c.funded_ts is not None:
+            return
+        cost = c.per_minute * ev.minutes
+        if resolve_payment(ev.value, cost) != cost:
             return
         c.funded_ts = 0  # marker: funded (quota has no release wakeup)
         c.end_user = ev.actor
         c.escrow = cost
-        c.minutes_purchased = p["minutes"]
+        c.minutes_purchased = ev.minutes
 
-    def _quota_stop(self, ev: ScriptEvent, ts: int) -> None:
-        p = ev.params
-        c = self.sessions.get(p["session"])
-        if c is None or c.kind != "time_limited_quota" or c.open_start_ts is None:
+    def _quota_start(self, ev: QuotaStart, height: int, ts: int) -> None:
+        c = self.sessions.get(ev.session)
+        if (
+            c is not None
+            and c.kind is ContractKind.TIME_LIMITED_QUOTA
+            and c.funded_ts is not None
+            and not c.settled
+            and c.open_start_ts is None
+            and c.minutes_purchased - c.minutes_consumed > 0
+            and ev.actor == c.end_user
+        ):
+            c.open_start_ts = ts
+
+    def _quota_stop(self, ev: QuotaStop, height: int, ts: int) -> None:
+        c = self.sessions.get(ev.session)
+        if c is None or c.kind is not ContractKind.TIME_LIMITED_QUOTA:
             return
-        if c.settled or ev.actor != c.end_user:
+        if c.open_start_ts is None or c.settled or ev.actor != c.end_user:
             return
         elapsed = ts - c.open_start_ts
         remaining = c.minutes_purchased - c.minutes_consumed
@@ -329,6 +302,26 @@ class _Oracle:
         if c.minutes_purchased == c.minutes_consumed:
             c.settled = True
 
+    def _deploy_ballot(self, ev: DeployBallot, height: int, ts: int) -> None:
+        ballot = self._new_contract(ContractKind.CONSENSUS_DECISION, ev.actor)
+        ballot.voters = ev.voters
+        self.ballots[ev.ballot] = ballot
+
+    def _cast_vote(self, ev: CastVote, height: int, ts: int) -> None:
+        ballot = self.ballots.get(ev.ballot)
+        if ballot is not None and ev.actor in ballot.voters and ev.actor not in ballot.votes:
+            ballot.votes[ev.actor] = ev.choice
+
+    def _tally(self, ev: Tally, height: int, ts: int) -> None:
+        ballot = self.ballots.get(ev.ballot)
+        if ballot is not None:
+            yes = sum(1 for v in ballot.votes.values() if v == "yes")
+            if 2 * yes > len(ballot.voters):
+                ballot.enacted = True
+
+    def _transfer(self, ev: Transfer, height: int, ts: int) -> None:
+        pass  # transfers do not touch settlements
+
     # ---- settlement math -----------------------------------------------------
 
     def _availability_ok(self, c: _Contract) -> bool:
@@ -340,9 +333,9 @@ class _Oracle:
     def _settle(self, c: _Contract, used: int) -> None:
         if not self._availability_ok(c):
             charge = 0
-        elif c.kind == "fixed_price":
+        elif c.kind is ContractKind.FIXED_PRICE:
             charge = c.price
-        elif c.kind == "flexible_period":
+        elif c.kind is ContractKind.FLEXIBLE_PERIOD:
             prorated = math.floor(Fraction((c.price - c.min_charge) * used, c.lock))
             charge = c.min_charge + prorated
         else:
@@ -357,6 +350,9 @@ class _Oracle:
         else:
             c.payouts = {c.owner: charge} if charge > 0 else {}
         c.settled = True
+
+
+_ORACLE_HANDLERS = handler_table(_Oracle)
 
 
 def _largest_remainder(charge: int, numerators: dict, denominator: int) -> dict:

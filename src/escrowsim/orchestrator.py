@@ -100,14 +100,12 @@ class SessionOrchestrator:
         provider_region: str = "EU",
         provider_gdpr_compliant: bool = True,
         refund_threshold_bp: int = sc.DEFAULT_REFUND_THRESHOLD_BP,
-        deployment_latency_seconds: int = 0,
     ) -> None:
         self.ledger = ledger
         self.rate_card = rate_card or RateCard()
         self.provider_region = provider_region
         self.provider_gdpr_compliant = provider_gdpr_compliant
         self.refund_threshold_bp = refund_threshold_bp
-        self.deployment_latency_seconds = deployment_latency_seconds
         self.sessions: list[SessionRecord] = []
         self._by_contract: dict[str, SessionRecord] = {}
         self._token_seq = 0
@@ -118,7 +116,6 @@ class SessionOrchestrator:
 
     def request_session(self, req: SessionRequest) -> SessionRecord:
         """Price the request and deploy its agreement contract in QUOTED state."""
-        req.prefs.validate()
         multiplier_bp = sc.IDENTITY_MULTIPLIER_BP
         if req.constraints is not None:
             evaluation = sc.evaluate_constraints(

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .contracts import ConstraintEvaluation, ContractKind, FlexibleTerms, IDENTITY_MULTIPLIER_BP
-from .errors import GasPriceOutOfRange, InadmissibleOffer, InvalidPreferences
+from .contracts import ContractKind, FlexibleTerms, IDENTITY_MULTIPLIER_BP
+from .errors import GasPriceOutOfRange, InvalidPreferences
+from .ledger import GAS_PRICE_BOUNDS_GWEI
 from .units import WEI_PER_ETH, WEI_PER_GWEI, require_amount
 
 BP_SCALE = 10_000
@@ -21,22 +22,24 @@ BP_SCALE = 10_000
 
 @dataclass(frozen=True)
 class QosPreferences:
-    """End-user service preferences driving the quote."""
+    """End-user service preferences driving the quote; checked when built."""
 
     availability_target_bp: int
     video_quality: str  # "SD" | "HD"
     max_period_seconds: int
     monetization_kind: ContractKind = ContractKind.DYNAMIC_PRICE
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.availability_target_bp <= BP_SCALE:
             raise InvalidPreferences(
-                f"availability target {self.availability_target_bp} bp out of (0, 10000]"
+                f"availability_target_bp {self.availability_target_bp} out of (0, 10000]"
             )
         if self.max_period_seconds <= 0:
-            raise InvalidPreferences("max period must be > 0 seconds")
+            raise InvalidPreferences(
+                f"max_period_seconds must be > 0, got {self.max_period_seconds}"
+            )
         if self.video_quality not in ("SD", "HD"):
-            raise InvalidPreferences(f"unknown video quality {self.video_quality!r}")
+            raise InvalidPreferences(f"video_quality {self.video_quality!r} is not SD or HD")
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,6 @@ class Quote:
 
     price: int
     per_minute_price: int = 0  # quota kind only
-    min_charge: int = 0  # flexible kind only
-    constraint_multiplier_bp: int = IDENTITY_MULTIPLIER_BP
     expires_at_block: int = 0
 
 
@@ -78,7 +79,6 @@ def quote_price(
     flexible: Optional[FlexibleTerms] = None,
 ) -> Quote:
     """Deterministic quote: base rate x period x multipliers, floored once."""
-    prefs.validate()
     quality_bp = rate_card.video_multiplier_bp[prefs.video_quality]
     availability_bp = rate_card.availability_multiplier_bp(prefs.availability_target_bp)
     scale = BP_SCALE**3
@@ -89,7 +89,6 @@ def quote_price(
         ) // scale
 
     per_minute = 0
-    min_charge = 0
     if prefs.monetization_kind is ContractKind.TIME_LIMITED_QUOTA:
         per_minute = scaled(rate_card.base_rate_wei_per_second, 60)
         price = per_minute * -(-prefs.max_period_seconds // 60)
@@ -98,8 +97,7 @@ def quote_price(
             standby_rate=rate_card.standby_rate_wei_per_second,
             standby_window_seconds=prefs.max_period_seconds,
         )
-        min_charge = standby_min_charge(terms)
-        price = min_charge + scaled(
+        price = terms.min_charge + scaled(
             rate_card.base_rate_wei_per_second, prefs.max_period_seconds
         )
     else:
@@ -109,32 +107,7 @@ def quote_price(
     return Quote(
         price=price,
         per_minute_price=per_minute,
-        min_charge=min_charge,
-        constraint_multiplier_bp=constraint_multiplier_bp,
         expires_at_block=current_height + rate_card.quote_ttl_blocks,
-    )
-
-
-def standby_min_charge(terms: FlexibleTerms) -> int:
-    """Minimum charge for keeping fast deployment ready over the window."""
-    if terms.standby_window_seconds <= 0:
-        raise ValueError("standby window must be > 0 seconds")
-    return terms.standby_rate * terms.standby_window_seconds
-
-
-def apply_constraint_pricing(quote: Quote, evaluation: ConstraintEvaluation) -> Quote:
-    """Scale an issued quote by the constraint multiplier (floor rounding)."""
-    if not evaluation.admissible:
-        raise InadmissibleOffer("offer rejected by constraint evaluation")
-    multiplier = evaluation.price_multiplier_bp
-    if multiplier == IDENTITY_MULTIPLIER_BP:
-        return quote
-    return Quote(
-        price=quote.price * multiplier // BP_SCALE,
-        per_minute_price=quote.per_minute_price,
-        min_charge=quote.min_charge,
-        constraint_multiplier_bp=quote.constraint_multiplier_bp * multiplier // BP_SCALE,
-        expires_at_block=quote.expires_at_block,
     )
 
 
@@ -160,8 +133,6 @@ FEE_METHODS = (
     FeeMethodSpec("PayPal", (290, 440), 150, 0, "limited"),
     FeeMethodSpec("Ethereum", None, 0, 0, "flexible"),
 )
-
-GAS_PRICE_BOUNDS_GWEI = (1, 40)
 
 
 def ethereum_fee_usd_cents(gas_price_gwei: int, gas_units: int, eth_usd_cents: int) -> int:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, fields
+from typing import AbstractSet, Any, ClassVar, Optional, Union
 
 from . import contracts as sc
 from .contracts import (
@@ -31,7 +31,6 @@ from .contracts import (
     export_contract,
 )
 from .errors import (
-    GasPriceOutOfRange,
     NotEndUser,
     NotOwner,
     ParseError,
@@ -40,31 +39,31 @@ from .errors import (
 )
 from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
 from .orchestrator import SessionOrchestrator, SessionRecord, SessionRequest
-from .pricing import QosPreferences, RateCard
+from .pricing import BP_SCALE, QosPreferences, RateCard
 from .units import gwei, parse_wei
 
-ACTIONS = frozenset(
-    {
-        "request_session",
-        "approve_and_pay",
-        "countersign",
-        "qos_sample",
-        "end_session",
-        "quota_purchase",
-        "quota_start",
-        "quota_stop",
-        "deploy_ballot",
-        "cast_vote",
-        "tally",
-        "transfer",
-    }
-)
-
 KIND_NAMES = {kind.value: kind for kind in ContractKind}
+
+# Request params that only one contract kind reads; any other kind rejects them.
+KIND_ONLY_PARAMS = {
+    "shares": ContractKind.INCOME_DIVISION,
+    "ballot": ContractKind.CONSENSUS_DECISION,
+    "standby": ContractKind.FLEXIBLE_PERIOD,
+}
 
 # Payment "value" accepts a decimal wei string or one of these tokens.
 PAY_QUOTED = "quoted"
 PAY_WRONG = "wrong"  # quoted price plus one wei: always rejected
+Payment = Union[int, str]  # wei, PAY_QUOTED or PAY_WRONG
+
+
+def resolve_payment(value: Payment, quoted: int) -> int:
+    """Wei a scripted payment sends when ``quoted`` is the price asked."""
+    if value == PAY_QUOTED:
+        return quoted
+    if value == PAY_WRONG:
+        return quoted + 1
+    return value
 
 
 @dataclass
@@ -79,12 +78,254 @@ class ScenarioConfig:
     provider_gdpr_compliant: bool = True
 
 
-@dataclass
+# ---------------------------------------------------------------------------
+# typed events: one frozen class per action, built once by the parser
+# ---------------------------------------------------------------------------
+
+# Events compare by identity (no code compares two events) and share one
+# __repr__: generating __eq__, __hash__ and __repr__ for every event class
+# would only add import time.
+_frozen_event = dataclass(frozen=True, slots=True, eq=False, repr=False)
+
+
+@_frozen_event
 class ScriptEvent:
+    """One scripted action; subclasses hold its params, already validated.
+
+    ``read_params(p, where, genesis)`` checks a params object holding only
+    ``param_keys`` (by default the subclass's fields) and returns the fields.
+    """
+
+    action: ClassVar[str]
+    param_keys: ClassVar[frozenset[str]]
     at_time: int
     actor: str
-    action: str
-    params: dict
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__name__}({values})"
+
+
+# The parse table: action name -> event type. It alone defines the action set.
+EVENT_TYPES: dict[str, type[ScriptEvent]] = {}
+
+
+def _event(action: str):
+    """Class decorator: the event type for ``action``, entered in EVENT_TYPES.
+
+    A class declaring ``__slots__ = ()`` adds no fields and stays as it is.
+    """
+
+    def register(cls):
+        cls.action = action
+        if "__slots__" not in vars(cls):
+            cls = _frozen_event(cls)
+        if "param_keys" not in vars(cls):
+            cls.param_keys = frozenset(f.name for f in fields(cls)) - {"at_time", "actor"}
+        EVENT_TYPES[action] = cls
+        return cls
+
+    return register
+
+
+@_frozen_event
+class _SessionEvent(ScriptEvent):
+    """An action on the session that a ``request_session`` labelled."""
+
+    session: str
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        return (_need(p, "session", str, where),)
+
+
+@_event("request_session")
+class RequestSession(ScriptEvent):
+    """The actor, as end user, asks ``owner`` for a quote and a contract."""
+
+    param_keys = frozenset(
+        {
+            "session",
+            "owner",
+            "kind",
+            "availability_target_bp",
+            "video_quality",
+            "max_period_seconds",
+            "constraints",
+            *KIND_ONLY_PARAMS,
+        }
+    )
+    session: str
+    owner: str
+    prefs: QosPreferences  # carries the contract kind
+    constraints: Optional[ConstraintTerms]
+    shares: Optional[IncomeShares]  # income_division only, required there
+    ballot: Optional[str]  # consensus_decision only, required there
+    standby: Optional[FlexibleTerms]  # flexible_period only
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        session = _need(p, "session", str, where)
+        owner = _actor(p, "owner", where, genesis)
+        name = _need(p, "kind", str, where)
+        if name not in KIND_NAMES:
+            raise ValidationError(f"{where}.kind: unknown contract kind {name!r}")
+        kind = KIND_NAMES[name]
+        for key, reader in KIND_ONLY_PARAMS.items():
+            if key in p and kind is not reader:
+                raise ValidationError(f"{where}.{key}: only {reader.value} requests take it")
+        if kind is ContractKind.INCOME_DIVISION and "shares" not in p:
+            raise ValidationError(f"{where}: income_division requires shares")
+        if kind is ContractKind.CONSENSUS_DECISION and "ballot" not in p:
+            raise ValidationError(f"{where}: consensus_decision requires a ballot label")
+        prefs = _checked(
+            where,
+            QosPreferences,
+            _int_field(p, "availability_target_bp", where),
+            _need(p, "video_quality", str, where),
+            _int_field(p, "max_period_seconds", where),
+            kind,
+        )
+        return (
+            session,
+            owner,
+            prefs,
+            _read_constraints(p["constraints"], f"{where}.constraints")
+            if "constraints" in p
+            else None,
+            _read_shares(p["shares"], f"{where}.shares", genesis) if "shares" in p else None,
+            _need(p, "ballot", str, where) if "ballot" in p else None,
+            _read_standby(p["standby"], f"{where}.standby") if "standby" in p else None,
+        )
+
+
+@_event("approve_and_pay")
+class ApproveAndPay(_SessionEvent):
+    """The actor locks the quoted price in escrow and becomes the end user."""
+
+    value: Payment
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        return _need(p, "session", str, where), _payment(p, where)
+
+
+@_event("countersign")
+class Countersign(_SessionEvent):
+    """The owner countersigns a funded session, which activates it."""
+
+    __slots__ = ()
+
+
+@_event("qos_sample")
+class QosSample(_SessionEvent):
+    """One availability observation of an active session."""
+
+    available: bool
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        return _need(p, "session", str, where), _bool_field(p, "available", where, None)
+
+
+@_event("end_session")
+class EndSession(_SessionEvent):
+    """The end user stops an active session, which settles it."""
+
+    __slots__ = ()
+
+
+@_event("quota_purchase")
+class QuotaPurchase(_SessionEvent):
+    """The actor buys ``minutes`` of a quota and becomes its end user."""
+
+    minutes: int
+    value: Payment
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        return (
+            _need(p, "session", str, where),
+            _int_field(p, "minutes", where, minimum=1),
+            _payment(p, where),
+        )
+
+
+@_event("quota_start")
+class QuotaStart(_SessionEvent):
+    """The end user opens a metered session on a bought quota."""
+
+    __slots__ = ()
+
+
+@_event("quota_stop")
+class QuotaStop(_SessionEvent):
+    """The end user closes the open metered session."""
+
+    __slots__ = ()
+
+
+@_event("deploy_ballot")
+class DeployBallot(ScriptEvent):
+    """The actor deploys a ballot that a consensus request can name."""
+
+    ballot: str
+    voters: frozenset[str]
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        ballot = _need(p, "ballot", str, where)
+        voters = p.get("voters")
+        if not isinstance(voters, list) or not voters:
+            raise ValidationError(f"{where}.voters: must be a non-empty list")
+        for voter in voters:
+            if not isinstance(voter, str) or voter not in genesis:
+                raise ValidationError(f"{where}.voters: undeclared voter {voter!r}")
+        return ballot, frozenset(voters)
+
+
+@_event("cast_vote")
+class CastVote(ScriptEvent):
+    """A registered voter votes yes or no; a second vote is rejected."""
+
+    ballot: str
+    choice: str  # "yes" | "no"
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        ballot = _need(p, "ballot", str, where)
+        if p.get("choice") not in ("yes", "no"):
+            raise ValidationError(f"{where}.choice: must be 'yes' or 'no'")
+        return ballot, p["choice"]
+
+
+@_event("tally")
+class Tally(ScriptEvent):
+    """Count the votes: yes from a strict majority of the voters enacts for good."""
+
+    ballot: str
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        return (_need(p, "ballot", str, where),)
+
+
+@_event("transfer")
+class Transfer(ScriptEvent):
+    """A plain value transfer between two accounts."""
+
+    to: str
+    value: int
+
+    @staticmethod
+    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+        to = _actor(p, "to", where, genesis)
+        return to, _wei(_need(p, "value", str, where), f"{where}.value")
+
+
+def handler_table(owner: type) -> dict:
+    """Event type -> the function of ``owner`` named after its action, ``_<action>``."""
+    return {etype: getattr(owner, f"_{action}") for action, etype in EVENT_TYPES.items()}
 
 
 @dataclass
@@ -107,7 +348,9 @@ def _need(obj: dict, key: str, kinds, where: str):
     return value
 
 
-def _int_field(obj: dict, key: str, where: str, default=None, minimum=0) -> int:
+def _int_field(
+    obj: dict, key: str, where: str, default=None, minimum=0, maximum=None
+) -> int:
     if key not in obj:
         if default is None:
             raise ValidationError(f"{where}: missing required field {key!r}")
@@ -117,20 +360,100 @@ def _int_field(obj: dict, key: str, where: str, default=None, minimum=0) -> int:
         raise ValidationError(f"{where}.{key}: must be an integer")
     if value < minimum:
         raise ValidationError(f"{where}.{key}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{where}.{key}: must be <= {maximum}, got {value}")
     return value
 
 
-def _bool_field(obj: dict, key: str, where: str, default: bool) -> bool:
+def _bool_field(obj: dict, key: str, where: str, default: Optional[bool]) -> bool:
     value = obj.get(key, default)
     if not isinstance(value, bool):
         raise ValidationError(f"{where}.{key}: must be a boolean")
     return value
 
 
-def _check_keys(obj: dict, allowed: set, where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(f"{where}: unknown field(s) {sorted(unknown)}")
+def _actor(obj: dict, key: str, where: str, genesis: dict[str, int]) -> str:
+    name = _need(obj, key, str, where)
+    if name not in genesis:
+        raise ValidationError(f"{where}.{key}: undeclared actor {name!r}")
+    return name
+
+
+def _wei(text: str, what: str) -> int:
+    try:
+        return parse_wei(text, what)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
+def _payment(p: dict, where: str) -> Payment:
+    value = _need(p, "value", str, where)
+    if value in (PAY_QUOTED, PAY_WRONG):
+        return value
+    return _wei(value, f"{where}.value")
+
+
+def _checked(where: str, build, *args, **kwargs):
+    """``build(...)``, with a domain type's own error re-raised at ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except (SimulationError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def _check_keys(obj: dict, allowed: AbstractSet[str], where: str) -> None:
+    if not obj.keys() <= allowed:
+        unknown = sorted(set(obj) - allowed)
+        raise ValidationError(f"{where}: unknown field(s) {unknown}")
+
+
+def _object(raw: Any, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: must be an object")
+    return raw
+
+
+def _read_constraints(raw: Any, where: str) -> ConstraintTerms:
+    c = _object(raw, where)
+    _check_keys(c, {"gdpr_required", "allowed_regions", "price_multiplier_bp"}, where)
+    regions = c.get("allowed_regions", [])
+    if not isinstance(regions, list) or not all(isinstance(r, str) for r in regions):
+        raise ValidationError(f"{where}.allowed_regions: must be a list of strings")
+    return ConstraintTerms(
+        gdpr_required=_bool_field(c, "gdpr_required", where, default=False),
+        allowed_regions=frozenset(regions),
+        price_multiplier_bp=_int_field(
+            c, "price_multiplier_bp", where, default=sc.IDENTITY_MULTIPLIER_BP
+        ),
+    )
+
+
+def _read_shares(raw: Any, where: str, genesis: dict[str, int]) -> IncomeShares:
+    if not isinstance(raw, dict) or not raw:
+        raise ValidationError(f"{where}: must be a non-empty object")
+    denominators = set()
+    for addr, pair in raw.items():
+        if addr not in genesis:
+            raise ValidationError(f"{where}: undeclared actor {addr!r}")
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+        ):
+            raise ValidationError(f"{where}.{addr}: must be [numerator, denominator]")
+        denominators.add(pair[1])
+    if len(denominators) != 1:
+        raise ValidationError(f"{where}: denominators must all match")
+    shares = IncomeShares({addr: pair[0] for addr, pair in raw.items()}, denominators.pop())
+    _checked(where, shares.validate)
+    return shares
+
+
+def _read_standby(raw: Any, where: str) -> FlexibleTerms:
+    s = _object(raw, where)
+    _check_keys(s, {"rate_wei_per_second", "window_seconds"}, where)
+    rate = _wei(_need(s, "rate_wei_per_second", str, where), f"{where}.rate_wei_per_second")
+    return _checked(where, FlexibleTerms, rate, _int_field(s, "window_seconds", where))
 
 
 def _parse_config(raw: dict) -> ScenarioConfig:
@@ -156,32 +479,29 @@ def _parse_config(raw: dict) -> ScenarioConfig:
     if raw.get("run_until_seconds") is not None:
         cfg.run_until_seconds = _int_field(raw, "run_until_seconds", "config")
     cfg.refund_threshold_bp = _int_field(
-        raw, "refund_threshold_bp", "config", sc.DEFAULT_REFUND_THRESHOLD_BP
+        raw,
+        "refund_threshold_bp",
+        "config",
+        sc.DEFAULT_REFUND_THRESHOLD_BP,
+        maximum=BP_SCALE,
     )
-    gas_raw = raw.get("gas", {})
-    if not isinstance(gas_raw, dict):
-        raise ValidationError("config.gas: must be an object")
+    gas_raw = _object(raw.get("gas", {}), "config.gas")
     _check_keys(
         gas_raw,
         {"transfer_gas", "contract_call_gas", "contract_deploy_gas", "gas_price_gwei"},
         "config.gas",
     )
-    try:
-        cfg.gas = GasSchedule(
-            transfer_gas=_int_field(gas_raw, "transfer_gas", "config.gas", 21_000),
-            contract_call_gas=_int_field(
-                gas_raw, "contract_call_gas", "config.gas", 50_000
-            ),
-            contract_deploy_gas=_int_field(
-                gas_raw, "contract_deploy_gas", "config.gas", 200_000
-            ),
-            gas_price_wei=gwei(_int_field(gas_raw, "gas_price_gwei", "config.gas", 20)),
-        )
-    except (ValueError, GasPriceOutOfRange) as exc:
-        raise ValidationError(f"config.gas: {exc}") from exc
-    card_raw = raw.get("rate_card", {})
-    if not isinstance(card_raw, dict):
-        raise ValidationError("config.rate_card: must be an object")
+    cfg.gas = _checked(
+        "config.gas",
+        GasSchedule,
+        transfer_gas=_int_field(gas_raw, "transfer_gas", "config.gas", 21_000),
+        contract_call_gas=_int_field(gas_raw, "contract_call_gas", "config.gas", 50_000),
+        contract_deploy_gas=_int_field(
+            gas_raw, "contract_deploy_gas", "config.gas", 200_000
+        ),
+        gas_price_wei=gwei(_int_field(gas_raw, "gas_price_gwei", "config.gas", 20)),
+    )
+    card_raw = _object(raw.get("rate_card", {}), "config.rate_card")
     _check_keys(
         card_raw,
         {
@@ -194,24 +514,19 @@ def _parse_config(raw: dict) -> ScenarioConfig:
         "config.rate_card",
     )
     defaults = RateCard()
-    try:
-        base_rate = (
-            parse_wei(card_raw["base_rate_wei_per_second"], "config.rate_card.base_rate")
-            if "base_rate_wei_per_second" in card_raw
-            else defaults.base_rate_wei_per_second
-        )
-        standby_rate = (
-            parse_wei(
-                card_raw["standby_rate_wei_per_second"], "config.rate_card.standby_rate"
-            )
-            if "standby_rate_wei_per_second" in card_raw
-            else defaults.standby_rate_wei_per_second
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+
+    def rate(key: str, default: int) -> int:
+        if key not in card_raw:
+            return default
+        return _wei(_need(card_raw, key, str, "config.rate_card"), f"config.rate_card.{key}")
+
     cfg.rate_card = RateCard(
-        base_rate_wei_per_second=base_rate,
-        standby_rate_wei_per_second=standby_rate,
+        base_rate_wei_per_second=rate(
+            "base_rate_wei_per_second", defaults.base_rate_wei_per_second
+        ),
+        standby_rate_wei_per_second=rate(
+            "standby_rate_wei_per_second", defaults.standby_rate_wei_per_second
+        ),
         high_availability_threshold_bp=_int_field(
             card_raw,
             "high_availability_threshold_bp",
@@ -228,9 +543,7 @@ def _parse_config(raw: dict) -> ScenarioConfig:
             card_raw, "quote_ttl_blocks", "config.rate_card", defaults.quote_ttl_blocks
         ),
     )
-    provider = raw.get("provider", {})
-    if not isinstance(provider, dict):
-        raise ValidationError("config.provider: must be an object")
+    provider = _object(raw.get("provider", {}), "config.provider")
     _check_keys(provider, {"region", "gdpr_compliant"}, "config.provider")
     cfg.provider_region = provider.get("region", "EU")
     cfg.provider_gdpr_compliant = _bool_field(
@@ -241,170 +554,26 @@ def _parse_config(raw: dict) -> ScenarioConfig:
     return cfg
 
 
-def _parse_value_param(value: Any, where: str) -> str:
-    if value in (PAY_QUOTED, PAY_WRONG):
-        return value
-    if isinstance(value, str):
-        try:
-            parse_wei(value, where)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        return value
-    raise ValidationError(f"{where}: must be 'quoted', 'wrong', or a decimal string")
+_EVENT_KEYS = frozenset({"at_time", "actor", "action", "params"})
 
 
 def _parse_event(raw: Any, index: int, genesis: dict[str, int]) -> ScriptEvent:
     where = f"events[{index}]"
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: must be an object")
-    _check_keys(raw, {"at_time", "actor", "action", "params"}, where)
+    _check_keys(raw, _EVENT_KEYS, where)
     at_time = _int_field(raw, "at_time", where)
-    actor = _need(raw, "actor", str, where)
-    if actor not in genesis:
-        raise ValidationError(f"{where}.actor: undeclared actor {actor!r}")
+    actor = _actor(raw, "actor", where, genesis)
     action = _need(raw, "action", str, where)
-    if action not in ACTIONS:
+    event_type = EVENT_TYPES.get(action)
+    if event_type is None:
         raise ValidationError(f"{where}.action: unknown action {action!r}")
     params = raw.get("params", {})
+    where += ".params"
     if not isinstance(params, dict):
-        raise ValidationError(f"{where}.params: must be an object")
-    _validate_params(action, params, f"{where}.params", genesis)
-    return ScriptEvent(at_time=at_time, actor=actor, action=action, params=params)
-
-
-def _validate_params(action: str, p: dict, where: str, genesis: dict[str, int]) -> None:
-    if action == "request_session":
-        _check_keys(
-            p,
-            {
-                "session",
-                "owner",
-                "kind",
-                "availability_target_bp",
-                "video_quality",
-                "max_period_seconds",
-                "constraints",
-                "shares",
-                "ballot",
-                "standby",
-            },
-            where,
-        )
-        _need(p, "session", str, where)
-        owner = _need(p, "owner", str, where)
-        if owner not in genesis:
-            raise ValidationError(f"{where}.owner: undeclared actor {owner!r}")
-        kind = _need(p, "kind", str, where)
-        if kind not in KIND_NAMES:
-            raise ValidationError(f"{where}.kind: unknown contract kind {kind!r}")
-        _int_field(p, "availability_target_bp", where)
-        _need(p, "video_quality", str, where)
-        _int_field(p, "max_period_seconds", where)
-        if "constraints" in p:
-            c = p["constraints"]
-            if not isinstance(c, dict):
-                raise ValidationError(f"{where}.constraints: must be an object")
-            _check_keys(
-                c,
-                {"gdpr_required", "allowed_regions", "price_multiplier_bp"},
-                f"{where}.constraints",
-            )
-            regions = c.get("allowed_regions", [])
-            if not isinstance(regions, list) or not all(
-                isinstance(r, str) for r in regions
-            ):
-                raise ValidationError(
-                    f"{where}.constraints.allowed_regions: must be a list of strings"
-                )
-            _bool_field(c, "gdpr_required", f"{where}.constraints", default=False)
-            _int_field(
-                c,
-                "price_multiplier_bp",
-                f"{where}.constraints",
-                default=sc.IDENTITY_MULTIPLIER_BP,
-            )
-        if "shares" in p:
-            shares = p["shares"]
-            if not isinstance(shares, dict) or not shares:
-                raise ValidationError(f"{where}.shares: must be a non-empty object")
-            denominators = set()
-            for addr, pair in shares.items():
-                if addr not in genesis:
-                    raise ValidationError(f"{where}.shares: undeclared actor {addr!r}")
-                if (
-                    not isinstance(pair, list)
-                    or len(pair) != 2
-                    or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-                ):
-                    raise ValidationError(
-                        f"{where}.shares.{addr}: must be [numerator, denominator]"
-                    )
-                denominators.add(pair[1])
-            if len(denominators) != 1:
-                raise ValidationError(f"{where}.shares: denominators must all match")
-        if kind == "income_division" and "shares" not in p:
-            raise ValidationError(f"{where}: income_division requires shares")
-        if kind == "consensus_decision" and "ballot" not in p:
-            raise ValidationError(f"{where}: consensus_decision requires a ballot label")
-        if "ballot" in p:
-            _need(p, "ballot", str, where)
-        if "standby" in p:
-            s = p["standby"]
-            if not isinstance(s, dict):
-                raise ValidationError(f"{where}.standby: must be an object")
-            _check_keys(s, {"rate_wei_per_second", "window_seconds"}, f"{where}.standby")
-            try:
-                parse_wei(
-                    _need(s, "rate_wei_per_second", str, f"{where}.standby"),
-                    f"{where}.standby.rate",
-                )
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from exc
-            _int_field(s, "window_seconds", f"{where}.standby")
-    elif action == "approve_and_pay":
-        _check_keys(p, {"session", "value"}, where)
-        _need(p, "session", str, where)
-        _parse_value_param(_need(p, "value", str, where), f"{where}.value")
-    elif action in ("countersign", "end_session", "quota_start", "quota_stop"):
-        _check_keys(p, {"session"}, where)
-        _need(p, "session", str, where)
-    elif action == "qos_sample":
-        _check_keys(p, {"session", "available"}, where)
-        _need(p, "session", str, where)
-        if not isinstance(p.get("available"), bool):
-            raise ValidationError(f"{where}.available: must be a boolean")
-    elif action == "quota_purchase":
-        _check_keys(p, {"session", "minutes", "value"}, where)
-        _need(p, "session", str, where)
-        _int_field(p, "minutes", where, minimum=1)
-        _parse_value_param(_need(p, "value", str, where), f"{where}.value")
-    elif action == "deploy_ballot":
-        _check_keys(p, {"ballot", "voters"}, where)
-        _need(p, "ballot", str, where)
-        voters = p.get("voters")
-        if not isinstance(voters, list) or not voters:
-            raise ValidationError(f"{where}.voters: must be a non-empty list")
-        for voter in voters:
-            if not isinstance(voter, str) or voter not in genesis:
-                raise ValidationError(f"{where}.voters: undeclared voter {voter!r}")
-    elif action == "cast_vote":
-        _check_keys(p, {"ballot", "choice"}, where)
-        _need(p, "ballot", str, where)
-        if p.get("choice") not in ("yes", "no"):
-            raise ValidationError(f"{where}.choice: must be 'yes' or 'no'")
-    elif action == "tally":
-        _check_keys(p, {"ballot"}, where)
-        _need(p, "ballot", str, where)
-    elif action == "transfer":
-        _check_keys(p, {"to", "value"}, where)
-        to = _need(p, "to", str, where)
-        if to not in genesis:
-            raise ValidationError(f"{where}.to: undeclared actor {to!r}")
-        value = _need(p, "value", str, where)
-        try:
-            parse_wei(value, f"{where}.value")
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        raise ValidationError(f"{where}: must be an object")
+    _check_keys(params, event_type.param_keys, where)
+    return event_type(at_time, actor, *event_type.read_params(params, where, genesis))
 
 
 def parse_scenario(document) -> ScenarioScript:
@@ -419,10 +588,7 @@ def parse_scenario(document) -> ScenarioScript:
     if not isinstance(document, dict):
         raise ValidationError("top level: must be a JSON object")
     _check_keys(document, {"config", "genesis", "events"}, "top level")
-    raw_config = document.get("config", {})
-    if not isinstance(raw_config, dict):
-        raise ValidationError("config: must be an object")
-    config = _parse_config(raw_config)
+    config = _parse_config(_object(document.get("config", {}), "config"))
 
     raw_genesis = document.get("genesis")
     if not isinstance(raw_genesis, dict) or not raw_genesis:
@@ -436,10 +602,7 @@ def parse_scenario(document) -> ScenarioScript:
             )
         if not isinstance(amount, str):
             raise ValidationError(f"genesis.{name}: amount must be a decimal string")
-        try:
-            genesis[name] = parse_wei(amount, f"genesis.{name}")
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        genesis[name] = _wei(amount, f"genesis.{name}")
 
     raw_events = document.get("events", [])
     if not isinstance(raw_events, list):
@@ -508,7 +671,7 @@ class _Runner:
         for index, event in enumerate(self.script.events):
             ledger.advance_to(event.at_time)
             try:
-                self._apply(event)
+                _RUNNER_HANDLERS[type(event)](self, event)
             except SimulationError as exc:
                 self._record_error(index, event, type(exc).__name__, str(exc))
             except ValueError as exc:
@@ -546,109 +709,79 @@ class _Runner:
             raise ValidationError(f"unknown ballot label {label!r}")
         return self.ballots[label]
 
-    def _apply(self, ev: ScriptEvent) -> None:
-        p = ev.params
-        if ev.action == "request_session":
-            self._request_session(ev)
-        elif ev.action == "approve_and_pay":
-            session = self._session(p["session"])
-            value = self._resolve_value(p["value"], session.quote.price)
-            if not self.orch.user_approve_and_pay(session, value, payer=ev.actor):
-                raise ValidationError(
-                    f"payment of {value} wei rejected: quoted price is "
-                    f"{session.quote.price} wei"
-                )
-        elif ev.action == "countersign":
-            session = self._session(p["session"])
-            if ev.actor != session.owner:
-                raise NotOwner(f"{ev.actor} is not the owner {session.owner}")
-            self.orch.countersign_and_deploy(session)
-        elif ev.action == "qos_sample":
-            self.orch.record_qos_sample(self._session(p["session"]), p["available"])
-        elif ev.action == "end_session":
-            self.orch.end_session(self._session(p["session"]), caller=ev.actor)
-        elif ev.action == "quota_purchase":
-            session = self._session(p["session"])
-            quoted = session.quote.per_minute_price * p["minutes"]
-            value = self._resolve_value(p["value"], quoted)
-            if not self.orch.quota_purchase(session, p["minutes"], value, payer=ev.actor):
-                raise ValidationError(
-                    f"quota payment of {value} wei rejected: "
-                    f"{p['minutes']} minutes cost {quoted} wei"
-                )
-        elif ev.action == "quota_start":
-            session = self._session(p["session"])
-            self._require_end_user(ev.actor, session)
-            self.orch.quota_start(session, caller=ev.actor)
-        elif ev.action == "quota_stop":
-            session = self._session(p["session"])
-            self._require_end_user(ev.actor, session)
-            self.orch.quota_stop(session, caller=ev.actor)
-        elif ev.action == "deploy_ballot":
-            ballot = self.orch.deploy_consensus(ev.actor, set(p["voters"]))
-            self.ballots[p["ballot"]] = ballot
-        elif ev.action == "cast_vote":
-            sc.cast_vote(self.ledger, self._ballot(p["ballot"]), ev.actor, p["choice"])
-        elif ev.action == "tally":
-            sc.tally_and_enact(self._ballot(p["ballot"]))
-        elif ev.action == "transfer":
-            self.ledger.transfer(ev.actor, p["to"], parse_wei(p["value"]))
+    # ---- one handler per event type -----------------------------------------
 
-    @staticmethod
-    def _require_end_user(actor: str, session: SessionRecord) -> None:
-        contract_user = session.end_user
-        if actor != contract_user:
-            raise NotEndUser(f"{actor} is not the end user {contract_user}")
-
-    @staticmethod
-    def _resolve_value(token: str, quoted: int) -> int:
-        if token == PAY_QUOTED:
-            return quoted
-        if token == PAY_WRONG:
-            return quoted + 1
-        return parse_wei(token)
-
-    def _request_session(self, ev: ScriptEvent) -> None:
-        p = ev.params
-        kind = KIND_NAMES[p["kind"]]
-        prefs = QosPreferences(
-            availability_target_bp=p["availability_target_bp"],
-            video_quality=p["video_quality"],
-            max_period_seconds=p["max_period_seconds"],
-            monetization_kind=kind,
-        )
-        constraints = None
-        if "constraints" in p:
-            c = p["constraints"]
-            constraints = ConstraintTerms(
-                gdpr_required=c.get("gdpr_required", False),
-                allowed_regions=frozenset(c.get("allowed_regions", [])),
-                price_multiplier_bp=c.get("price_multiplier_bp", sc.IDENTITY_MULTIPLIER_BP),
-            )
-        shares = None
-        if "shares" in p:
-            numerators = {addr: pair[0] for addr, pair in p["shares"].items()}
-            denominator = next(iter(p["shares"].values()))[1]
-            shares = IncomeShares(numerators=numerators, denominator=denominator)
+    def _request_session(self, ev: RequestSession) -> None:
         consensus_address = None
-        if "ballot" in p:
-            consensus_address = self._ballot(p["ballot"]).address
-        flexible = None
-        if "standby" in p:
-            flexible = FlexibleTerms(
-                standby_rate=parse_wei(p["standby"]["rate_wei_per_second"]),
-                standby_window_seconds=p["standby"]["window_seconds"],
-            )
+        if ev.ballot is not None:
+            consensus_address = self._ballot(ev.ballot).address
         request = SessionRequest(
             end_user=ev.actor,
-            owner=p["owner"],
-            prefs=prefs,
-            constraints=constraints,
-            shares=shares,
+            owner=ev.owner,
+            prefs=ev.prefs,
+            constraints=ev.constraints,
+            shares=ev.shares,
             consensus_address=consensus_address,
-            flexible=flexible,
+            flexible=ev.standby,
         )
-        self.sessions[p["session"]] = self.orch.request_session(request)
+        self.sessions[ev.session] = self.orch.request_session(request)
+
+    def _approve_and_pay(self, ev: ApproveAndPay) -> None:
+        session = self._session(ev.session)
+        value = resolve_payment(ev.value, session.quote.price)
+        if not self.orch.user_approve_and_pay(session, value, payer=ev.actor):
+            raise ValidationError(
+                f"payment of {value} wei rejected: quoted price is "
+                f"{session.quote.price} wei"
+            )
+
+    def _countersign(self, ev: Countersign) -> None:
+        session = self._session(ev.session)
+        if ev.actor != session.owner:
+            raise NotOwner(f"{ev.actor} is not the owner {session.owner}")
+        self.orch.countersign_and_deploy(session)
+
+    def _qos_sample(self, ev: QosSample) -> None:
+        self.orch.record_qos_sample(self._session(ev.session), ev.available)
+
+    def _end_session(self, ev: EndSession) -> None:
+        self.orch.end_session(self._session(ev.session), caller=ev.actor)
+
+    def _quota_purchase(self, ev: QuotaPurchase) -> None:
+        session = self._session(ev.session)
+        quoted = session.quote.per_minute_price * ev.minutes
+        value = resolve_payment(ev.value, quoted)
+        if not self.orch.quota_purchase(session, ev.minutes, value, payer=ev.actor):
+            raise ValidationError(
+                f"quota payment of {value} wei rejected: "
+                f"{ev.minutes} minutes cost {quoted} wei"
+            )
+
+    def _quota_start(self, ev: QuotaStart) -> None:
+        session = self._end_users_session(ev)
+        self.orch.quota_start(session, caller=ev.actor)
+
+    def _quota_stop(self, ev: QuotaStop) -> None:
+        session = self._end_users_session(ev)
+        self.orch.quota_stop(session, caller=ev.actor)
+
+    def _end_users_session(self, ev: _SessionEvent) -> SessionRecord:
+        session = self._session(ev.session)
+        if ev.actor != session.end_user:
+            raise NotEndUser(f"{ev.actor} is not the end user {session.end_user}")
+        return session
+
+    def _deploy_ballot(self, ev: DeployBallot) -> None:
+        self.ballots[ev.ballot] = self.orch.deploy_consensus(ev.actor, set(ev.voters))
+
+    def _cast_vote(self, ev: CastVote) -> None:
+        sc.cast_vote(self.ledger, self._ballot(ev.ballot), ev.actor, ev.choice)
+
+    def _tally(self, ev: Tally) -> None:
+        sc.tally_and_enact(self._ballot(ev.ballot))
+
+    def _transfer(self, ev: Transfer) -> None:
+        self.ledger.transfer(ev.actor, ev.to, ev.value)
 
     # ---- report ------------------------------------------------------------
 
@@ -703,6 +836,9 @@ class _Runner:
             "tx_digest": ledger.tx_log_digest(),
         }
         return SettlementReport(report=report, settlements=settlements)
+
+
+_RUNNER_HANDLERS = handler_table(_Runner)
 
 
 def run_scenario(script: ScenarioScript, corrupt_wei: int = 0) -> SettlementReport:

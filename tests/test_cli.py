@@ -74,8 +74,11 @@ def test_run_rejects_invalid_scenario(tmp_path, capsys):
     assert "error: ValidationError" in err
 
 
+REQUEST = GOOD_SCENARIO["events"][0]["params"]
+
 # (path to the key, value, text the error must name); each once passed
-# parsing and then crashed the run or was misread
+# parsing and then crashed the run, was misread, or made the engine and the
+# oracle settle differently
 PARSE_TIME_REJECTS = {
     "genesis-contract-prefix": (("genesis", "sc-1"), "1000", "genesis.sc-1"),
     "multiplier-not-int": (
@@ -89,6 +92,32 @@ PARSE_TIME_REJECTS = {
     "provider-gdpr-not-bool": (
         ("config", "provider"), {"gdpr_compliant": "false"},
         "config.provider.gdpr_compliant",
+    ),
+    "refund-threshold-above-10000": (
+        ("config", "refund_threshold_bp"), 20_000, "config.refund_threshold_bp",
+    ),
+    "standby-window-zero": (
+        ("events", 0, "params"),
+        {**REQUEST, "kind": "flexible_period",
+         "standby": {"rate_wei_per_second": "1000", "window_seconds": 0}},
+        "events[0].params.standby",
+    ),
+    "target-zero": (
+        ("events", 0, "params", "availability_target_bp"), 0, "availability_target_bp",
+    ),
+    "target-above-10000": (
+        ("events", 0, "params", "availability_target_bp"), 10_001,
+        "availability_target_bp",
+    ),
+    "quality-4k": (("events", 0, "params", "video_quality"), "4K", "video_quality"),
+    "period-zero": (
+        ("events", 0, "params", "max_period_seconds"), 0, "max_period_seconds",
+    ),
+    "shares-off-denominator": (
+        ("events", 0, "params"),
+        {**REQUEST, "kind": "income_division",
+         "shares": {"alice": [1, 3], "oliver": [1, 3]}},
+        "events[0].params.shares",
     ),
 }
 

@@ -279,8 +279,6 @@ def test_flexible_availability_breach_refunds_the_minimum_too():
 def test_flexible_terms_derive_and_check_min_charge():
     terms = FlexibleTerms(standby_rate=7, standby_window_seconds=100)
     assert terms.min_charge == 700
-    with pytest.raises(ValueError):
-        FlexibleTerms(standby_rate=7, standby_window_seconds=100, min_charge=699)
 
 
 # ---- prepaid quota --------------------------------------------------------------------------

@@ -4,17 +4,15 @@ import random
 
 import pytest
 
-from escrowsim.contracts import ConstraintEvaluation, ContractKind, FlexibleTerms
-from escrowsim.errors import GasPriceOutOfRange, InadmissibleOffer, InvalidPreferences
+from escrowsim.contracts import ContractKind, FlexibleTerms
+from escrowsim.errors import GasPriceOutOfRange, InvalidPreferences
 from escrowsim.pricing import (
     GAS_PRICE_BOUNDS_GWEI,
     QosPreferences,
     RateCard,
-    apply_constraint_pricing,
     compare_fee_methods,
     ethereum_fee_usd_cents,
     quote_price,
-    standby_min_charge,
 )
 
 CARD = RateCard()
@@ -73,15 +71,20 @@ def test_quota_quote_prices_whole_minutes():
 
 
 def test_flexible_quote_adds_standby_minimum():
-    q = quote_price(prefs(period=3_600, kind=ContractKind.FLEXIBLE_PERIOD), CARD)
-    assert q.min_charge == 3_600_000_000_000_000  # 10^12 wei/s * 3600 s
-    assert q.price == q.min_charge + 360_000_000_000_000_000
+    flexible = prefs(period=3_600, kind=ContractKind.FLEXIBLE_PERIOD)
+    q = quote_price(flexible, CARD)
+    # 10^12 wei/s * 3600 s on top of the SD-hour usage price
+    assert q.price == 3_600_000_000_000_000 + 360_000_000_000_000_000
+    terms = FlexibleTerms(standby_rate=10**13, standby_window_seconds=600)
+    custom = quote_price(flexible, CARD, flexible=terms)
+    assert custom.price == terms.min_charge + 360_000_000_000_000_000
 
 
 def test_standby_min_charge_guards_window():
-    assert standby_min_charge(FlexibleTerms(standby_rate=5, standby_window_seconds=3)) == 15
+    assert FlexibleTerms(standby_rate=5, standby_window_seconds=3).min_charge == 15
+    assert FlexibleTerms(standby_rate=5, standby_window_seconds=1).min_charge == 5
     with pytest.raises(ValueError):
-        standby_min_charge(FlexibleTerms(standby_rate=5, standby_window_seconds=0))
+        FlexibleTerms(standby_rate=5, standby_window_seconds=0)
 
 
 def test_invalid_preferences_rejected():
@@ -106,16 +109,6 @@ def test_constraint_multiplier_floors_once():
     # single floor at the end, not per factor
     odd = quote_price(prefs(period=7), CARD, constraint_multiplier_bp=3_333)
     assert odd.price == 10**14 * 7 * 3_333 // 10_000
-
-
-def test_apply_constraint_pricing():
-    q = quote_price(prefs(), CARD)
-    same = apply_constraint_pricing(q, ConstraintEvaluation(True, 10_000))
-    assert same is q
-    up = apply_constraint_pricing(q, ConstraintEvaluation(True, 11_000))
-    assert up.price == q.price * 11 // 10
-    with pytest.raises(InadmissibleOffer):
-        apply_constraint_pricing(q, ConstraintEvaluation(False, 10_000))
 
 
 # ---- fee table -----------------------------------------------------------------

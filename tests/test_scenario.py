@@ -124,6 +124,18 @@ def test_kind_specific_requirements():
     with pytest.raises(ValidationError, match="denominators"):
         parse_scenario(request("income_division", shares={"a": [1, 2], "b": [1, 3]}))
     parse_scenario(request("income_division", shares={"a": [1, 3], "b": [2, 3]}))
+    # shares, ballot and standby only on the kind that reads them
+    standby = {"rate_wei_per_second": "1000", "window_seconds": 60}
+    for kind, extra, stray in [
+        ("fixed_price", {"shares": {"a": [1, 1]}}, "shares"),
+        ("dynamic_price", {"ballot": "b"}, "ballot"),
+        ("income_division", {"shares": {"a": [1, 1]}, "ballot": "b"}, "ballot"),
+        ("consensus_decision", {"ballot": "b", "standby": standby}, "standby"),
+        ("time_limited_quota", {"standby": standby}, "standby"),
+    ]:
+        with pytest.raises(ValidationError, match=rf"params\.{stray}: only"):
+            parse_scenario(request(kind, **extra))
+    parse_scenario(request("flexible_period", standby=standby))
 
 
 def test_config_gas_bounds_checked_at_parse_time():
@@ -245,10 +257,13 @@ def test_quota_script_uses_one_contract_with_session_pairs():
 
 def test_reruns_are_byte_identical_with_jitter():
     doc = canonical_document(config={"jitter_seed": 42, "gas": {"gas_price_gwei": 3}})
-    first = run_scenario(parse_scenario(doc))
+    script = parse_scenario(doc)
+    first = run_scenario(script)
     second = run_scenario(parse_scenario(json.loads(json.dumps(doc))))
     assert first.to_json_text() == second.to_json_text()
     assert first.report["tx_digest"] == second.report["tx_digest"]
+    # running leaves the parsed events as they were
+    assert run_scenario(script).to_json_text() == first.to_json_text()
 
 
 def test_corruption_hook_trips_the_conservation_verdict():
@@ -301,10 +316,13 @@ def test_consensus_script_gates_on_the_ballot():
 # ---- oracle agreement ---------------------------------------------------------------
 
 def test_oracle_matches_engine_on_the_canonical_script():
-    doc = canonical_document()
-    engine = run_scenario(parse_scenario(doc)).settlements
-    oracle = oracle_settlement(parse_scenario(doc))
-    assert oracle == engine
+    for interval in (1, 7, 15, 60, 4_000):  # the oracle's grid is closed form
+        doc = canonical_document(
+            config={"block_interval_seconds": interval, "gas": {"gas_price_gwei": 1}}
+        )
+        engine = run_scenario(parse_scenario(doc)).settlements
+        oracle = oracle_settlement(parse_scenario(doc))
+        assert oracle == engine, interval
 
 
 def test_oracle_matches_engine_on_jittered_timeout():
@@ -313,6 +331,41 @@ def test_oracle_matches_engine_on_jittered_timeout():
     engine = run_scenario(parse_scenario(doc)).settlements
     oracle = oracle_settlement(parse_scenario(doc))
     assert oracle == engine
+
+
+@pytest.mark.parametrize(
+    "ttl, pay_at, funded",
+    [(40, 600, True), (40, 615, False), (0, 0, True), (0, 15, False)],
+    ids=["last-block", "one-block-late", "ttl0-same-block", "ttl0-next-block"],
+)
+def test_oracle_matches_engine_on_quote_expiry(ttl, pay_at, funded):
+    # request at height 0; the quote takes payments up to height ttl
+    doc = canonical_document(config={"rate_card": {"quote_ttl_blocks": ttl}})
+    pay, countersign = doc["events"][1:3]
+    pay["at_time"], countersign["at_time"] = pay_at, pay_at + 15
+    script = parse_scenario(doc)
+    report = run_scenario(script)
+    errors = [e["error"] for e in report.report["event_errors"]]
+    assert ("QuoteExpired" in errors) is not funded
+    [settled] = report.settlements.values()
+    assert (settled["charge"] > 0) is funded
+    assert report.report["conservation_ok"]
+    assert oracle_settlement(script) == report.settlements
+
+
+def test_oracle_matches_engine_on_quote_expiry_on_jittered_grids():
+    outcomes = set()
+    for seed in range(30):
+        doc = canonical_document(
+            config={"jitter_seed": seed, "rate_card": {"quote_ttl_blocks": 3}}
+        )
+        doc["events"][1]["at_time"] = doc["events"][2]["at_time"] = 45
+        script = parse_scenario(doc)
+        report = run_scenario(script)
+        assert report.report["conservation_ok"], seed
+        assert oracle_settlement(script) == report.settlements, seed
+        outcomes.add(not report.report["event_errors"])
+    assert outcomes == {True, False}  # both sides of the expiry were reached
 
 
 def test_oracle_equivalence_smoke_sweep():
