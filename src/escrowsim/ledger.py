@@ -28,6 +28,26 @@ DEFAULT_BLOCK_INTERVAL = 15      # seconds, mean inter-block time
 JITTER_INTERVAL_RANGE = (5, 25)  # uniform integer draw, mean 15
 GAS_PRICE_BOUNDS_GWEI = (1, 40)
 
+# ``random.Random.randint(lo, hi)`` takes the top ``k`` bits of one 32-bit
+# Mersenne Twister word, ``k = (hi - lo + 1).bit_length()``, and takes the
+# next word while they are ``>= hi - lo + 1``.  ``getrandbits(32 * n)`` holds
+# the next ``n`` words, the first one least significant, so
+# ``Ledger.advance_to`` reads the words of many blocks in one call: the top
+# byte of each word, translated through this table, is its interval, or 0
+# for a rejected word.
+_JITTER_SPAN = JITTER_INTERVAL_RANGE[1] - JITTER_INTERVAL_RANGE[0] + 1
+_JITTER_BITS = _JITTER_SPAN.bit_length()
+if JITTER_INTERVAL_RANGE[0] < 1 or _JITTER_BITS > 8:
+    raise ValueError(
+        "JITTER_INTERVAL_RANGE must start at 1 or above (0 marks a rejected "
+        "word) and span at most 256 values (one byte's top bits)"
+    )
+_JITTER_TABLE = bytes(
+    JITTER_INTERVAL_RANGE[0] + r if r < _JITTER_SPAN else 0
+    for r in (b >> (8 - _JITTER_BITS) for b in range(256))
+)
+_JITTER_BATCH_WORDS = 4096  # bounds the transient int and bytes of one batch
+
 CONTRACT_ADDRESS_PREFIX = "sc-"
 
 
@@ -104,9 +124,11 @@ class Ledger:
     """Single-writer ledger state: accounts, contracts, fees, blocks, wakeups.
 
     ``jitter_seed=None`` selects deterministic block production (exact
-    ``block_interval`` spacing); an integer seed draws integer intervals
-    uniformly from ``JITTER_INTERVAL_RANGE`` (5..25 s, mean 15 s) and
-    ignores ``block_interval``.
+    ``block_interval`` spacing); an integer seed draws each block's interval
+    uniformly from ``JITTER_INTERVAL_RANGE`` (5..25 s, mean 15 s) with
+    ``random.Random(jitter_seed).randint`` and ignores ``block_interval``.
+    ``advance_to`` consumes the same Mersenne Twister words for skipped empty
+    blocks, in batches, so heights and timestamps follow that one stream.
     """
 
     def __init__(
@@ -164,8 +186,10 @@ class Ledger:
         draws.  Blocks before the next armed wakeup hold no transaction and
         deliver nothing, so they are skipped without being built; they still
         count in heights.  The deterministic grid skips in closed form; the
-        jittered grid still draws every interval, so the RNG stream is
-        unchanged.  A ``t`` at or before the current timestamp is a no-op.
+        jittered grid consumes the same Mersenne Twister words as one
+        ``randint`` per block, but in batches of whole words, so the RNG
+        stream is unchanged.  A ``t`` at or before the current timestamp is a
+        no-op.
         """
         while self.current_block.timestamp < t:
             due = self._next_wakeup_at()
@@ -177,8 +201,16 @@ class Ledger:
                 height += skipped
                 ts += skipped * self.block_interval
             else:
-                randint = self._rng.randint
+                rng = self._rng
                 lo, hi = JITTER_INTERVAL_RANGE
+                # A batch of at most (target - ts - 1) // hi words cannot
+                # reach target, so each accepted draw in it is an empty block.
+                while (words := min((target - ts - 1) // hi, _JITTER_BATCH_WORDS)) > 0:
+                    raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+                    draws = raw[3::4].translate(_JITTER_TABLE)
+                    ts += sum(draws)
+                    height += words - draws.count(0)
+                randint = rng.randint
                 interval = randint(lo, hi)
                 while ts + interval < target:
                     height += 1

@@ -46,26 +46,59 @@ from .scenario import (
 )
 
 _BP = 10_000
+_GRID_TRIM_MIN = 1024  # jittered grid points worth one trim
 
 
-class _Grid:
-    """Block heights and timestamps reconstructed from the script's timing config."""
+class _FixedGrid:
+    """Block heights and timestamps at exact multiples of the interval."""
 
-    def __init__(self, interval: int, jitter_seed: Optional[int]) -> None:
+    def __init__(self, interval: int) -> None:
         self._interval = interval
-        self._rng = random.Random(jitter_seed) if jitter_seed is not None else None
-        self._points = [0]  # jittered grid: every block timestamp drawn so far
 
     def at_or_after(self, t: int) -> tuple[int, int]:
         """(height, timestamp) of the first block whose timestamp is >= t."""
-        if self._rng is None:
-            height = max(0, -(-t // self._interval))
-            return height, height * self._interval
+        height = max(0, -(-t // self._interval))
+        return height, height * self._interval
+
+    at_event = at_or_after  # closed form: nothing to let go
+
+
+class _JitteredGrid:
+    """Block heights and timestamps replayed from the seeded uniform draws."""
+
+    def __init__(self, jitter_seed: int) -> None:
+        self._rng = random.Random(jitter_seed)
+        self._points = [0]  # the timestamps drawn so far from height self._base on
+        self._base = 0
+
+    def at_or_after(self, t: int) -> tuple[int, int]:
+        """(height, timestamp) of the first block whose timestamp is >= t.
+
+        ``t`` must not be below the time of an earlier ``at_event`` call.
+        """
         points = self._points
-        while points[-1] < t:
-            points.append(points[-1] + self._rng.randint(*JITTER_INTERVAL_RANGE))
-        height = bisect.bisect_left(points, t)
-        return height, points[height]
+        if points[-1] < t:  # one randint per block: an independent replay of the batches
+            randint, (lo, hi) = self._rng.randint, JITTER_INTERVAL_RANGE
+            last = points[-1]
+            while last < t:
+                last += randint(lo, hi)
+                points.append(last)
+        i = bisect.bisect_left(points, t)
+        return self._base + i, points[i]
+
+    def at_event(self, t: int) -> tuple[int, int]:
+        """``at_or_after(t)`` for the next event; lets the points below it go.
+
+        Event times never decrease, so no later lookup needs those points.
+        They are dropped only once they are at least half the list, so a trim
+        moves no more points than it drops.
+        """
+        height, ts = self.at_or_after(t)
+        drop = height - self._base
+        if drop >= _GRID_TRIM_MIN and 2 * drop >= len(self._points):
+            del self._points[:drop]
+            self._base = height
+        return height, ts
 
 
 @dataclass
@@ -106,7 +139,11 @@ class _Oracle:
     def __init__(self, script: ScenarioScript) -> None:
         cfg = script.config
         self.script = script
-        self.grid = _Grid(cfg.block_interval, cfg.jitter_seed)
+        self.grid = (
+            _FixedGrid(cfg.block_interval)
+            if cfg.jitter_seed is None
+            else _JitteredGrid(cfg.jitter_seed)
+        )
         self.card = cfg.rate_card
         self.threshold = cfg.refund_threshold_bp
         self.region = cfg.provider_region
@@ -155,7 +192,7 @@ class _Oracle:
 
     def run(self) -> dict[str, dict]:
         for event in self.script.events:
-            height, ts = self.grid.at_or_after(event.at_time)
+            height, ts = self.grid.at_event(event.at_time)
             self._fire_due_wakeups(ts)
             _ORACLE_HANDLERS[type(event)](self, event, height, ts)
         self._fire_due_wakeups(None)  # horizon: everything armed settles

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,15 @@ from escrowsim.errors import (
     UnknownAddress,
     ValidationError,
 )
-from escrowsim.ledger import Block, GasSchedule, Ledger, replay_balances
+from escrowsim import ledger as ledger_module
+from escrowsim.ledger import (
+    _JITTER_BATCH_WORDS,
+    JITTER_INTERVAL_RANGE,
+    Block,
+    GasSchedule,
+    Ledger,
+    replay_balances,
+)
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 from escrowsim.units import eth, format_eth, gwei, parse_wei
 
@@ -299,17 +308,34 @@ def test_reschedule_replaces_previous_wakeup():
 # ---- next-event time advance ------------------------------------------------------
 
 WAKEUP_ADDRS = ("sc-1", "sc-2", "sc-3")
+# the widest gap a single batch of jittered words covers
+BATCH_SPAN = JITTER_INTERVAL_RANGE[1] * _JITTER_BATCH_WORDS
 
-# (op, address, offset from the current timestamp)
-LEDGER_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("schedule"), st.sampled_from(WAKEUP_ADDRS), st.integers(-30, 2_000)),
-        st.tuples(st.just("cancel"), st.sampled_from(WAKEUP_ADDRS), st.just(0)),
-        st.tuples(st.just("advance"), st.just(""), st.integers(-50, 3_000)),
-        st.tuples(st.just("drain"), st.just(""), st.just(0)),
-    ),
-    max_size=25,
-)
+
+def ledger_ops(far_advances):
+    """Lists of (op, address, offset from the current timestamp).
+
+    ``far_advances`` lets some advances cross a full batch of jittered words
+    and the tail of smaller batches after it.  Only the jittered grid batches;
+    the fixed grid skips in closed form at any distance, and its block-by-block
+    reference would build 10^5 blocks per such advance at interval 1.
+    """
+    advance = st.integers(-50, 3_000)
+    if far_advances:
+        advance |= st.integers(BATCH_SPAN, BATCH_SPAN + 3_000)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("schedule"), st.sampled_from(WAKEUP_ADDRS), st.integers(-30, 2_000)),
+            st.tuples(st.just("cancel"), st.sampled_from(WAKEUP_ADDRS), st.just(0)),
+            st.tuples(st.just("advance"), st.just(""), advance),
+            st.tuples(st.just("drain"), st.just(""), st.just(0)),
+        ),
+        max_size=25,
+    )
+
+
+LEDGER_OPS = ledger_ops(far_advances=False)
+JITTERED_LEDGER_OPS = ledger_ops(far_advances=True)
 
 
 def _replay(ops, interval, jitter_seed, rearm_offsets, skip):
@@ -350,15 +376,70 @@ def _replay(ops, interval, jitter_seed, rearm_offsets, skip):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    ops=LEDGER_OPS,
+    data=st.data(),
     interval=st.integers(1, 60),
     jitter_seed=st.one_of(st.none(), st.integers(0, 2**31)),
     rearm_offsets=st.lists(st.integers(-20, 500), max_size=4),
 )
-def test_advance_to_matches_block_by_block_production(ops, interval, jitter_seed, rearm_offsets):
+def test_advance_to_matches_block_by_block_production(data, interval, jitter_seed, rearm_offsets):
+    ops = data.draw(LEDGER_OPS if jitter_seed is None else JITTERED_LEDGER_OPS, label="ops")
     skipped = _replay(ops, interval, jitter_seed, rearm_offsets, skip=True)
     reference = _replay(ops, interval, jitter_seed, rearm_offsets, skip=False)
     assert skipped == reference
+
+
+@pytest.mark.parametrize(
+    "gap", [1, 24, 25, 26, 50, 51, BATCH_SPAN, BATCH_SPAN + 1, 10**6]
+)
+@pytest.mark.parametrize("jitter_seed", range(20))
+def test_jittered_advance_to_matches_block_by_block_production(jitter_seed, gap):
+    skipped, reference = (
+        Ledger({"a": eth(1)}, gas=zero_gas(), jitter_seed=jitter_seed) for _ in range(2)
+    )
+    for ledger in (skipped, reference):  # start mid-stream, at a seed-dependent word
+        for _ in range(jitter_seed % 7):
+            ledger.produce_block()
+    t = skipped.current_block.timestamp + gap
+    block = skipped.advance_to(t)
+    while reference.current_block.timestamp < t:
+        reference.produce_block()
+    assert block == reference.current_block
+    assert skipped._rng.getstate() == reference._rng.getstate()
+
+
+def test_randint_takes_the_top_bits_of_one_mersenne_twister_word_per_try():
+    """The interpreter behaviour that ``Ledger.advance_to``'s batches rest on.
+
+    ``randint(lo, hi)`` must take the top ``(hi - lo + 1).bit_length()`` bits
+    of one 32-bit word per try, rejecting values >= ``hi - lo + 1``, and
+    ``getrandbits(32 * n)`` must hold the next ``n`` words, least significant
+    first.
+    """
+    lo, hi = JITTER_INTERVAL_RANGE
+    span = hi - lo + 1
+    shift = 8 - span.bit_length()
+    n = 10**5
+    drawn = random.Random(7)
+    expected = [drawn.randint(lo, hi) for _ in range(n)]
+
+    words = 2 * n  # about 1.5 * n words hold n accepted draws
+    top_bytes = random.Random(7).getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+    derived, used = [], 0
+    for byte in top_bytes:
+        used += 1
+        if byte >> shift < span:
+            derived.append(lo + (byte >> shift))
+            if len(derived) == n:
+                break
+    replayed = random.Random(7)
+    replayed.getrandbits(32 * used)
+    message = (
+        "random.Random.randint no longer consumes one 32-bit Mersenne Twister word "
+        "per try, top bits first, on this interpreter; Ledger.advance_to's batched "
+        "jitter draws would give different block timestamps than produce_block"
+    )
+    assert derived == expected, message
+    assert replayed.getstate() == drawn.getstate(), message
 
 
 def test_advance_to_at_or_before_now_builds_nothing():
@@ -404,7 +485,20 @@ def test_idle_horizon_builds_only_blocks_that_do_work(monkeypatch, jitter_seed):
 
     for name in ("produce_block", "schedule_wakeup"):
         monkeypatch.setattr(Ledger, name, counted(name))
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            calls["randint"] += 1
+            return super().randint(a, b)
+
+        def getrandbits(self, k):
+            calls["getrandbits"] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(ledger_module, "random", SimpleNamespace(Random=CountingRandom))
     report = run_scenario(parse_scenario(doc)).report
     assert report["final_block"]["timestamp"] >= 10**7
     assert report["final_block"]["height"] >= 10**7 // 25  # empty blocks still count
     assert calls["produce_block"] <= len(doc["events"]) + calls["schedule_wakeup"] + 1
+    # one draw per empty block would be ~667k randint calls on the jittered grid
+    assert calls["randint"] + calls["getrandbits"] <= 1_000

@@ -368,6 +368,28 @@ def test_oracle_matches_engine_on_quote_expiry_on_jittered_grids():
     assert outcomes == {True, False}  # both sides of the expiry were reached
 
 
+def test_oracle_matches_engine_after_dropping_old_jittered_grid_points():
+    # The transfer at 16,000 s is ~1,067 blocks past the request, enough for
+    # the oracle to drop the grid points below it; the payment in the same
+    # block then sits right at the quote TTL.
+    outcomes = set()
+    for seed in range(30):
+        doc = canonical_document(
+            config={"jitter_seed": seed, "rate_card": {"quote_ttl_blocks": 1_067}}
+        )
+        request, pay, countersign, end = doc["events"]
+        transfer = {"at_time": 16_000, "actor": "alice", "action": "transfer",
+                    "params": {"to": "oliver", "value": "1"}}
+        pay["at_time"], countersign["at_time"], end["at_time"] = 16_000, 16_015, 17_800
+        doc["events"] = [request, transfer, pay, countersign, end]
+        script = parse_scenario(doc)
+        report = run_scenario(script)
+        assert report.report["conservation_ok"], seed
+        assert oracle_settlement(script) == report.settlements, seed
+        outcomes.add(not report.report["event_errors"])
+    assert outcomes == {True, False}  # both sides of the expiry were reached
+
+
 def test_oracle_equivalence_smoke_sweep():
     for seed in range(300):
         script = parse_scenario(generate_random_script(seed))
