@@ -42,22 +42,28 @@ STEP_DESCRIPTIONS = {
 }
 
 
-def _read_script(path: str, seed):
-    with open(path, "r", encoding="utf-8") as handle:
-        script = parse_scenario(handle.read())
-    if seed is not None:
-        script.config.jitter_seed = seed
+def _read_script(args):
+    """Parse ``args.scenario`` and apply ``--seed``.
+
+    On unusable input, say why on stderr and return None (exit code 2).
+    """
+    try:
+        with open(args.scenario, "r", encoding="utf-8") as handle:
+            script = parse_scenario(handle.read())
+    except OSError as exc:
+        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
+        return None
+    except (ParseError, ValidationError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None
+    if args.seed is not None:
+        script.config.jitter_seed = args.seed
     return script
 
 
 def cmd_run(args) -> int:
-    try:
-        script = _read_script(args.scenario, args.seed)
-    except OSError as exc:
-        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    script = _read_script(args)
+    if script is None:
         return 2
     report = run_scenario(script, corrupt_wei=1 if args.corrupt_ledger else 0)
     text = report.to_json_text()
@@ -82,13 +88,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        script = _read_script(args.scenario, args.seed)
-    except OSError as exc:
-        print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    script = _read_script(args)
+    if script is None:
         return 2
     expected = oracle_settlement(script)
     rendered = {

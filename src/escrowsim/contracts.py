@@ -146,12 +146,6 @@ class FlexibleTerms:
 
 
 @dataclass(frozen=True)
-class ConstraintEvaluation:
-    admissible: bool
-    price_multiplier_bp: int
-
-
-@dataclass(frozen=True)
 class Settlement:
     """Final money split of one contract: owner-side payouts plus user refund."""
 
@@ -194,6 +188,14 @@ class AgreementContract:
                 f"needs {'/'.join(s.value for s in allowed)}"
             )
 
+    def require_owner(self, caller: str) -> None:
+        if caller != self.owner:
+            raise NotOwner(f"{caller} is not the owner {self.owner}")
+
+    def require_end_user(self, caller: str) -> None:
+        if caller != self.end_user:
+            raise NotEndUser(f"{caller} is not the end user {self.end_user}")
+
 
 def mark_quoted(contract: AgreementContract) -> None:
     """DEPLOYED -> QUOTED once the owner's price terms are attached."""
@@ -231,9 +233,8 @@ def lock_funds(
 
 def countersign(ledger: Ledger, contract: AgreementContract, signer: str) -> None:
     """Owner countersignature activates the agreement."""
+    contract.require_owner(signer)
     contract.require_state(ContractState.USER_SIGNED)
-    if signer != contract.owner:
-        raise NotOwner(f"{signer} is not the owner {contract.owner}")
     ledger.contract_call(signer, contract.address)
     contract.state = ContractState.ACTIVE
 
@@ -298,8 +299,7 @@ def stop_and_settle(
 ) -> Settlement:
     """End-user stop: charge the used time pro rata, refund the rest."""
     contract.require_state(ContractState.ACTIVE)
-    if caller != contract.end_user:
-        raise NotEndUser(f"{caller} is not the end user {contract.end_user}")
+    contract.require_end_user(caller)
     ledger.contract_call(caller, contract.address)
     used = min(now.timestamp - contract.session_start_time, contract.lock_time_seconds)
     return _execute_settlement(ledger, contract, used, availability_bp, ContractState.STOPPED)
@@ -359,6 +359,7 @@ def quota_purchase(
 
 def quota_start(ledger: Ledger, contract: AgreementContract, caller: str, now: Block) -> str:
     """Open a metered session; returns its access token."""
+    contract.require_end_user(caller)
     contract.require_state(ContractState.ACTIVE)
     terms = contract.quota
     if terms.open_session_start is not None:
@@ -376,6 +377,7 @@ def quota_start(ledger: Ledger, contract: AgreementContract, caller: str, now: B
 
 def quota_stop(ledger: Ledger, contract: AgreementContract, caller: str, now: Block) -> int:
     """Close the open session; bill started minutes, clamped to the remainder."""
+    contract.require_end_user(caller)
     terms = contract.quota
     if terms is None or terms.open_session_start is None:
         raise NoOpenSession(contract.address)
@@ -452,8 +454,7 @@ def init_vote(
     if contract.kind is not ContractKind.CONSENSUS_DECISION:
         raise WrongState(f"{contract.kind.value} contracts hold no ballot")
     contract.require_state(ContractState.DEPLOYED)
-    if caller != contract.owner:
-        raise NotOwner(f"{caller} is not the owner {contract.owner}")
+    contract.require_owner(caller)
     if not voters:
         raise ValueError("voter set must be non-empty")
     ledger.contract_call(caller, contract.address)
@@ -491,13 +492,10 @@ def tally_and_enact(contract: AgreementContract) -> dict:
 
 def evaluate_constraints(
     terms: ConstraintTerms, provider_region: str, gdpr_compliant: bool
-) -> ConstraintEvaluation:
-    """Admissibility of a provider offer under the end user's constraints."""
-    admissible = (not terms.gdpr_required or gdpr_compliant) and (
+) -> bool:
+    """Whether a provider offer is admissible under the end user's constraints."""
+    return (not terms.gdpr_required or gdpr_compliant) and (
         not terms.allowed_regions or provider_region in terms.allowed_regions
-    )
-    return ConstraintEvaluation(
-        admissible=admissible, price_multiplier_bp=terms.price_multiplier_bp
     )
 
 

@@ -67,22 +67,21 @@ class SessionRequest:
     prefs: QosPreferences
     constraints: Optional[ConstraintTerms] = None
     shares: Optional[IncomeShares] = None  # income-division kind
-    consensus_address: Optional[str] = None  # consensus kind: enacted ballot
+    ballot: Optional[AgreementContract] = None  # consensus kind: enacted ballot
     flexible: Optional[FlexibleTerms] = None
 
 
 @dataclass
 class SessionRecord:
-    contract_address: str
-    end_user: str
-    owner: str
+    """One session's workflow progress; its parties and money live on ``contract``."""
+
+    contract: AgreementContract
     quote: Quote
     url_token: str = ""
     deploy_block: Optional[int] = None
     stop_block: Optional[int] = None
     step_log: list[int] = field(default_factory=list)
     trace: QosTrace = field(default_factory=QosTrace)
-    settlement: Optional[Settlement] = None
     settled_by: str = ""  # "stop" | "expiry" | "abort"
 
 
@@ -118,14 +117,13 @@ class SessionOrchestrator:
         """Price the request and deploy its agreement contract in QUOTED state."""
         multiplier_bp = sc.IDENTITY_MULTIPLIER_BP
         if req.constraints is not None:
-            evaluation = sc.evaluate_constraints(
+            if not sc.evaluate_constraints(
                 req.constraints, self.provider_region, self.provider_gdpr_compliant
-            )
-            if not evaluation.admissible:
+            ):
                 raise InadmissibleOffer(
                     f"no provider satisfies constraints (region {self.provider_region})"
                 )
-            multiplier_bp = evaluation.price_multiplier_bp
+            multiplier_bp = req.constraints.price_multiplier_bp
 
         kind = req.prefs.monetization_kind
         quote = quote_price(
@@ -140,18 +138,13 @@ class SessionOrchestrator:
         if kind is ContractKind.INCOME_DIVISION:
             division_address = self._deploy_division(req)
         elif kind is ContractKind.CONSENSUS_DECISION:
-            self._require_enacted(req.consensus_address)
+            self._require_enacted(req.ballot)
 
         contract = self._build_agreement(req, kind, quote, division_address)
         contract.address = self.ledger.register_contract(contract, payer=req.owner)
         sc.mark_quoted(contract)
 
-        session = SessionRecord(
-            contract_address=contract.address,
-            end_user=req.end_user,
-            owner=req.owner,
-            quote=quote,
-        )
+        session = SessionRecord(contract=contract, quote=quote)
         session.step_log += [1, 2]
         self.sessions.append(session)
         self._by_contract[contract.address] = session
@@ -197,12 +190,11 @@ class SessionOrchestrator:
         sc.set_income_shares(self.ledger, division, req.owner, req.shares)
         return division.address
 
-    def _require_enacted(self, consensus_address: Optional[str]) -> None:
-        if consensus_address is None:
-            raise ValueError("consensus request needs the ballot contract address")
-        ballot = self.ledger.contracts[consensus_address]
+    def _require_enacted(self, ballot: Optional[AgreementContract]) -> None:
+        if ballot is None:
+            raise ValueError("consensus request needs the ballot contract")
         if ballot.voting is None or not ballot.voting.enacted:
-            raise WrongState(f"ballot {consensus_address} has not enacted the agreement")
+            raise WrongState(f"ballot {ballot.address} has not enacted the agreement")
 
     # ---- auxiliary consensus contract --------------------------------------
 
@@ -217,9 +209,7 @@ class SessionOrchestrator:
 
     # ---- step 3: payment ----------------------------------------------------
 
-    def user_approve_and_pay(
-        self, session: SessionRecord, value: int, payer: Optional[str] = None
-    ) -> bool:
+    def user_approve_and_pay(self, session: SessionRecord, value: int, payer: str) -> bool:
         """Lock the quoted price in escrow and arm the release-time wakeup.
 
         Whoever funds the lock is recorded as the end user.
@@ -228,28 +218,24 @@ class SessionOrchestrator:
             raise QuoteExpired(
                 f"quote expired at block {session.quote.expires_at_block}"
             )
-        contract = self._contract(session)
-        now = self.ledger.current_block
-        sender = payer if payer is not None else session.end_user
-        accepted = sc.lock_funds(self.ledger, contract, sender, value, now)
-        if not accepted:
+        contract = session.contract
+        if not sc.lock_funds(self.ledger, contract, payer, value, self.ledger.current_block):
             return False
-        session.end_user = sender
         self.ledger.schedule_wakeup(contract.address, contract.release_time)
         session.step_log.append(3)
         return True
 
     # ---- steps 4-10: countersign, deploy, URL -------------------------------
 
-    def countersign_and_deploy(self, session: SessionRecord) -> str:
+    def countersign_and_deploy(self, session: SessionRecord, signer: str) -> str:
         """Activate the agreement and simulate the container deployment."""
-        contract = self._contract(session)
-        sc.countersign(self.ledger, contract, session.owner)
+        contract = session.contract
+        sc.countersign(self.ledger, contract, signer)
         session.step_log += [4, 5, 6]
         if self.fail_next_deployment:
             self.fail_next_deployment = False
             self.ledger.cancel_wakeup(contract.address)
-            session.settlement = sc.abort_and_refund(self.ledger, contract)
+            sc.abort_and_refund(self.ledger, contract)
             session.settled_by = "abort"
             raise DeploymentFailed(f"simulated deployment fault for {contract.address}")
         session.deploy_block = self.ledger.current_block.height
@@ -266,16 +252,16 @@ class SessionOrchestrator:
 
     def record_qos_sample(self, session: SessionRecord, available: bool) -> None:
         """Append one availability observation at the current block time."""
-        contract = self._contract(session)
+        contract = session.contract
         if session.deploy_block is None or contract.state is not ContractState.ACTIVE:
-            raise SessionNotActive(session.contract_address)
+            raise SessionNotActive(contract.address)
         session.trace.record(self.ledger.current_block.timestamp, available)
 
     # ---- steps 11-16: settlement ----------------------------------------------
 
     def end_session(self, session: SessionRecord, caller: str) -> Settlement:
         """End-user stop: undeploy, settle pro rata, cancel the wakeup."""
-        contract = self._contract(session)
+        contract = session.contract
         settlement = sc.stop_and_settle(
             self.ledger,
             contract,
@@ -285,23 +271,22 @@ class SessionOrchestrator:
         )
         self.ledger.cancel_wakeup(contract.address)
         session.stop_block = self.ledger.current_block.height
-        session.settlement = settlement
         session.settled_by = "stop"
         session.step_log += [11, 12, 13, 14, 15, 16]
         return settlement
 
     def on_wakeup(self, session: SessionRecord, block: Block) -> Optional[Settlement]:
         """Timeout settlement; a no-op if the session already settled."""
-        contract = self._contract(session)
+        contract = session.contract
         if contract.state is ContractState.SETTLED:
             return None
         if contract.state is ContractState.USER_SIGNED:
             # Locked but never countersigned: the release time frees the funds.
-            session.settlement = sc.abort_and_refund(self.ledger, contract)
+            settlement = sc.abort_and_refund(self.ledger, contract)
             session.settled_by = "expiry"
             session.stop_block = block.height
             session.step_log += [13, 14, 15, 16]
-            return session.settlement
+            return settlement
         settlement = sc.expire_and_settle(
             self.ledger,
             contract,
@@ -309,7 +294,6 @@ class SessionOrchestrator:
             availability_bp=session.trace.availability_bp(),
         )
         session.stop_block = block.height
-        session.settlement = settlement
         session.settled_by = "expiry"
         session.step_log += [12, 13, 14, 15, 16]
         return settlement
@@ -321,19 +305,14 @@ class SessionOrchestrator:
 
     # ---- quota passthroughs ------------------------------------------------------
 
-    def quota_purchase(
-        self, session: SessionRecord, minutes: int, value: int, payer: Optional[str] = None
-    ) -> bool:
-        contract = self._contract(session)
-        sender = payer if payer is not None else session.end_user
-        accepted = sc.quota_purchase(self.ledger, contract, sender, minutes, value)
+    def quota_purchase(self, session: SessionRecord, minutes: int, value: int, payer: str) -> bool:
+        accepted = sc.quota_purchase(self.ledger, session.contract, payer, minutes, value)
         if accepted:
-            session.end_user = sender
             session.step_log.append(3)
         return accepted
 
     def quota_start(self, session: SessionRecord, caller: str) -> str:
-        contract = self._contract(session)
+        contract = session.contract
         token = sc.quota_start(self.ledger, contract, caller, self.ledger.current_block)
         if session.deploy_block is None:
             session.deploy_block = self.ledger.current_block.height
@@ -342,10 +321,4 @@ class SessionOrchestrator:
         return token
 
     def quota_stop(self, session: SessionRecord, caller: str) -> int:
-        contract = self._contract(session)
-        minutes = sc.quota_stop(self.ledger, contract, caller, self.ledger.current_block)
-        session.settlement = contract.settlement
-        return minutes
-
-    def _contract(self, session: SessionRecord) -> AgreementContract:
-        return self.ledger.contracts[session.contract_address]
+        return sc.quota_stop(self.ledger, session.contract, caller, self.ledger.current_block)

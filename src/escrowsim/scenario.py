@@ -30,13 +30,7 @@ from .contracts import (
     IncomeShares,
     export_contract,
 )
-from .errors import (
-    NotEndUser,
-    NotOwner,
-    ParseError,
-    SimulationError,
-    ValidationError,
-)
+from .errors import ParseError, SimulationError, ValidationError
 from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
 from .orchestrator import SessionOrchestrator, SessionRecord, SessionRequest
 from .pricing import BP_SCALE, QosPreferences, RateCard
@@ -456,6 +450,18 @@ def _read_standby(raw: Any, where: str) -> FlexibleTerms:
     return _checked(where, FlexibleTerms, rate, _int_field(s, "window_seconds", where))
 
 
+# Config keys in the order they are checked, which fixes the error an input
+# with several bad fields reports.
+_GAS_KEYS = ("transfer_gas", "contract_call_gas", "contract_deploy_gas", "gas_price_gwei")
+_RATE_CARD_WEI_KEYS = ("base_rate_wei_per_second", "standby_rate_wei_per_second")
+_RATE_CARD_KEYS = (
+    *_RATE_CARD_WEI_KEYS,
+    "high_availability_threshold_bp",
+    "high_availability_multiplier_bp",
+    "quote_ttl_blocks",
+)
+
+
 def _parse_config(raw: dict) -> ScenarioConfig:
     _check_keys(
         raw,
@@ -472,82 +478,39 @@ def _parse_config(raw: dict) -> ScenarioConfig:
     )
     cfg = ScenarioConfig()
     cfg.block_interval = _int_field(
-        raw, "block_interval_seconds", "config", DEFAULT_BLOCK_INTERVAL, minimum=1
+        raw, "block_interval_seconds", "config", cfg.block_interval, minimum=1
     )
     if raw.get("jitter_seed") is not None:
         cfg.jitter_seed = _int_field(raw, "jitter_seed", "config")
     if raw.get("run_until_seconds") is not None:
         cfg.run_until_seconds = _int_field(raw, "run_until_seconds", "config")
     cfg.refund_threshold_bp = _int_field(
-        raw,
-        "refund_threshold_bp",
-        "config",
-        sc.DEFAULT_REFUND_THRESHOLD_BP,
-        maximum=BP_SCALE,
+        raw, "refund_threshold_bp", "config", cfg.refund_threshold_bp, maximum=BP_SCALE
     )
+    # Only the keys present are passed on: GasSchedule and RateCard own their defaults.
     gas_raw = _object(raw.get("gas", {}), "config.gas")
-    _check_keys(
-        gas_raw,
-        {"transfer_gas", "contract_call_gas", "contract_deploy_gas", "gas_price_gwei"},
-        "config.gas",
-    )
-    cfg.gas = _checked(
-        "config.gas",
-        GasSchedule,
-        transfer_gas=_int_field(gas_raw, "transfer_gas", "config.gas", 21_000),
-        contract_call_gas=_int_field(gas_raw, "contract_call_gas", "config.gas", 50_000),
-        contract_deploy_gas=_int_field(
-            gas_raw, "contract_deploy_gas", "config.gas", 200_000
-        ),
-        gas_price_wei=gwei(_int_field(gas_raw, "gas_price_gwei", "config.gas", 20)),
-    )
+    _check_keys(gas_raw, set(_GAS_KEYS), "config.gas")
+    gas = {key: _int_field(gas_raw, key, "config.gas") for key in _GAS_KEYS if key in gas_raw}
+    if "gas_price_gwei" in gas:
+        gas["gas_price_wei"] = gwei(gas.pop("gas_price_gwei"))
+    cfg.gas = _checked("config.gas", GasSchedule, **gas)
     card_raw = _object(raw.get("rate_card", {}), "config.rate_card")
-    _check_keys(
-        card_raw,
-        {
-            "base_rate_wei_per_second",
-            "standby_rate_wei_per_second",
-            "high_availability_threshold_bp",
-            "high_availability_multiplier_bp",
-            "quote_ttl_blocks",
-        },
-        "config.rate_card",
-    )
-    defaults = RateCard()
-
-    def rate(key: str, default: int) -> int:
+    _check_keys(card_raw, set(_RATE_CARD_KEYS), "config.rate_card")
+    card = {}
+    for key in _RATE_CARD_KEYS:
         if key not in card_raw:
-            return default
-        return _wei(_need(card_raw, key, str, "config.rate_card"), f"config.rate_card.{key}")
-
-    cfg.rate_card = RateCard(
-        base_rate_wei_per_second=rate(
-            "base_rate_wei_per_second", defaults.base_rate_wei_per_second
-        ),
-        standby_rate_wei_per_second=rate(
-            "standby_rate_wei_per_second", defaults.standby_rate_wei_per_second
-        ),
-        high_availability_threshold_bp=_int_field(
-            card_raw,
-            "high_availability_threshold_bp",
-            "config.rate_card",
-            defaults.high_availability_threshold_bp,
-        ),
-        high_availability_multiplier_bp=_int_field(
-            card_raw,
-            "high_availability_multiplier_bp",
-            "config.rate_card",
-            defaults.high_availability_multiplier_bp,
-        ),
-        quote_ttl_blocks=_int_field(
-            card_raw, "quote_ttl_blocks", "config.rate_card", defaults.quote_ttl_blocks
-        ),
-    )
+            continue
+        if key in _RATE_CARD_WEI_KEYS:
+            text = _need(card_raw, key, str, "config.rate_card")
+            card[key] = _wei(text, f"config.rate_card.{key}")
+        else:
+            card[key] = _int_field(card_raw, key, "config.rate_card")
+    cfg.rate_card = RateCard(**card)
     provider = _object(raw.get("provider", {}), "config.provider")
     _check_keys(provider, {"region", "gdpr_compliant"}, "config.provider")
-    cfg.provider_region = provider.get("region", "EU")
+    cfg.provider_region = provider.get("region", cfg.provider_region)
     cfg.provider_gdpr_compliant = _bool_field(
-        provider, "gdpr_compliant", "config.provider", default=True
+        provider, "gdpr_compliant", "config.provider", cfg.provider_gdpr_compliant
     )
     if not isinstance(cfg.provider_region, str):
         raise ValidationError("config.provider.region: must be a string")
@@ -712,16 +675,13 @@ class _Runner:
     # ---- one handler per event type -----------------------------------------
 
     def _request_session(self, ev: RequestSession) -> None:
-        consensus_address = None
-        if ev.ballot is not None:
-            consensus_address = self._ballot(ev.ballot).address
         request = SessionRequest(
             end_user=ev.actor,
             owner=ev.owner,
             prefs=ev.prefs,
             constraints=ev.constraints,
             shares=ev.shares,
-            consensus_address=consensus_address,
+            ballot=self._ballot(ev.ballot) if ev.ballot is not None else None,
             flexible=ev.standby,
         )
         self.sessions[ev.session] = self.orch.request_session(request)
@@ -736,10 +696,7 @@ class _Runner:
             )
 
     def _countersign(self, ev: Countersign) -> None:
-        session = self._session(ev.session)
-        if ev.actor != session.owner:
-            raise NotOwner(f"{ev.actor} is not the owner {session.owner}")
-        self.orch.countersign_and_deploy(session)
+        self.orch.countersign_and_deploy(self._session(ev.session), ev.actor)
 
     def _qos_sample(self, ev: QosSample) -> None:
         self.orch.record_qos_sample(self._session(ev.session), ev.available)
@@ -758,18 +715,10 @@ class _Runner:
             )
 
     def _quota_start(self, ev: QuotaStart) -> None:
-        session = self._end_users_session(ev)
-        self.orch.quota_start(session, caller=ev.actor)
+        self.orch.quota_start(self._session(ev.session), caller=ev.actor)
 
     def _quota_stop(self, ev: QuotaStop) -> None:
-        session = self._end_users_session(ev)
-        self.orch.quota_stop(session, caller=ev.actor)
-
-    def _end_users_session(self, ev: _SessionEvent) -> SessionRecord:
-        session = self._session(ev.session)
-        if ev.actor != session.end_user:
-            raise NotEndUser(f"{ev.actor} is not the end user {session.end_user}")
-        return session
+        self.orch.quota_stop(self._session(ev.session), caller=ev.actor)
 
     def _deploy_ballot(self, ev: DeployBallot) -> None:
         self.ballots[ev.ballot] = self.orch.deploy_consensus(ev.actor, set(ev.voters))
@@ -800,12 +749,12 @@ class _Runner:
                 "escrow": contract.escrow,
             }
         sessions = []
-        labels = {record.contract_address: label for label, record in self.sessions.items()}
+        labels = {record.contract.address: label for label, record in self.sessions.items()}
         for record in self.orch.sessions:
             sessions.append(
                 {
-                    "label": labels.get(record.contract_address, ""),
-                    "contract": record.contract_address,
+                    "label": labels.get(record.contract.address, ""),
+                    "contract": record.contract.address,
                     "url_token": record.url_token,
                     "deploy_block": record.deploy_block,
                     "stop_block": record.stop_block,

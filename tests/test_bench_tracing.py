@@ -1,0 +1,42 @@
+"""The benchmark's tracer (bench/tracing.py) still finds every name it wraps.
+
+The tracer patches functions and methods of escrowsim by name, so renaming
+one of them breaks the benchmark; this test makes the suite notice.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from escrowsim import scenario
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_traces_a_run_and_uninstalls(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    targets = [target for group in tracing.SPANS.values() for target in group]
+    targets += tracing.COUNTERS.values()
+    originals = {target: target[0].__dict__[target[1]] for target in targets}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(owner.__dict__[attr] is not originals[owner, attr] for owner, attr in targets)
+        doc = scenario.generate_random_script(4)  # sessions settle by stop and by timeout
+        scenario.run_scenario(scenario.parse_scenario(doc))
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is originals[owner, attr] for owner, attr in targets)
+    totals = tracer.totals()
+    for name in ("scenario.run", "orchestrator.call", "orchestrator.wakeup", "ledger.mutate"):
+        assert totals[name][0] > 0, name
+    [run] = tracer.runs
+    assert run.wakeup_heights  # read from on_wakeup's block argument

@@ -110,6 +110,8 @@ def test_countersign_requires_owner():
     ledger = make_ledger()
     c = deploy(ledger)
     sc.mark_quoted(c)
+    with pytest.raises(NotOwner):
+        sc.countersign(ledger, c, "user")  # the signer is checked before the state
     sc.lock_funds(ledger, c, "user", eth(1), Block(1, 0))
     with pytest.raises(NotOwner):
         sc.countersign(ledger, c, "user")
@@ -342,6 +344,33 @@ def test_quota_session_discipline():
     assert token != second
 
 
+def test_quota_start_and_stop_require_the_end_user():
+    ledger = Ledger({"user": eth(10), "own": eth(10), "eve": eth(10)})  # calls cost gas
+    c = quota_contract(ledger)
+
+    def wei():
+        return dict(ledger.accounts), c.escrow, ledger.fee_sink
+
+    held = wei()
+    with pytest.raises(NotEndUser):
+        sc.quota_start(ledger, c, "eve", Block(1, 10))  # checked before the state
+    assert wei() == held
+    sc.quota_purchase(ledger, c, "user", 5, 5 * 10**15)
+    held = wei()
+    with pytest.raises(NotEndUser):
+        sc.quota_stop(ledger, c, "eve", Block(1, 10))  # checked before NoOpenSession
+    with pytest.raises(NotEndUser, match="eve is not the end user user"):
+        sc.quota_start(ledger, c, "eve", Block(1, 10))
+    assert wei() == held
+    sc.quota_start(ledger, c, "user", Block(1, 10))
+    held = wei()
+    with pytest.raises(NotEndUser):
+        sc.quota_stop(ledger, c, "eve", Block(2, 100))
+    assert wei() == held
+    assert c.quota.open_session_start == 10
+    assert c.quota.minutes_consumed == 0
+
+
 def test_quota_records_one_pair_per_session():
     ledger = make_ledger()
     c = quota_contract(ledger)
@@ -512,16 +541,11 @@ def test_init_vote_guards():
 
 def test_constraint_evaluation_matrix():
     terms = ConstraintTerms(gdpr_required=True, allowed_regions=frozenset({"EU"}))
-    assert sc.evaluate_constraints(terms, "EU", True).admissible
-    assert not sc.evaluate_constraints(terms, "EU", False).admissible
-    assert not sc.evaluate_constraints(terms, "US", True).admissible
+    assert sc.evaluate_constraints(terms, "EU", True)
+    assert not sc.evaluate_constraints(terms, "EU", False)
+    assert not sc.evaluate_constraints(terms, "US", True)
     open_terms = ConstraintTerms()
-    assert sc.evaluate_constraints(open_terms, "anywhere", False).admissible
-
-
-def test_constraint_multiplier_passthrough():
-    terms = ConstraintTerms(price_multiplier_bp=12_500)
-    assert sc.evaluate_constraints(terms, "EU", True).price_multiplier_bp == 12_500
+    assert sc.evaluate_constraints(open_terms, "anywhere", False)
 
 
 # ---- export -----------------------------------------------------------------------------------------

@@ -52,14 +52,14 @@ def test_user_stop_walks_all_sixteen_steps():
     assert session.step_log == [1, 2]
     assert orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     ledger.produce_block()
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     assert session.url_token.startswith("vc-")
     assert session.deploy_block == ledger.current_block.height
     run_until(ledger, 1800)
     orch.end_session(session, "alice")
     assert session.step_log == FULL_FLOW
     assert session.settled_by == "stop"
-    assert session.settlement is not None
+    assert session.contract.settlement is not None
     assert ledger.conservation_check()
 
 
@@ -67,42 +67,42 @@ def test_timeout_skips_only_the_user_stop_step():
     ledger, orch = build()
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     run_until(ledger, 3_700)  # past release with margin
     assert session.step_log == TIMEOUT_FLOW
     assert session.settled_by == "expiry"
-    assert session.settlement.charge == session.quote.price
-    assert session.settlement.refund == 0
+    assert session.contract.settlement.charge == session.quote.price
+    assert session.contract.settlement.refund == 0
 
 
 def test_wakeup_fires_on_first_block_at_or_after_release():
     ledger, orch = build()
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    orch.countersign_and_deploy(session)
-    contract = ledger.contracts[session.contract_address]
+    orch.countersign_and_deploy(session, "oliver")
+    contract = session.contract
     release = contract.release_time
     seen = {ledger.current_block.height: ledger.current_block.timestamp}
-    while session.settlement is None:
+    while session.contract.settlement is None:
         block = ledger.produce_block()
         seen[block.height] = block.timestamp
     assert seen[session.stop_block] >= release
     assert seen[session.stop_block - 1] < release
     # pro-rata clock stops at release even if the block lands later
-    assert session.settlement.charge == session.quote.price
+    assert session.contract.settlement.charge == session.quote.price
 
 
 def test_settlement_happens_at_most_once():
     ledger, orch = build()
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     run_until(ledger, 600)
     settlement = orch.end_session(session, "alice")
     run_until(ledger, 5_000)  # well past the (cancelled) wakeup
-    assert session.settlement is settlement
+    assert session.contract.settlement is settlement
     assert session.settled_by == "stop"
-    assert ledger.contracts[session.contract_address].escrow == 0
+    assert session.contract.escrow == 0
     assert ledger.conservation_check()
 
 
@@ -110,7 +110,7 @@ def test_stop_after_expiry_settlement_is_rejected():
     ledger, orch = build()
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     run_until(ledger, 3_700)
     assert session.settled_by == "expiry"
     with pytest.raises(WrongState):
@@ -121,8 +121,8 @@ def test_payer_becomes_the_end_user_of_record():
     ledger, orch = build({"alice": eth(10), "bob": eth(10), "oliver": eth(10)})
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="bob")
-    assert session.end_user == "bob"
-    orch.countersign_and_deploy(session)
+    assert session.contract.end_user == "bob"
+    orch.countersign_and_deploy(session, "oliver")
     with pytest.raises(NotEndUser):
         orch.end_session(session, "alice")
     orch.end_session(session, "bob")
@@ -156,7 +156,7 @@ def test_sampling_requires_a_deployed_session():
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     with pytest.raises(SessionNotActive):
         orch.record_qos_sample(session, True)  # paid but not countersigned
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     orch.record_qos_sample(session, True)
     run_until(ledger, 900)
     orch.end_session(session, "alice")
@@ -169,7 +169,7 @@ def test_three_of_four_samples_meets_the_default_threshold():
     ledger, orch = build()
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     for ok in (True, True, True, False):
         ledger.produce_block()
         orch.record_qos_sample(session, ok)
@@ -183,7 +183,7 @@ def test_degraded_availability_forces_full_refund():
     ledger, orch = build()
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     for ok in (True, False, False, False):
         ledger.produce_block()
         orch.record_qos_sample(session, ok)
@@ -213,9 +213,9 @@ def test_deployment_fault_refunds_and_disarms_the_wakeup():
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     orch.fail_next_deployment = True
     with pytest.raises(DeploymentFailed):
-        orch.countersign_and_deploy(session)
+        orch.countersign_and_deploy(session, "oliver")
     assert session.settled_by == "abort"
-    assert session.settlement.refund == session.quote.price
+    assert session.contract.settlement.refund == session.quote.price
     assert ledger.balance_of("alice") == eth(10)
     assert ledger.armed_wakeup_count() == 0
     run_until(ledger, 4_000)  # nothing left to fire
@@ -229,8 +229,8 @@ def test_paid_but_never_countersigned_refunds_at_release_time():
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     run_until(ledger, 3_700)
     assert session.settled_by == "expiry"
-    assert session.settlement.charge == 0
-    assert session.settlement.refund == session.quote.price
+    assert session.contract.settlement.charge == 0
+    assert session.contract.settlement.refund == session.quote.price
     assert session.step_log == [1, 2, 3, 13, 14, 15, 16]
     assert ledger.balance_of("alice") == eth(10)
 
@@ -269,14 +269,14 @@ def test_income_division_deploys_two_contracts_and_splits_payout():
     assert len(ledger.contracts) == 2
     division, agreement = sorted(ledger.contracts)
     assert ledger.contracts[division].kind is ContractKind.INCOME_DIVISION
-    assert session.contract_address == agreement
+    assert session.contract.address == agreement
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     run_until(ledger, 3_700)
-    charge = session.settlement.charge
+    charge = session.contract.settlement.charge
     assert charge == session.quote.price
-    assert sum(session.settlement.payouts.values()) == charge
-    assert ledger.balance_of("helper") == session.settlement.payouts["helper"]
+    assert sum(session.contract.settlement.payouts.values()) == charge
+    assert ledger.balance_of("helper") == session.contract.settlement.payouts["helper"]
     assert ledger.conservation_check()
 
 
@@ -287,7 +287,7 @@ def test_consensus_request_requires_an_enacted_ballot():
         request(
             orch,
             kind=ContractKind.CONSENSUS_DECISION,
-            consensus_address=ballot.address,
+            ballot=ballot,
         )
     sc.cast_vote(ledger, ballot, "v1", "yes")
     sc.cast_vote(ledger, ballot, "v2", "yes")
@@ -295,11 +295,11 @@ def test_consensus_request_requires_an_enacted_ballot():
     session = request(
         orch,
         kind=ContractKind.CONSENSUS_DECISION,
-        consensus_address=ballot.address,
+        ballot=ballot,
     )
     assert len(ledger.contracts) == 2  # ballot + agreement
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    orch.countersign_and_deploy(session)
+    orch.countersign_and_deploy(session, "oliver")
     run_until(ledger, 600)
     orch.end_session(session, "alice")
     assert ledger.conservation_check()
@@ -322,7 +322,7 @@ def test_quota_flow_issues_url_on_first_start():
     assert session.deploy_block == first_deploy
     run_until(ledger, ledger.current_block.timestamp + 150)
     orch.quota_stop(session, "alice")
-    assert ledger.contracts[session.contract_address].state is ContractState.SETTLED
+    assert session.contract.state is ContractState.SETTLED
     assert ledger.conservation_check()
 
 
@@ -332,7 +332,7 @@ def test_url_tokens_are_distinct_across_sessions():
     for _ in range(5):
         session = request(orch)
         orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-        orch.countersign_and_deploy(session)
+        orch.countersign_and_deploy(session, "oliver")
         tokens.add(session.url_token)
         run_until(ledger, ledger.current_block.timestamp + 30)
         orch.end_session(session, "alice")

@@ -207,6 +207,43 @@ def test_errors_do_not_abort_the_run():
     assert session["settled_by"] == "stop"  # alice's later stop still landed
 
 
+def test_stranger_calls_are_event_errors_naming_the_rightful_party():
+    def event(at_time, actor, action, **params):
+        return {"at_time": at_time, "actor": actor, "action": action, "params": params}
+
+    def request(at_time, label, kind):
+        return event(at_time, "alice", "request_session", session=label, owner="oliver",
+                     kind=kind, availability_target_bp=9_000, video_quality="SD",
+                     max_period_seconds=600)
+
+    doc = canonical_document(
+        extra_events=[
+            request(1_800, "s2", "dynamic_price"),
+            event(1_800, "eve", "countersign", session="s2"),  # not funded yet
+            event(1_800, "alice", "approve_and_pay", session="s2", value="quoted"),
+            event(1_815, "eve", "countersign", session="s2"),
+            request(1_815, "q", "time_limited_quota"),
+            event(1_815, "alice", "quota_purchase", session="q", minutes=2, value="quoted"),
+            event(1_830, "eve", "quota_stop", session="q"),  # no session open yet
+            event(1_830, "eve", "quota_start", session="q"),
+            event(1_830, "alice", "quota_start", session="q"),
+            event(1_845, "eve", "quota_stop", session="q"),
+        ],
+        genesis={name: str(eth(10)) for name in ("alice", "oliver", "eve")},
+    )
+    report = run_scenario(parse_scenario(doc))
+    errors = [(e["event_index"], e["error"], e["detail"]) for e in report.report["event_errors"]]
+    assert errors == [
+        (5, "NotOwner", "eve is not the owner oliver"),
+        (7, "NotOwner", "eve is not the owner oliver"),
+        (10, "NotEndUser", "eve is not the end user alice"),
+        (11, "NotEndUser", "eve is not the end user alice"),
+        (13, "NotEndUser", "eve is not the end user alice"),
+    ]
+    assert report.report["final_balances"]["eve"] == str(eth(10))
+    assert oracle_settlement(parse_scenario(doc)) == report.settlements
+
+
 def test_session_timeout_settles_via_wakeup():
     doc = canonical_document()
     doc["events"] = doc["events"][:3]  # drop the stop; wakeup must settle it
