@@ -12,14 +12,13 @@ to stderr; data (reports, tables, traces) goes to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from decimal import Decimal, InvalidOperation
 
 from .errors import GasPriceOutOfRange, ParseError, ValidationError
 from .oracle import oracle_settlement
 from .pricing import compare_fee_methods
-from .scenario import parse_scenario, run_scenario
+from .scenario import parse_scenario, render_json, run_scenario
 from .units import format_eth
 
 STEP_DESCRIPTIONS = {
@@ -103,7 +102,7 @@ def cmd_oracle(args) -> int:
             expected.items(), key=lambda kv: int(kv[0].split("-")[1])
         )
     }
-    text = json.dumps(rendered, indent=2) + "\n"
+    text = render_json(rendered) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

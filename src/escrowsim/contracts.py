@@ -360,6 +360,8 @@ def quota_purchase(
 def quota_start(ledger: Ledger, contract: AgreementContract, caller: str, now: Block) -> str:
     """Open a metered session; returns its access token."""
     contract.require_end_user(caller)
+    if contract.kind is not ContractKind.TIME_LIMITED_QUOTA:
+        raise WrongState(f"{contract.kind.value} contracts have no metered sessions")
     contract.require_state(ContractState.ACTIVE)
     terms = contract.quota
     if terms.open_session_start is not None:

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import random
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .errors import GasPriceOutOfRange, InsufficientFunds, UnknownAddress, ValidationError
@@ -106,17 +106,14 @@ class TxRecord:
     kind: str
 
     def to_json_line(self) -> str:
-        # Key order is fixed: block_height, from, to, value_wei, fee_wei, kind.
-        return json.dumps(
-            {
-                "block_height": self.block_height,
-                "from": self.from_addr,
-                "to": self.to_addr,
-                "value_wei": str(self.value_wei),
-                "fee_wei": str(self.fee_wei),
-                "kind": self.kind,
-            },
-            separators=(", ", ": "),
+        # The bytes of json.dumps(..., separators=(", ", ": ")) on a dict with
+        # keys block_height, from, to, value_wei, fee_wei, kind in that order.
+        return (
+            f'{{"block_height": {self.block_height:d}, '
+            f'"from": {encode_basestring_ascii(self.from_addr)}, '
+            f'"to": {encode_basestring_ascii(self.to_addr)}, '
+            f'"value_wei": "{self.value_wei:d}", "fee_wei": "{self.fee_wei:d}", '
+            f'"kind": {encode_basestring_ascii(self.kind)}}}'
         )
 
 
@@ -153,6 +150,7 @@ class Ledger:
         self.block_interval = block_interval
         self._rng = random.Random(jitter_seed) if jitter_seed is not None else None
         self.tx_log: list[TxRecord] = []
+        self._tx_hash = hashlib.sha256()  # over tx_log_lines() joined by "\n"
         self.wakeup_handler: Optional[Callable[[str, Block], None]] = None
         self._wakeup_heap: list[tuple[int, int, str]] = []
         self._wakeup_armed: dict[str, int] = {}  # contract address -> fire_at
@@ -373,6 +371,8 @@ class Ledger:
             fee_wei=fee,
             kind=kind,
         )
+        line = rec.to_json_line().encode()
+        self._tx_hash.update(b"\n" + line if self.tx_log else line)
         self.tx_log.append(rec)
         return rec
 
@@ -380,8 +380,8 @@ class Ledger:
         return [rec.to_json_line() for rec in self.tx_log]
 
     def tx_log_digest(self) -> str:
-        payload = "\n".join(self.tx_log_lines()).encode()
-        return hashlib.sha256(payload).hexdigest()
+        r"""SHA-256 of ``"\n".join(tx_log_lines())``, hashed as each tx is logged."""
+        return self._tx_hash.hexdigest()
 
 
 def replay_balances(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 from typing import AbstractSet, Any, ClassVar, Optional, Union
 
 from . import contracts as sc
@@ -584,6 +585,40 @@ def parse_scenario(document) -> ScenarioScript:
 # execution
 # ---------------------------------------------------------------------------
 
+def render_json(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for a tree of dicts with str keys,
+    lists, str, int, bool and None; any other type raises ``TypeError``.
+
+    On CPython ``json.dumps`` with an indent runs the pure-Python encoder;
+    this writes the same text with its C string escaper.  ``newline`` is the
+    line break plus the indent of the line ``value`` sits on.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(k)}: {render_json(v, inner)}" for k, v in value.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [render_json(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @dataclass
 class SettlementReport:
     """Run output: final state snapshot plus per-contract settlements."""
@@ -592,7 +627,7 @@ class SettlementReport:
     settlements: dict[str, dict]  # address -> {charge, refund, payouts, escrow}
 
     def to_json_text(self) -> str:
-        return json.dumps(self.report, indent=2) + "\n"
+        return render_json(self.report) + "\n"
 
     def summary_text(self) -> str:
         r = self.report
@@ -738,8 +773,8 @@ class _Runner:
         ledger = self.ledger
         contracts = []
         settlements: dict[str, dict] = {}
-        for address in sorted(ledger.contracts, key=lambda a: int(a.split("-")[1])):
-            contract = ledger.contracts[address]
+        # in sc-1, sc-2, ... order: register_contract adds them so and none is removed
+        for address, contract in ledger.contracts.items():
             contracts.append(export_contract(contract))
             done = contract.settlement
             settlements[address] = {

@@ -180,7 +180,9 @@ def test_run_seed_override_changes_block_times(tmp_path, capsys):
 def test_oracle_settlements_match_the_engine_run(tmp_path, capsys):
     path = write_scenario(tmp_path, GOOD_SCENARIO)
     assert main(["oracle", path]) == 0
-    oracle = json.loads(capsys.readouterr()[0])
+    text = capsys.readouterr()[0]
+    oracle = json.loads(text)
+    assert text == json.dumps(oracle, indent=2) + "\n"
     assert main(["run", path]) == 0
     report = json.loads(capsys.readouterr()[0])
     for contract in report["contracts"]:

@@ -1,5 +1,7 @@
 """Ledger: blocks, transfers, fees, escrow plumbing, wakeups, conservation."""
 
+import hashlib
+import json
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -22,6 +24,7 @@ from escrowsim.ledger import (
     Block,
     GasSchedule,
     Ledger,
+    TxRecord,
     replay_balances,
 )
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
@@ -253,6 +256,36 @@ def test_tx_log_lines_have_fixed_key_order_and_string_amounts():
         '{"block_height": 0, "from": "a", "to": "b",'
         ' "value_wei": "42", "fee_wei": "20", "kind": "transfer"}'
     )
+
+
+@pytest.mark.parametrize(
+    "from_addr, to_addr, kind",
+    [('a"b', "c\\d", "transfer"), ("line\nbreak", "café", 'k"\\'), ("\x00", "\ud800", "é")],
+)
+def test_tx_log_line_matches_json_dumps(from_addr, to_addr, kind):
+    rec = TxRecord(7, from_addr, to_addr, 10**30, 0, kind)
+    expected = json.dumps(
+        {"block_height": 7, "from": from_addr, "to": to_addr,
+         "value_wei": str(10**30), "fee_wei": "0", "kind": kind},
+        separators=(", ", ": "),
+    )
+    assert rec.to_json_line() == expected
+
+
+def test_tx_log_digest_hashes_the_joined_lines():
+    ledger = Ledger({"a": 10**6, "b": 0}, gas=GasSchedule(gas_price_wei=1, price_bounds_gwei=None))
+    assert ledger.tx_log_digest() == hashlib.sha256(b"").hexdigest()
+    addr = ledger.register_contract(_contract(), payer="a")
+    ledger.transfer("a", "b", 12345)
+    with pytest.raises(InsufficientFunds):
+        ledger.transfer("b", "a", 12345)
+    ledger.produce_block()
+    ledger.escrow_in("a", addr, 777)
+    ledger.contract_call("a", addr)
+    ledger.escrow_out(addr, "b", 500, kind="refund")
+    assert len(ledger.tx_log) == 5
+    joined = "\n".join(ledger.tx_log_lines()).encode()
+    assert ledger.tx_log_digest() == hashlib.sha256(joined).hexdigest()
 
 
 def test_tx_log_digest_is_stable():

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from escrowsim.errors import ParseError, ValidationError
 from escrowsim.oracle import oracle_settlement
@@ -11,6 +13,7 @@ from escrowsim.scenario import (
     MAX_EVENTS,
     generate_random_script,
     parse_scenario,
+    render_json,
     run_scenario,
 )
 from escrowsim.units import eth
@@ -244,6 +247,25 @@ def test_stranger_calls_are_event_errors_naming_the_rightful_party():
     assert oracle_settlement(parse_scenario(doc)) == report.settlements
 
 
+def test_quota_calls_on_a_fixed_price_session_are_event_errors():
+    doc = canonical_document()
+    doc["events"][0]["params"]["kind"] = "fixed_price"
+    plain = run_scenario(parse_scenario(doc))
+    doc["events"][3:3] = [
+        {"at_time": 30, "actor": "alice", "action": "quota_start", "params": {"session": "s1"}},
+        {"at_time": 45, "actor": "alice", "action": "quota_stop", "params": {"session": "s1"}},
+    ]
+    report = run_scenario(parse_scenario(doc))
+    errors = [(e["event_index"], e["error"], e["detail"]) for e in report.report["event_errors"]]
+    assert errors == [
+        (3, "WrongState", "fixed_price contracts have no metered sessions"),
+        (4, "NoOpenSession", "sc-1"),
+    ]
+    assert report.report["final_balances"] == plain.report["final_balances"]
+    assert report.settlements == plain.settlements
+    assert oracle_settlement(parse_scenario(doc)) == report.settlements
+
+
 def test_session_timeout_settles_via_wakeup():
     doc = canonical_document()
     doc["events"] = doc["events"][:3]  # drop the stop; wakeup must settle it
@@ -450,3 +472,33 @@ def test_generator_output_is_valid_and_bounded():
 def test_generator_is_deterministic():
     assert generate_random_script(7) == generate_random_script(7)
     assert generate_random_script(7) != generate_random_script(8)
+
+
+# ---- report rendering ----------------------------------------------------------
+
+_TRICKY_STRINGS = [
+    '"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "é", "\u2028", "\ud800", "\udfff", "\U0001f600",
+]
+_json_strings = st.text(st.characters(exclude_categories=())) | st.sampled_from(_TRICKY_STRINGS)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 2**63, -(10**40), 10**300])
+    | _json_strings,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_json_strings, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_json_values)
+def test_render_json_matches_json_dumps_indent_2(value):
+    assert render_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, [{"b": float("nan")}]])
+def test_render_json_rejects_floats(value):
+    with pytest.raises(TypeError):
+        render_json(value)
