@@ -11,7 +11,7 @@ from .contracts import (
     Settlement,
 )
 from .errors import InvariantViolation, SimulationError
-from .ledger import Block, GasSchedule, Ledger, TxRecord
+from .ledger import Block, GasSchedule, Ledger
 from .oracle import oracle_settlement
 from .orchestrator import SessionOrchestrator, SessionRequest
 from .pricing import QosPreferences, Quote, RateCard, compare_fee_methods, quote_price
@@ -47,7 +47,6 @@ __all__ = [
     "Settlement",
     "SettlementReport",
     "SimulationError",
-    "TxRecord",
     "compare_fee_methods",
     "eth",
     "format_eth",

@@ -41,6 +41,12 @@ STEP_DESCRIPTIONS = {
 }
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _read_script(args):
     """Parse ``args.scenario`` and apply ``--seed``.
 
@@ -98,9 +104,7 @@ def cmd_oracle(args) -> int:
             "payouts": {a: str(v) for a, v in entry["payouts"].items()},
             "escrow": str(entry["escrow"]),
         }
-        for addr, entry in sorted(
-            expected.items(), key=lambda kv: int(kv[0].split("-")[1])
-        )
+        for addr, entry in expected.items()  # sc-1, sc-2, ...: the oracle adds them so
     }
     text = render_json(rendered) + "\n"
     if args.out:
@@ -280,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario file and write the report")
     p_run.add_argument("scenario", help="path to a scenario JSON file")
-    p_run.add_argument("--seed", type=int, default=None, help="override the jitter seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override the jitter seed")
     p_run.add_argument("--out", default=None, help="write the report JSON here")
     p_run.add_argument(
         "--corrupt-ledger", action="store_true", help=argparse.SUPPRESS
@@ -291,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle", help="recompute expected settlements for a scenario file"
     )
     p_oracle.add_argument("scenario", help="path to a scenario JSON file")
-    p_oracle.add_argument("--seed", type=int, default=None, help="override the jitter seed")
+    p_oracle.add_argument("--seed", type=_seed, default=None, help="override the jitter seed")
     p_oracle.add_argument("--out", default=None, help="write the settlements JSON here")
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -313,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="let the session expire instead of stopping it",
     )
-    p_demo.add_argument("--seed", type=int, default=None, help="jittered block times")
+    p_demo.add_argument("--seed", type=_seed, default=None, help="jittered block times")
     p_demo.set_defaults(func=cmd_demo)
     return parser
 

@@ -223,7 +223,7 @@ def lock_funds(
     contract.require_state(ContractState.QUOTED)
     if value != contract.price:
         return False  # value does not match the agreed price; nothing changes
-    ledger.escrow_in(sender, contract.address, value, kind="lock")
+    ledger.escrow_in(sender, contract.address, value)
     contract.end_user = sender
     contract.session_start_time = now.timestamp
     contract.release_time = now.timestamp + contract.lock_time_seconds
@@ -350,7 +350,7 @@ def quota_purchase(
         raise ValueError("minutes purchased must be > 0")
     if value != contract.quota.per_minute_price * minutes:
         return False
-    ledger.escrow_in(sender, contract.address, value, kind="lock")
+    ledger.escrow_in(sender, contract.address, value)
     contract.end_user = sender
     contract.quota.minutes_purchased = minutes
     contract.state = ContractState.ACTIVE
@@ -516,15 +516,7 @@ def export_contract(contract: AgreementContract) -> dict:
         terms["per_minute_price_wei"] = str(contract.quota.per_minute_price)
         terms["minutes_purchased"] = contract.quota.minutes_purchased
         terms["minutes_consumed"] = contract.quota.minutes_consumed
-        terms["sessions"] = [
-            {
-                "token": s["token"],
-                "start": s["start"],
-                "stop": s["stop"],
-                "minutes": s["minutes"],
-            }
-            for s in contract.quota.sessions
-        ]
+        terms["sessions"] = [dict(s) for s in contract.quota.sessions]
     if contract.shares is not None:
         terms["shares"] = {
             addr: [num, contract.shares.denominator]

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -94,29 +95,6 @@ class GasSchedule:
         return self.gas_price_wei * self.contract_deploy_gas
 
 
-@dataclass(frozen=True)
-class TxRecord:
-    """One ledger transaction, as exported to the JSON-lines log."""
-
-    block_height: int
-    from_addr: str
-    to_addr: str
-    value_wei: int
-    fee_wei: int
-    kind: str
-
-    def to_json_line(self) -> str:
-        # The bytes of json.dumps(..., separators=(", ", ": ")) on a dict with
-        # keys block_height, from, to, value_wei, fee_wei, kind in that order.
-        return (
-            f'{{"block_height": {self.block_height:d}, '
-            f'"from": {encode_basestring_ascii(self.from_addr)}, '
-            f'"to": {encode_basestring_ascii(self.to_addr)}, '
-            f'"value_wei": "{self.value_wei:d}", "fee_wei": "{self.fee_wei:d}", '
-            f'"kind": {encode_basestring_ascii(self.kind)}}}'
-        )
-
-
 class Ledger:
     """Single-writer ledger state: accounts, contracts, fees, blocks, wakeups.
 
@@ -149,8 +127,8 @@ class Ledger:
         self.gas = gas or GasSchedule()
         self.block_interval = block_interval
         self._rng = random.Random(jitter_seed) if jitter_seed is not None else None
-        self.tx_log: list[TxRecord] = []
-        self._tx_hash = hashlib.sha256()  # over tx_log_lines() joined by "\n"
+        self.tx_log: list[str] = []  # one JSON line per tx
+        self._tx_hash = hashlib.sha256()  # over tx_log joined by "\n"
         self.wakeup_handler: Optional[Callable[[str, Block], None]] = None
         self._wakeup_heap: list[tuple[int, int, str]] = []
         self._wakeup_armed: dict[str, int] = {}  # contract address -> fire_at
@@ -277,7 +255,7 @@ class Ledger:
         if addr not in self.accounts:
             raise UnknownAddress(addr)
 
-    def transfer(self, from_addr: str, to_addr: str, value: int) -> TxRecord:
+    def transfer(self, from_addr: str, to_addr: str, value: int) -> None:
         """Move ``value`` between user accounts; sender also pays the gas fee."""
         require_amount(value, "transfer value")
         self._require_account(from_addr)
@@ -290,12 +268,12 @@ class Ledger:
         self.accounts[from_addr] -= value + fee
         self.accounts[to_addr] += value
         self.fee_sink += fee
-        return self._log(from_addr, to_addr, value, fee, "transfer")
+        self._log(from_addr, to_addr, value, fee, "transfer")
 
     # ---- contract plumbing -------------------------------------------------
 
     def register_contract(self, contract: AgreementContract, payer: str) -> str:
-        """Assign a fresh contract address; the payer covers the deploy fee."""
+        """Give ``contract`` a fresh address and return it; the payer covers the deploy fee."""
         self._require_account(payer)
         fee = self.gas.deploy_fee()
         if self.accounts[payer] < fee:
@@ -304,11 +282,12 @@ class Ledger:
         addr = f"{CONTRACT_ADDRESS_PREFIX}{self._contract_seq}"
         self.accounts[payer] -= fee
         self.fee_sink += fee
+        contract.address = addr
         self.contracts[addr] = contract
         self._log(payer, addr, 0, fee, "deploy")
         return addr
 
-    def contract_call(self, caller: str, contract_addr: str, kind: str = "call") -> None:
+    def contract_call(self, caller: str, contract_addr: str) -> None:
         """Charge the flat call fee for a state-changing contract trigger."""
         self._require_account(caller)
         if contract_addr not in self.contracts:
@@ -318,9 +297,9 @@ class Ledger:
             raise InsufficientFunds(f"{caller} cannot pay call fee of {fee} wei")
         self.accounts[caller] -= fee
         self.fee_sink += fee
-        self._log(caller, contract_addr, 0, fee, kind)
+        self._log(caller, contract_addr, 0, fee, "call")
 
-    def escrow_in(self, caller: str, contract_addr: str, value: int, kind: str = "lock") -> None:
+    def escrow_in(self, caller: str, contract_addr: str, value: int) -> None:
         """Move value from a user account into a contract's escrow, plus call fee."""
         require_amount(value, "escrow value")
         self._require_account(caller)
@@ -335,7 +314,7 @@ class Ledger:
         self.accounts[caller] -= value + fee
         contract.escrow += value
         self.fee_sink += fee
-        self._log(caller, contract_addr, value, fee, kind)
+        self._log(caller, contract_addr, value, fee, "lock")
 
     def escrow_out(self, contract_addr: str, to_addr: str, value: int, kind: str) -> None:
         """Release escrowed value to a user account (no fee on releases)."""
@@ -362,40 +341,39 @@ class Ledger:
         total += sum(c.escrow for c in self.contracts.values())
         return total == self.genesis_total
 
-    def _log(self, from_addr: str, to_addr: str, value: int, fee: int, kind: str) -> TxRecord:
-        rec = TxRecord(
-            block_height=self.current_block.height,
-            from_addr=from_addr,
-            to_addr=to_addr,
-            value_wei=value,
-            fee_wei=fee,
-            kind=kind,
+    def _log(self, from_addr: str, to_addr: str, value: int, fee: int, kind: str) -> None:
+        # The bytes of json.dumps(..., separators=(", ", ": ")) on a dict with
+        # keys block_height, from, to, value_wei, fee_wei, kind in that order.
+        line = (
+            f'{{"block_height": {self.current_block.height:d}, '
+            f'"from": {encode_basestring_ascii(from_addr)}, '
+            f'"to": {encode_basestring_ascii(to_addr)}, '
+            f'"value_wei": "{value:d}", "fee_wei": "{fee:d}", '
+            f'"kind": {encode_basestring_ascii(kind)}}}'
         )
-        line = rec.to_json_line().encode()
-        self._tx_hash.update(b"\n" + line if self.tx_log else line)
-        self.tx_log.append(rec)
-        return rec
-
-    def tx_log_lines(self) -> list[str]:
-        return [rec.to_json_line() for rec in self.tx_log]
+        self._tx_hash.update(("\n" + line if self.tx_log else line).encode())
+        self.tx_log.append(line)
 
     def tx_log_digest(self) -> str:
-        r"""SHA-256 of ``"\n".join(tx_log_lines())``, hashed as each tx is logged."""
+        r"""SHA-256 of ``"\n".join(tx_log)``, hashed as each tx is logged."""
         return self._tx_hash.hexdigest()
 
 
 def replay_balances(
-    genesis: dict[str, int], records: Iterable[TxRecord]
+    genesis: dict[str, int], lines: Iterable[str]
 ) -> tuple[dict[str, int], int]:
-    """Recompute final balances from genesis plus the transaction log.
+    """Recompute final balances from genesis plus the exported tx log lines.
 
-    Contract addresses accumulate escrow like ordinary balances.  Used by
-    tests to confirm that replaying the log reproduces the live state.
+    Each line is read back with ``json.loads``, so a replay that reproduces
+    the live state also vouches for the bytes the tx digest covers.
+    Contract addresses accumulate escrow like ordinary balances.
     """
     balances: dict[str, int] = dict(genesis)
     fee_sink = 0
-    for rec in records:
-        balances[rec.from_addr] = balances.get(rec.from_addr, 0) - rec.value_wei - rec.fee_wei
-        balances[rec.to_addr] = balances.get(rec.to_addr, 0) + rec.value_wei
-        fee_sink += rec.fee_wei
+    for line in lines:
+        tx = json.loads(line)
+        value, fee = int(tx["value_wei"]), int(tx["fee_wei"])
+        balances[tx["from"]] = balances.get(tx["from"], 0) - value - fee
+        balances[tx["to"]] = balances.get(tx["to"], 0) + value
+        fee_sink += fee
     return balances, fee_sink

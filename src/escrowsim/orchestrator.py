@@ -42,25 +42,6 @@ from .pricing import BP_SCALE, Quote, QosPreferences, RateCard, quote_price
 
 
 @dataclass
-class QosTrace:
-    """Availability samples observed during a session, in block-time order."""
-
-    samples: list[tuple[int, bool]] = field(default_factory=list)
-
-    def record(self, timestamp: int, available: bool) -> None:
-        if self.samples and timestamp < self.samples[-1][0]:
-            raise ValueError("sample timestamps must be non-decreasing")
-        self.samples.append((timestamp, available))
-
-    def availability_bp(self) -> int:
-        """Unweighted sample mean, floored to basis points; no samples = fully up."""
-        if not self.samples:
-            return BP_SCALE
-        up = sum(1 for _, available in self.samples if available)
-        return BP_SCALE * up // len(self.samples)
-
-
-@dataclass
 class SessionRequest:
     end_user: str
     owner: str
@@ -81,8 +62,15 @@ class SessionRecord:
     deploy_block: Optional[int] = None
     stop_block: Optional[int] = None
     step_log: list[int] = field(default_factory=list)
-    trace: QosTrace = field(default_factory=QosTrace)
+    samples: int = 0  # availability observations
+    samples_up: int = 0  # of which the service was up
     settled_by: str = ""  # "stop" | "expiry" | "abort"
+
+    def availability_bp(self) -> int:
+        """Unweighted sample mean, floored to basis points; no samples = fully up."""
+        if not self.samples:
+            return BP_SCALE
+        return BP_SCALE * self.samples_up // self.samples
 
 
 class SessionOrchestrator:
@@ -105,8 +93,7 @@ class SessionOrchestrator:
         self.provider_region = provider_region
         self.provider_gdpr_compliant = provider_gdpr_compliant
         self.refund_threshold_bp = refund_threshold_bp
-        self.sessions: list[SessionRecord] = []
-        self._by_contract: dict[str, SessionRecord] = {}
+        self.sessions: dict[str, SessionRecord] = {}  # contract address -> record
         self._token_seq = 0
         self.fail_next_deployment = False  # fault-injection hook
         ledger.wakeup_handler = self._handle_wakeup
@@ -141,13 +128,12 @@ class SessionOrchestrator:
             self._require_enacted(req.ballot)
 
         contract = self._build_agreement(req, kind, quote, division_address)
-        contract.address = self.ledger.register_contract(contract, payer=req.owner)
+        self.ledger.register_contract(contract, payer=req.owner)
         sc.mark_quoted(contract)
 
         session = SessionRecord(contract=contract, quote=quote)
         session.step_log += [1, 2]
-        self.sessions.append(session)
-        self._by_contract[contract.address] = session
+        self.sessions[contract.address] = session
         return session
 
     def _build_agreement(
@@ -186,7 +172,7 @@ class SessionOrchestrator:
         division = AgreementContract(
             kind=ContractKind.INCOME_DIVISION, owner=req.owner, end_user=req.end_user
         )
-        division.address = self.ledger.register_contract(division, payer=req.owner)
+        self.ledger.register_contract(division, payer=req.owner)
         sc.set_income_shares(self.ledger, division, req.owner, req.shares)
         return division.address
 
@@ -203,7 +189,7 @@ class SessionOrchestrator:
         ballot = AgreementContract(
             kind=ContractKind.CONSENSUS_DECISION, owner=owner, end_user=""
         )
-        ballot.address = self.ledger.register_contract(ballot, payer=owner)
+        self.ledger.register_contract(ballot, payer=owner)
         sc.init_vote(self.ledger, ballot, owner, voters)
         return ballot
 
@@ -251,11 +237,12 @@ class SessionOrchestrator:
     # ---- monitoring -----------------------------------------------------------
 
     def record_qos_sample(self, session: SessionRecord, available: bool) -> None:
-        """Append one availability observation at the current block time."""
+        """Count one availability observation."""
         contract = session.contract
         if session.deploy_block is None or contract.state is not ContractState.ACTIVE:
             raise SessionNotActive(contract.address)
-        session.trace.record(self.ledger.current_block.timestamp, available)
+        session.samples += 1
+        session.samples_up += bool(available)
 
     # ---- steps 11-16: settlement ----------------------------------------------
 
@@ -267,7 +254,7 @@ class SessionOrchestrator:
             contract,
             caller,
             self.ledger.current_block,
-            availability_bp=session.trace.availability_bp(),
+            availability_bp=session.availability_bp(),
         )
         self.ledger.cancel_wakeup(contract.address)
         session.stop_block = self.ledger.current_block.height
@@ -291,7 +278,7 @@ class SessionOrchestrator:
             self.ledger,
             contract,
             block,
-            availability_bp=session.trace.availability_bp(),
+            availability_bp=session.availability_bp(),
         )
         session.stop_block = block.height
         session.settled_by = "expiry"
@@ -299,7 +286,7 @@ class SessionOrchestrator:
         return settlement
 
     def _handle_wakeup(self, contract_address: str, block: Block) -> None:
-        session = self._by_contract.get(contract_address)
+        session = self.sessions.get(contract_address)
         if session is not None:
             self.on_wakeup(session, block)
 

@@ -158,6 +158,8 @@ def compare_fee_methods(
             raise GasPriceOutOfRange(
                 f"gas price {gas_price_gwei} GWEI outside [{lo}, {hi}]"
             )
+    require_amount(gas_price_gwei, "gas_price_gwei")
+    require_amount(gas_units, "gas_units")
     rows = []
     for method in FEE_METHODS:
         if method.fee_bp_range is not None:

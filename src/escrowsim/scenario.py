@@ -785,15 +785,15 @@ class _Runner:
             }
         sessions = []
         labels = {record.contract.address: label for label, record in self.sessions.items()}
-        for record in self.orch.sessions:
+        for address, record in self.orch.sessions.items():
             sessions.append(
                 {
-                    "label": labels.get(record.contract.address, ""),
-                    "contract": record.contract.address,
+                    "label": labels.get(address, ""),
+                    "contract": address,
                     "url_token": record.url_token,
                     "deploy_block": record.deploy_block,
                     "stop_block": record.stop_block,
-                    "availability_bp": record.trace.availability_bp(),
+                    "availability_bp": record.availability_bp(),
                     "settled_by": record.settled_by,
                     "step_log": list(record.step_log),
                 }

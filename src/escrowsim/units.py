@@ -7,7 +7,6 @@ only illegal amount is a negative one.
 
 WEI_PER_GWEI = 10**9
 WEI_PER_ETH = 10**18
-GWEI_PER_ETH = 10**9
 
 
 def gwei(n: int) -> int:

@@ -62,7 +62,7 @@ def test_c03_proration_law_over_ten_thousand_triples():
             kind=ContractKind.DYNAMIC_PRICE, owner="o", end_user="",
             price=price, lock_time_seconds=lock,
         )
-        contract.address = ledger.register_contract(contract, payer="o")
+        ledger.register_contract(contract, payer="o")
         sc.mark_quoted(contract)
         assert sc.lock_funds(ledger, contract, "u", price, Block(1, 0))
         sc.countersign(ledger, contract, "o")
@@ -81,7 +81,7 @@ def test_c04_boundary_values_full_use_and_availability_threshold():
             kind=ContractKind.DYNAMIC_PRICE, owner="o", end_user="",
             price=eth(1), lock_time_seconds=3_600,
         )
-        contract.address = ledger.register_contract(contract, payer="o")
+        ledger.register_contract(contract, payer="o")
         sc.mark_quoted(contract)
         sc.lock_funds(ledger, contract, "u", eth(1), Block(1, 0))
         sc.countersign(ledger, contract, "o")
@@ -194,7 +194,7 @@ def test_c07_voting_exhaustive_up_to_five_voters():
                 ballot = AgreementContract(
                     kind=ContractKind.CONSENSUS_DECISION, owner="own", end_user=""
                 )
-                ballot.address = ledger.register_contract(ballot, payer="own")
+                ledger.register_contract(ballot, payer="own")
                 sc.init_vote(ledger, ballot, "own", set(voters))
                 for voter, choice in order:
                     sc.cast_vote(ledger, ballot, voter, choice)

@@ -175,6 +175,19 @@ def test_run_seed_override_changes_block_times(tmp_path, capsys):
     assert plain["final_block"]["timestamp"] != jittered["final_block"]["timestamp"]
 
 
+@pytest.mark.parametrize("command", ["run", "oracle", "demo"])
+@pytest.mark.parametrize("seed", ["-1", "-7", "x"])
+def test_seed_flag_rejects_negative_and_non_integer_seeds(tmp_path, capsys, command, seed):
+    args = [command] if command == "demo" else [command, write_scenario(tmp_path, GOOD_SCENARIO)]
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", seed])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "--seed" in err
+    assert "Traceback" not in err
+
+
 # ---- oracle ---------------------------------------------------------------------
 
 def test_oracle_settlements_match_the_engine_run(tmp_path, capsys):
@@ -228,6 +241,20 @@ def test_fees_gas_price_bounds(capsys):
     assert "GasPriceOutOfRange" in capsys.readouterr()[1]
     assert main(["fees", "--amount-usd", "100", "--gas-price-gwei", "50",
                  "--allow-any-gas-price"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--gas-units", "-5"], "gas_units"),
+        (["--gas-price-gwei", "-5", "--allow-any-gas-price"], "gas_price_gwei"),
+    ],
+)
+def test_fees_rejects_negative_gas(capsys, flags, named):
+    assert main(["fees", "--amount-usd", "10", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: {named} must be non-negative" in err
 
 
 def test_fees_rejects_subcent_amounts(capsys):

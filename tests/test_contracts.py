@@ -47,7 +47,7 @@ def deploy(ledger, kind=ContractKind.DYNAMIC_PRICE, price=eth(1), lock=3600, **k
     contract = AgreementContract(
         kind=kind, owner="own", end_user="", price=price, lock_time_seconds=lock, **kw
     )
-    contract.address = ledger.register_contract(contract, payer="own")
+    ledger.register_contract(contract, payer="own")
     return contract
 
 

@@ -24,7 +24,6 @@ from escrowsim.ledger import (
     Block,
     GasSchedule,
     Ledger,
-    TxRecord,
     replay_balances,
 )
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
@@ -167,8 +166,10 @@ def _contract() -> AgreementContract:
 
 def test_register_contract_assigns_sequential_addresses():
     ledger = Ledger({"own": eth(1)}, gas=zero_gas())
-    assert ledger.register_contract(_contract(), payer="own") == "sc-1"
-    assert ledger.register_contract(_contract(), payer="own") == "sc-2"
+    first, second = _contract(), _contract()
+    assert ledger.register_contract(first, payer="own") == "sc-1"
+    assert ledger.register_contract(second, payer="own") == "sc-2"
+    assert (first.address, second.address) == ("sc-1", "sc-2")
 
 
 def test_escrow_in_and_out_preserve_conservation():
@@ -237,9 +238,13 @@ def test_tx_log_replay_reproduces_balances():
                       contract_deploy_gas=30, gas_price_wei=2, price_bounds_gwei=None)
     ledger = Ledger({"a": eth(1), "b": eth(1)}, gas=gas)
     addr = ledger.register_contract(_contract(), payer="a")
+    ledger.contract_call("b", addr)
     ledger.transfer("a", "b", 12345)
     ledger.escrow_in("b", addr, 777)
     ledger.escrow_out(addr, "a", 500, kind="refund")
+    assert [json.loads(line)["kind"] for line in ledger.tx_log] == [
+        "deploy", "call", "transfer", "lock", "refund"
+    ]
     balances, fee_sink = replay_balances({"a": eth(1), "b": eth(1)}, ledger.tx_log)
     assert fee_sink == ledger.fee_sink
     for name in ("a", "b"):
@@ -251,7 +256,7 @@ def test_tx_log_lines_have_fixed_key_order_and_string_amounts():
     gas = GasSchedule(transfer_gas=10, gas_price_wei=2, price_bounds_gwei=None)
     ledger = Ledger({"a": eth(1), "b": 0}, gas=gas)
     ledger.transfer("a", "b", 42)
-    line = ledger.tx_log_lines()[0]
+    [line] = ledger.tx_log
     assert line == (
         '{"block_height": 0, "from": "a", "to": "b",'
         ' "value_wei": "42", "fee_wei": "20", "kind": "transfer"}'
@@ -263,13 +268,31 @@ def test_tx_log_lines_have_fixed_key_order_and_string_amounts():
     [('a"b', "c\\d", "transfer"), ("line\nbreak", "café", 'k"\\'), ("\x00", "\ud800", "é")],
 )
 def test_tx_log_line_matches_json_dumps(from_addr, to_addr, kind):
-    rec = TxRecord(7, from_addr, to_addr, 10**30, 0, kind)
-    expected = json.dumps(
-        {"block_height": 7, "from": from_addr, "to": to_addr,
-         "value_wei": str(10**30), "fee_wei": "0", "kind": kind},
-        separators=(", ", ": "),
-    )
-    assert rec.to_json_line() == expected
+    gas = GasSchedule(transfer_gas=1, contract_call_gas=2, contract_deploy_gas=3,
+                      gas_price_wei=10**20, price_bounds_gwei=None)
+    ledger = Ledger({from_addr: 10**31, to_addr: 10**31}, gas=gas)
+    ledger.transfer(from_addr, to_addr, 10**30)
+    ledger.produce_block()
+    ledger.transfer(to_addr, from_addr, 5)
+    addr = ledger.register_contract(_contract(), payer=from_addr)
+    ledger.produce_block()
+    ledger.escrow_in(to_addr, addr, 10**30)
+    ledger.escrow_out(addr, from_addr, 10**30, kind=kind)
+    expected = [
+        (0, from_addr, to_addr, 10**30, 10**20, "transfer"),
+        (1, to_addr, from_addr, 5, 10**20, "transfer"),
+        (1, from_addr, addr, 0, 3 * 10**20, "deploy"),
+        (2, to_addr, addr, 10**30, 2 * 10**20, "lock"),
+        (2, addr, from_addr, 10**30, 0, kind),
+    ]
+    assert ledger.tx_log == [
+        json.dumps(
+            {"block_height": height, "from": src, "to": dst,
+             "value_wei": str(value), "fee_wei": str(fee), "kind": tx_kind},
+            separators=(", ", ": "),
+        )
+        for height, src, dst, value, fee, tx_kind in expected
+    ]
 
 
 def test_tx_log_digest_hashes_the_joined_lines():
@@ -284,7 +307,7 @@ def test_tx_log_digest_hashes_the_joined_lines():
     ledger.contract_call("a", addr)
     ledger.escrow_out(addr, "b", 500, kind="refund")
     assert len(ledger.tx_log) == 5
-    joined = "\n".join(ledger.tx_log_lines()).encode()
+    joined = "\n".join(ledger.tx_log).encode()
     assert ledger.tx_log_digest() == hashlib.sha256(joined).hexdigest()
 
 

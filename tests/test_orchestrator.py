@@ -13,7 +13,7 @@ from escrowsim.errors import (
     WrongState,
 )
 from escrowsim.ledger import GasSchedule, Ledger
-from escrowsim.orchestrator import QosTrace, SessionOrchestrator, SessionRequest
+from escrowsim.orchestrator import SessionOrchestrator, SessionRequest
 from escrowsim.pricing import QosPreferences, RateCard
 from escrowsim.units import eth
 
@@ -175,7 +175,8 @@ def test_three_of_four_samples_meets_the_default_threshold():
         orch.record_qos_sample(session, ok)
     run_until(ledger, 1800)
     settlement = orch.end_session(session, "alice")
-    assert session.trace.availability_bp() == 7_500
+    assert (session.samples, session.samples_up) == (4, 3)
+    assert session.availability_bp() == 7_500
     assert settlement.charge > 0
 
 
@@ -194,15 +195,9 @@ def test_degraded_availability_forces_full_refund():
     assert ledger.balance_of("alice") == eth(10)
 
 
-def test_empty_trace_counts_as_fully_available():
-    assert QosTrace().availability_bp() == 10_000
-
-
-def test_trace_rejects_time_travel():
-    trace = QosTrace()
-    trace.record(100, True)
-    with pytest.raises(ValueError):
-        trace.record(99, True)
+def test_fresh_session_reads_fully_available():
+    _, orch = build()
+    assert request(orch).availability_bp() == 10_000
 
 
 # ---- fault injection ------------------------------------------------------------------

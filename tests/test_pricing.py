@@ -163,6 +163,10 @@ def test_bad_inputs_rejected():
         compare_fee_methods(10_000, 0, 20, 21_000)
     with pytest.raises(ValueError):
         compare_fee_methods(-1, 50_000, 20, 21_000)
+    with pytest.raises(ValueError):
+        compare_fee_methods(10_000, 50_000, 20, -5)
+    with pytest.raises(ValueError):
+        compare_fee_methods(10_000, 50_000, -5, 21_000, enforce_gas_bounds=False)
 
 
 def test_ethereum_undercuts_paypal_floor_for_large_payments():
