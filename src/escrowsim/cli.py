@@ -53,7 +53,7 @@ def _read_script(args):
     On unusable input, say why on stderr and return None (exit code 2).
     """
     try:
-        with open(args.scenario, "r", encoding="utf-8") as handle:
+        with open(args.scenario, "rb") as handle:
             script = parse_scenario(handle.read())
     except OSError as exc:
         print(f"error: cannot read {args.scenario}: {exc}", file=sys.stderr)
@@ -66,6 +66,17 @@ def _read_script(args):
     return script
 
 
+def _write_out(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; on failure say why on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
     script = _read_script(args)
     if script is None:
@@ -73,8 +84,8 @@ def cmd_run(args) -> int:
     report = run_scenario(script, corrupt_wei=1 if args.corrupt_ledger else 0)
     text = report.to_json_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if not _write_out(args.out, text):
+            return 2
         sys.stdout.write(report.summary_text())
     else:
         sys.stdout.write(text)
@@ -108,8 +119,8 @@ def cmd_oracle(args) -> int:
     }
     text = render_json(rendered) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if not _write_out(args.out, text):
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -2,10 +2,11 @@
 
 Seven monetization templates over one explicit state machine:
 
-    DEPLOYED -> QUOTED -> USER_SIGNED -> ACTIVE -> (STOPPED | EXPIRED) -> SETTLED
+    DEPLOYED -> QUOTED -> USER_SIGNED -> ACTIVE -> SETTLED
 
-Escrow is strictly positive exactly in USER_SIGNED, ACTIVE, STOPPED and
-EXPIRED, and zero once SETTLED.  All money math is exact integer wei;
+Escrow is strictly positive exactly in USER_SIGNED and ACTIVE, and zero once
+SETTLED.  A contract settles from its own terms, its availability counts and
+the ledger's current block time.  All money math is exact integer wei;
 prorated charges round down so the remainder favors the end user.
 """
 
@@ -28,9 +29,10 @@ from .errors import (
     SessionAlreadyOpen,
     WrongState,
 )
-from .ledger import Block, Ledger
+from .ledger import Ledger
 from .units import require_amount
 
+BP_SCALE = 10_000
 DEFAULT_REFUND_THRESHOLD_BP = 7_500  # availability below this forces a full refund
 IDENTITY_MULTIPLIER_BP = 10_000
 
@@ -40,8 +42,6 @@ class ContractState(Enum):
     QUOTED = "quoted"
     USER_SIGNED = "user_signed"
     ACTIVE = "active"
-    STOPPED = "stopped"
-    EXPIRED = "expired"
     SETTLED = "settled"
 
 
@@ -91,7 +91,7 @@ class IncomeShares:
     numerators: dict[str, int]
     denominator: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.numerators or self.denominator <= 0:
             raise InvalidShares("shares must be non-empty with a positive denominator")
         if any(n <= 0 for n in self.numerators.values()):
@@ -178,8 +178,16 @@ class AgreementContract:
     voting: Optional[VotingState] = None
     constraints: Optional[ConstraintTerms] = None
     flexible: Optional[FlexibleTerms] = None
-    division_address: Optional[str] = None  # agreement routed through a division contract
+    division: Optional[AgreementContract] = None  # agreement routed through a division contract
     settlement: Optional[Settlement] = None
+    samples: int = 0  # availability observations
+    samples_up: int = 0  # of which the service was up
+
+    def availability_bp(self) -> int:
+        """Unweighted sample mean, floored to basis points; no samples = fully up."""
+        if not self.samples:
+            return BP_SCALE
+        return BP_SCALE * self.samples_up // self.samples
 
     def require_state(self, *allowed: ContractState) -> None:
         if self.state not in allowed:
@@ -209,9 +217,7 @@ def mark_quoted(contract: AgreementContract) -> None:
 # funding and signatures
 # ---------------------------------------------------------------------------
 
-def lock_funds(
-    ledger: Ledger, contract: AgreementContract, sender: str, value: int, now: Block
-) -> bool:
+def lock_funds(ledger: Ledger, contract: AgreementContract, sender: str, value: int) -> bool:
     """Escrow the full agreed price; reject any other value with False.
 
     On success the sender is recorded as the funding end user, the session
@@ -224,9 +230,10 @@ def lock_funds(
     if value != contract.price:
         return False  # value does not match the agreed price; nothing changes
     ledger.escrow_in(sender, contract.address, value)
+    now = ledger.current_block.timestamp
     contract.end_user = sender
-    contract.session_start_time = now.timestamp
-    contract.release_time = now.timestamp + contract.lock_time_seconds
+    contract.session_start_time = now
+    contract.release_time = now + contract.lock_time_seconds
     contract.state = ContractState.USER_SIGNED
     return True
 
@@ -243,8 +250,8 @@ def countersign(ledger: Ledger, contract: AgreementContract, signer: str) -> Non
 # time-based settlement
 # ---------------------------------------------------------------------------
 
-def _charge_for_usage(contract: AgreementContract, used: int, availability_bp: int) -> int:
-    if availability_bp < contract.refund_threshold_bp:
+def _charge_for_usage(contract: AgreementContract, used: int) -> int:
+    if contract.availability_bp() < contract.refund_threshold_bp:
         return 0  # availability dropped below the threshold: full refund
     if contract.kind is ContractKind.FIXED_PRICE:
         return contract.price
@@ -256,10 +263,9 @@ def _charge_for_usage(contract: AgreementContract, used: int, availability_bp: i
     return contract.price * used // contract.lock_time_seconds
 
 
-def _payouts_for_charge(ledger: Ledger, contract: AgreementContract, charge: int) -> dict[str, int]:
-    if contract.division_address is not None:
-        division = ledger.contracts[contract.division_address]
-        return settle_with_division(division, charge)
+def _payouts_for_charge(contract: AgreementContract, charge: int) -> dict[str, int]:
+    if contract.division is not None:
+        return settle_with_division(contract.division, charge)
     return {contract.owner: charge} if charge > 0 else {}
 
 
@@ -270,17 +276,10 @@ def _require_empty_escrow(contract: AgreementContract) -> None:
         )
 
 
-def _execute_settlement(
-    ledger: Ledger,
-    contract: AgreementContract,
-    used: int,
-    availability_bp: int,
-    via: ContractState,
-) -> Settlement:
-    charge = _charge_for_usage(contract, used, availability_bp)
+def _execute_settlement(ledger: Ledger, contract: AgreementContract, used: int) -> Settlement:
+    charge = _charge_for_usage(contract, used)
     refund = contract.escrow - charge
-    payouts = _payouts_for_charge(ledger, contract, charge)
-    contract.state = via
+    payouts = _payouts_for_charge(contract, charge)
     for recipient, amount in payouts.items():
         ledger.escrow_out(contract.address, recipient, amount, kind="charge")
     ledger.escrow_out(contract.address, contract.end_user, refund, kind="refund")
@@ -290,44 +289,32 @@ def _execute_settlement(
     return contract.settlement
 
 
-def stop_and_settle(
-    ledger: Ledger,
-    contract: AgreementContract,
-    caller: str,
-    now: Block,
-    availability_bp: int = 10_000,
-) -> Settlement:
+def stop_and_settle(ledger: Ledger, contract: AgreementContract, caller: str) -> Settlement:
     """End-user stop: charge the used time pro rata, refund the rest."""
+    if contract.kind not in TIME_SETTLED_KINDS:
+        raise WrongState(f"{contract.kind.value} contracts are not settled by a stop")
     contract.require_state(ContractState.ACTIVE)
     contract.require_end_user(caller)
     ledger.contract_call(caller, contract.address)
-    used = min(now.timestamp - contract.session_start_time, contract.lock_time_seconds)
-    return _execute_settlement(ledger, contract, used, availability_bp, ContractState.STOPPED)
+    elapsed = ledger.current_block.timestamp - contract.session_start_time
+    return _execute_settlement(ledger, contract, min(elapsed, contract.lock_time_seconds))
 
 
-def expire_and_settle(
-    ledger: Ledger,
-    contract: AgreementContract,
-    now: Block,
-    availability_bp: int = 10_000,
-) -> Settlement:
+def expire_and_settle(ledger: Ledger, contract: AgreementContract) -> Settlement:
     """Timeout settlement at the release time: the full period is charged.
 
     Triggered by the alarm-clock wakeup, so no party pays a call fee.
     """
     contract.require_state(ContractState.ACTIVE)
-    if now.timestamp < contract.release_time:
-        raise NotYetReleased(
-            f"release at {contract.release_time}, block time is {now.timestamp}"
-        )
-    used = contract.lock_time_seconds
-    return _execute_settlement(ledger, contract, used, availability_bp, ContractState.EXPIRED)
+    now = ledger.current_block.timestamp
+    if now < contract.release_time:
+        raise NotYetReleased(f"release at {contract.release_time}, block time is {now}")
+    return _execute_settlement(ledger, contract, contract.lock_time_seconds)
 
 
 def abort_and_refund(ledger: Ledger, contract: AgreementContract) -> Settlement:
     """Full refund on a provider-side fault (e.g. failed deployment)."""
     contract.require_state(ContractState.USER_SIGNED, ContractState.ACTIVE)
-    contract.state = ContractState.STOPPED
     refund = contract.escrow
     ledger.escrow_out(contract.address, contract.end_user, refund, kind="refund")
     contract.state = ContractState.SETTLED
@@ -357,7 +344,7 @@ def quota_purchase(
     return True
 
 
-def quota_start(ledger: Ledger, contract: AgreementContract, caller: str, now: Block) -> str:
+def quota_start(ledger: Ledger, contract: AgreementContract, caller: str) -> str:
     """Open a metered session; returns its access token."""
     contract.require_end_user(caller)
     if contract.kind is not ContractKind.TIME_LIMITED_QUOTA:
@@ -369,15 +356,14 @@ def quota_start(ledger: Ledger, contract: AgreementContract, caller: str, now: B
     if terms.minutes_remaining() <= 0:
         raise QuotaExhausted(contract.address)
     ledger.contract_call(caller, contract.address)
-    terms.open_session_start = now.timestamp
+    now = ledger.current_block.timestamp
+    terms.open_session_start = now
     token = f"{contract.address}/q{len(terms.sessions) + 1}"
-    terms.sessions.append(
-        {"token": token, "start": now.timestamp, "stop": None, "minutes": 0}
-    )
+    terms.sessions.append({"token": token, "start": now, "stop": None, "minutes": 0})
     return token
 
 
-def quota_stop(ledger: Ledger, contract: AgreementContract, caller: str, now: Block) -> int:
+def quota_stop(ledger: Ledger, contract: AgreementContract, caller: str) -> int:
     """Close the open session; bill started minutes, clamped to the remainder."""
     contract.require_end_user(caller)
     terms = contract.quota
@@ -385,13 +371,14 @@ def quota_stop(ledger: Ledger, contract: AgreementContract, caller: str, now: Bl
         raise NoOpenSession(contract.address)
     contract.require_state(ContractState.ACTIVE)
     ledger.contract_call(caller, contract.address)
-    elapsed = now.timestamp - terms.open_session_start
+    now = ledger.current_block.timestamp
+    elapsed = now - terms.open_session_start
     minutes = min(-(-elapsed // 60), terms.minutes_remaining())  # ceil, then clamp
     charge = minutes * terms.per_minute_price
     ledger.escrow_out(contract.address, contract.owner, charge, kind="charge")
     terms.minutes_consumed += minutes
     record = terms.sessions[-1]
-    record["stop"] = now.timestamp
+    record["stop"] = now
     record["minutes"] = minutes
     terms.open_session_start = None
     total = terms.minutes_consumed * terms.per_minute_price
@@ -415,7 +402,6 @@ def set_income_shares(
     if contract.kind is not ContractKind.INCOME_DIVISION:
         raise WrongState(f"{contract.kind.value} contracts carry no income shares")
     contract.require_state(ContractState.DEPLOYED)
-    shares.validate()
     ledger.contract_call(proposer, contract.address)
     contract.shares = shares
     contract.state = ContractState.QUOTED
@@ -534,8 +520,8 @@ def export_contract(contract: AgreementContract) -> dict:
         terms["standby_rate_wei_per_second"] = str(contract.flexible.standby_rate)
         terms["standby_window_seconds"] = contract.flexible.standby_window_seconds
         terms["min_charge_wei"] = str(contract.flexible.min_charge)
-    if contract.division_address is not None:
-        terms["division_address"] = contract.division_address
+    if contract.division is not None:
+        terms["division_address"] = contract.division.address
     snapshot = {
         "address": contract.address,
         "kind": contract.kind.value,

@@ -277,6 +277,7 @@ class _Oracle:
         c = self.sessions.get(ev.session)
         if (
             c is not None
+            and c.kind is not ContractKind.TIME_LIMITED_QUOTA  # active once bought
             and c.funded_ts is not None
             and not c.settled
             and not c.active

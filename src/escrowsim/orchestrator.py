@@ -38,7 +38,7 @@ from .errors import (
     WrongState,
 )
 from .ledger import Block, Ledger
-from .pricing import BP_SCALE, Quote, QosPreferences, RateCard, quote_price
+from .pricing import Quote, QosPreferences, RateCard, quote_price
 
 
 @dataclass
@@ -62,15 +62,7 @@ class SessionRecord:
     deploy_block: Optional[int] = None
     stop_block: Optional[int] = None
     step_log: list[int] = field(default_factory=list)
-    samples: int = 0  # availability observations
-    samples_up: int = 0  # of which the service was up
     settled_by: str = ""  # "stop" | "expiry" | "abort"
-
-    def availability_bp(self) -> int:
-        """Unweighted sample mean, floored to basis points; no samples = fully up."""
-        if not self.samples:
-            return BP_SCALE
-        return BP_SCALE * self.samples_up // self.samples
 
 
 class SessionOrchestrator:
@@ -121,13 +113,13 @@ class SessionOrchestrator:
             flexible=req.flexible,
         )
 
-        division_address = None
+        division = None
         if kind is ContractKind.INCOME_DIVISION:
-            division_address = self._deploy_division(req)
+            division = self._deploy_division(req)
         elif kind is ContractKind.CONSENSUS_DECISION:
             self._require_enacted(req.ballot)
 
-        contract = self._build_agreement(req, kind, quote, division_address)
+        contract = self._build_agreement(req, kind, quote, division)
         self.ledger.register_contract(contract, payer=req.owner)
         sc.mark_quoted(contract)
 
@@ -141,7 +133,7 @@ class SessionOrchestrator:
         req: SessionRequest,
         kind: ContractKind,
         quote: Quote,
-        division_address: Optional[str],
+        division: Optional[AgreementContract],
     ) -> AgreementContract:
         agreement_kind = kind
         if kind in (ContractKind.INCOME_DIVISION, ContractKind.CONSENSUS_DECISION):
@@ -153,7 +145,7 @@ class SessionOrchestrator:
             price=quote.price,
             lock_time_seconds=req.prefs.max_period_seconds,
             refund_threshold_bp=self.refund_threshold_bp,
-            division_address=division_address,
+            division=division,
         )
         if agreement_kind is ContractKind.TIME_LIMITED_QUOTA:
             contract.quota = QuotaTerms(per_minute_price=quote.per_minute_price)
@@ -166,7 +158,7 @@ class SessionOrchestrator:
             )
         return contract
 
-    def _deploy_division(self, req: SessionRequest) -> str:
+    def _deploy_division(self, req: SessionRequest) -> AgreementContract:
         if req.shares is None:
             raise ValueError("income-division request needs shares")
         division = AgreementContract(
@@ -174,7 +166,7 @@ class SessionOrchestrator:
         )
         self.ledger.register_contract(division, payer=req.owner)
         sc.set_income_shares(self.ledger, division, req.owner, req.shares)
-        return division.address
+        return division
 
     def _require_enacted(self, ballot: Optional[AgreementContract]) -> None:
         if ballot is None:
@@ -205,7 +197,7 @@ class SessionOrchestrator:
                 f"quote expired at block {session.quote.expires_at_block}"
             )
         contract = session.contract
-        if not sc.lock_funds(self.ledger, contract, payer, value, self.ledger.current_block):
+        if not sc.lock_funds(self.ledger, contract, payer, value):
             return False
         self.ledger.schedule_wakeup(contract.address, contract.release_time)
         session.step_log.append(3)
@@ -237,25 +229,19 @@ class SessionOrchestrator:
     # ---- monitoring -----------------------------------------------------------
 
     def record_qos_sample(self, session: SessionRecord, available: bool) -> None:
-        """Count one availability observation."""
+        """Count one availability observation on the contract."""
         contract = session.contract
         if session.deploy_block is None or contract.state is not ContractState.ACTIVE:
             raise SessionNotActive(contract.address)
-        session.samples += 1
-        session.samples_up += bool(available)
+        contract.samples += 1
+        contract.samples_up += bool(available)
 
     # ---- steps 11-16: settlement ----------------------------------------------
 
     def end_session(self, session: SessionRecord, caller: str) -> Settlement:
         """End-user stop: undeploy, settle pro rata, cancel the wakeup."""
         contract = session.contract
-        settlement = sc.stop_and_settle(
-            self.ledger,
-            contract,
-            caller,
-            self.ledger.current_block,
-            availability_bp=session.availability_bp(),
-        )
+        settlement = sc.stop_and_settle(self.ledger, contract, caller)
         self.ledger.cancel_wakeup(contract.address)
         session.stop_block = self.ledger.current_block.height
         session.settled_by = "stop"
@@ -274,12 +260,7 @@ class SessionOrchestrator:
             session.stop_block = block.height
             session.step_log += [13, 14, 15, 16]
             return settlement
-        settlement = sc.expire_and_settle(
-            self.ledger,
-            contract,
-            block,
-            availability_bp=session.availability_bp(),
-        )
+        settlement = sc.expire_and_settle(self.ledger, contract)
         session.stop_block = block.height
         session.settled_by = "expiry"
         session.step_log += [12, 13, 14, 15, 16]
@@ -300,7 +281,7 @@ class SessionOrchestrator:
 
     def quota_start(self, session: SessionRecord, caller: str) -> str:
         contract = session.contract
-        token = sc.quota_start(self.ledger, contract, caller, self.ledger.current_block)
+        token = sc.quota_start(self.ledger, contract, caller)
         if session.deploy_block is None:
             session.deploy_block = self.ledger.current_block.height
         if not session.url_token:
@@ -308,4 +289,4 @@ class SessionOrchestrator:
         return token
 
     def quota_stop(self, session: SessionRecord, caller: str) -> int:
-        return sc.quota_stop(self.ledger, session.contract, caller, self.ledger.current_block)
+        return sc.quota_stop(self.ledger, session.contract, caller)

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .contracts import ContractKind, FlexibleTerms, IDENTITY_MULTIPLIER_BP
+from .contracts import BP_SCALE, ContractKind, FlexibleTerms, IDENTITY_MULTIPLIER_BP
 from .errors import GasPriceOutOfRange, InvalidPreferences
 from .ledger import GAS_PRICE_BOUNDS_GWEI
 from .units import WEI_PER_ETH, WEI_PER_GWEI, require_amount
-
-BP_SCALE = 10_000
 
 
 @dataclass(frozen=True)

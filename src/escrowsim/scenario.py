@@ -24,6 +24,7 @@ from typing import AbstractSet, Any, ClassVar, Optional, Union
 
 from . import contracts as sc
 from .contracts import (
+    BP_SCALE,
     AgreementContract,
     ConstraintTerms,
     ContractKind,
@@ -34,7 +35,7 @@ from .contracts import (
 from .errors import ParseError, SimulationError, ValidationError
 from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
 from .orchestrator import SessionOrchestrator, SessionRecord, SessionRequest
-from .pricing import BP_SCALE, QosPreferences, RateCard
+from .pricing import QosPreferences, RateCard
 from .units import gwei, parse_wei
 
 KIND_NAMES = {kind.value: kind for kind in ContractKind}
@@ -439,9 +440,8 @@ def _read_shares(raw: Any, where: str, genesis: dict[str, int]) -> IncomeShares:
         denominators.add(pair[1])
     if len(denominators) != 1:
         raise ValidationError(f"{where}: denominators must all match")
-    shares = IncomeShares({addr: pair[0] for addr, pair in raw.items()}, denominators.pop())
-    _checked(where, shares.validate)
-    return shares
+    numerators = {addr: pair[0] for addr, pair in raw.items()}
+    return _checked(where, IncomeShares, numerators, denominators.pop())
 
 
 def _read_standby(raw: Any, where: str) -> FlexibleTerms:
@@ -541,14 +541,23 @@ def _parse_event(raw: Any, index: int, genesis: dict[str, int]) -> ScriptEvent:
 
 
 def parse_scenario(document) -> ScenarioScript:
-    """Parse and validate a scenario from JSON text, a dict, or bytes."""
-    if isinstance(document, (str, bytes)):
+    """Parse and validate a scenario from JSON text, UTF-8 bytes, or a dict."""
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from exc
+    if isinstance(document, str):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ParseError(
                 f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer past the int-to-str digit limit
+            raise ParseError(str(exc)) from exc
+        except RecursionError as exc:
+            raise ParseError("arrays and objects nested too deeply") from exc
     if not isinstance(document, dict):
         raise ValidationError("top level: must be a JSON object")
     _check_keys(document, {"config", "genesis", "events"}, "top level")
@@ -793,7 +802,7 @@ class _Runner:
                     "url_token": record.url_token,
                     "deploy_block": record.deploy_block,
                     "stop_block": record.stop_block,
-                    "availability_bp": record.availability_bp(),
+                    "availability_bp": record.contract.availability_bp(),
                     "settled_by": record.settled_by,
                     "step_log": list(record.step_log),
                 }

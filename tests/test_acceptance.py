@@ -14,7 +14,7 @@ import pytest
 from escrowsim import contracts as sc
 from escrowsim.cli import main
 from escrowsim.contracts import AgreementContract, ContractKind, IncomeShares
-from escrowsim.ledger import Block, GasSchedule, Ledger
+from escrowsim.ledger import GasSchedule, Ledger
 from escrowsim.oracle import oracle_settlement
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 from escrowsim.units import eth
@@ -57,16 +57,17 @@ def test_c03_proration_law_over_ten_thousand_triples():
         price = rng.randint(1, 10**18)
         lock = rng.randint(1, 10**6)
         used = rng.randint(0, lock)
-        ledger = Ledger({"u": price, "o": 0}, gas=gas)
+        ledger = Ledger({"u": price, "o": 0}, gas=gas, block_interval=1)
         contract = AgreementContract(
             kind=ContractKind.DYNAMIC_PRICE, owner="o", end_user="",
             price=price, lock_time_seconds=lock,
         )
         ledger.register_contract(contract, payer="o")
         sc.mark_quoted(contract)
-        assert sc.lock_funds(ledger, contract, "u", price, Block(1, 0))
+        assert sc.lock_funds(ledger, contract, "u", price)
         sc.countersign(ledger, contract, "o")
-        done = sc.stop_and_settle(ledger, contract, "u", Block(2, used))
+        ledger.advance_to(used)
+        done = sc.stop_and_settle(ledger, contract, "u")
         assert done.charge == price * used // lock
         assert done.charge + done.refund == price
     print("proration law: 10000 triples, charge = floor(price*used/lock), sum exact")
@@ -75,25 +76,25 @@ def test_c03_proration_law_over_ten_thousand_triples():
 def test_c04_boundary_values_full_use_and_availability_threshold():
     gas = GasSchedule(gas_price_wei=0, price_bounds_gwei=None)
 
-    def settle(used, availability_bp):
-        ledger = Ledger({"u": eth(1), "o": 0}, gas=gas)
+    def settle(used, samples, samples_up):
+        ledger = Ledger({"u": eth(1), "o": 0}, gas=gas, block_interval=1)
         contract = AgreementContract(
             kind=ContractKind.DYNAMIC_PRICE, owner="o", end_user="",
             price=eth(1), lock_time_seconds=3_600,
         )
         ledger.register_contract(contract, payer="o")
         sc.mark_quoted(contract)
-        sc.lock_funds(ledger, contract, "u", eth(1), Block(1, 0))
+        sc.lock_funds(ledger, contract, "u", eth(1))
         sc.countersign(ledger, contract, "o")
-        return sc.stop_and_settle(
-            ledger, contract, "u", Block(2, used), availability_bp=availability_bp
-        )
+        contract.samples, contract.samples_up = samples, samples_up
+        ledger.advance_to(used)
+        return sc.stop_and_settle(ledger, contract, "u")
 
-    exhausted = settle(3_600, 10_000)
+    exhausted = settle(3_600, 0, 0)  # no samples: 10000 bp
     assert exhausted.charge == eth(1) and exhausted.refund == 0
-    breached = settle(1_800, 7_499)
+    breached = settle(1_800, 10_000, 7_499)
     assert breached.charge == 0 and breached.refund == eth(1)
-    held = settle(1_800, 7_500)
+    held = settle(1_800, 4, 3)
     assert held.charge == eth(1) // 2 and held.refund == eth(1) - eth(1) // 2
     print("boundaries: full use -> refund 0; 7499 bp -> full refund; "
           "7500 bp -> normal proration")

@@ -36,7 +36,14 @@ def test_tracer_installs_traces_a_run_and_uninstalls(monkeypatch):
         tracer.uninstall()
     assert all(owner.__dict__[attr] is originals[owner, attr] for owner, attr in targets)
     totals = tracer.totals()
-    for name in ("scenario.run", "orchestrator.call", "orchestrator.wakeup", "ledger.mutate"):
+    for name in (
+        "scenario.run",
+        "orchestrator.call",
+        "orchestrator.wakeup",
+        "ledger.mutate",
+        "contracts.settle",  # wrapped by name: the settle paths keep theirs
+        "pricing.quote",
+    ):
         assert totals[name][0] > 0, name
     [run] = tracer.runs
     assert run.wakeup_heights  # read from on_wakeup's block argument

@@ -145,6 +145,38 @@ def test_run_missing_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+# Inputs json.loads cannot turn into a document; each once ended in a traceback.
+UNDECODABLE = {
+    "not_utf8": b'{"genesis": {"al\xffce": "1"}}',
+    "integer_past_the_digit_limit": b'{"genesis": {"a": ' + b"9" * 5_000 + b"}}",
+    "nested_too_deeply": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, command, name):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(UNDECODABLE[name])
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "error: ParseError" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_unwritable_out_path_exits_two(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.json"
+    code = main([command, write_scenario(tmp_path, GOOD_SCENARIO), "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot write {target}" in err
+    assert "Traceback" not in err
+
+
 def test_run_corrupt_ledger_hook_exits_one(tmp_path, capsys):
     code = main(["run", write_scenario(tmp_path, GOOD_SCENARIO), "--corrupt-ledger"])
     out, err = capsys.readouterr()

@@ -30,7 +30,7 @@ from escrowsim.errors import (
     SimulationError,
     WrongState,
 )
-from escrowsim.ledger import Block, GasSchedule, Ledger
+from escrowsim.ledger import GasSchedule, Ledger
 from escrowsim.units import eth
 
 
@@ -40,7 +40,7 @@ def zero_gas() -> GasSchedule:
 
 def make_ledger(**extra) -> Ledger:
     genesis = {"user": eth(10), "own": eth(10), **extra}
-    return Ledger(genesis, gas=zero_gas())
+    return Ledger(genesis, gas=zero_gas(), block_interval=1)
 
 
 def deploy(ledger, kind=ContractKind.DYNAMIC_PRICE, price=eth(1), lock=3600, **kw):
@@ -51,9 +51,9 @@ def deploy(ledger, kind=ContractKind.DYNAMIC_PRICE, price=eth(1), lock=3600, **k
     return contract
 
 
-def activate(ledger, contract, value=None, at=0):
+def activate(ledger, contract, value=None):
     sc.mark_quoted(contract)
-    assert sc.lock_funds(ledger, contract, "user", value or contract.price, Block(1, at))
+    assert sc.lock_funds(ledger, contract, "user", value or contract.price)
     sc.countersign(ledger, contract, "own")
     return contract
 
@@ -67,7 +67,7 @@ def test_happy_path_walks_the_full_state_machine():
     assert c.escrow == 0
     sc.mark_quoted(c)
     assert c.state is ContractState.QUOTED
-    assert sc.lock_funds(ledger, c, "user", eth(1), Block(1, 0))
+    assert sc.lock_funds(ledger, c, "user", eth(1))
     assert c.state is ContractState.USER_SIGNED
     assert c.escrow == eth(1)
     assert c.end_user == "user"
@@ -75,7 +75,8 @@ def test_happy_path_walks_the_full_state_machine():
     sc.countersign(ledger, c, "own")
     assert c.state is ContractState.ACTIVE
     assert c.escrow == eth(1)
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(120, 1800))
+    ledger.advance_to(1800)
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert c.state is ContractState.SETTLED
     assert c.escrow == 0
     assert settlement.charge == settlement.refund == eth(1) // 2
@@ -86,24 +87,25 @@ def test_lock_funds_rejects_wrong_value_without_state_change():
     ledger = make_ledger()
     c = deploy(ledger)
     sc.mark_quoted(c)
-    assert not sc.lock_funds(ledger, c, "user", eth(1) + 1, Block(1, 0))
+    assert not sc.lock_funds(ledger, c, "user", eth(1) + 1)
     assert c.state is ContractState.QUOTED
     assert c.escrow == 0
     assert ledger.balance_of("user") == eth(10)
     # the exact price still goes through afterwards
-    assert sc.lock_funds(ledger, c, "user", eth(1), Block(1, 0))
+    assert sc.lock_funds(ledger, c, "user", eth(1))
 
 
 def test_cannot_skip_states():
     ledger = make_ledger()
     c = deploy(ledger)
     with pytest.raises(WrongState):
-        sc.lock_funds(ledger, c, "user", eth(1), Block(1, 0))  # not quoted yet
+        sc.lock_funds(ledger, c, "user", eth(1))  # not quoted yet
     sc.mark_quoted(c)
     with pytest.raises(WrongState):
         sc.countersign(ledger, c, "own")  # not funded yet
+    ledger.advance_to(10)
     with pytest.raises(WrongState):
-        sc.stop_and_settle(ledger, c, "user", Block(1, 10))
+        sc.stop_and_settle(ledger, c, "user")
 
 
 def test_countersign_requires_owner():
@@ -112,7 +114,7 @@ def test_countersign_requires_owner():
     sc.mark_quoted(c)
     with pytest.raises(NotOwner):
         sc.countersign(ledger, c, "user")  # the signer is checked before the state
-    sc.lock_funds(ledger, c, "user", eth(1), Block(1, 0))
+    sc.lock_funds(ledger, c, "user", eth(1))
     with pytest.raises(NotOwner):
         sc.countersign(ledger, c, "user")
 
@@ -120,16 +122,19 @@ def test_countersign_requires_owner():
 def test_stop_requires_end_user():
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger))
+    ledger.advance_to(150)
     with pytest.raises(NotEndUser):
-        sc.stop_and_settle(ledger, c, "own", Block(10, 150))
+        sc.stop_and_settle(ledger, c, "own")
 
 
 def test_expiry_before_release_time_rejected():
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger))
+    ledger.advance_to(3599)
     with pytest.raises(NotYetReleased):
-        sc.expire_and_settle(ledger, c, Block(10, 3599))
-    settlement = sc.expire_and_settle(ledger, c, Block(240, 3600))
+        sc.expire_and_settle(ledger, c)
+    ledger.advance_to(3600)
+    settlement = sc.expire_and_settle(ledger, c)
     assert settlement.charge == eth(1)
     assert settlement.refund == 0
 
@@ -140,11 +145,12 @@ def test_escrow_positive_exactly_while_funds_are_locked():
     held = []
     sc.mark_quoted(c)
     held.append((c.state, c.escrow))
-    sc.lock_funds(ledger, c, "user", eth(1), Block(1, 0))
+    sc.lock_funds(ledger, c, "user", eth(1))
     held.append((c.state, c.escrow))
     sc.countersign(ledger, c, "own")
     held.append((c.state, c.escrow))
-    sc.stop_and_settle(ledger, c, "user", Block(2, 30))
+    ledger.advance_to(30)
+    sc.stop_and_settle(ledger, c, "user")
     held.append((c.state, c.escrow))
     for state, escrow in held:
         locked = state in (ContractState.USER_SIGNED, ContractState.ACTIVE)
@@ -157,7 +163,8 @@ def test_proration_frozen_value():
     # floor(10^18 * 1000 / 3600) pinned before the engine was built
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger, price=10**18, lock=3600))
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(67, 1000))
+    ledger.advance_to(1000)
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert settlement.charge == 277_777_777_777_777_777
     assert settlement.refund == 722_222_222_222_222_223
     assert settlement.charge + settlement.refund == 10**18
@@ -169,10 +176,11 @@ def test_proration_law_random_sweep():
         price = rng.randint(1, 10**18)
         lock = rng.randint(1, 10**6)
         used = rng.randint(0, lock)
-        ledger = Ledger({"user": price, "own": 0}, gas=zero_gas())
+        ledger = Ledger({"user": price, "own": 0}, gas=zero_gas(), block_interval=1)
         c = deploy(ledger, price=price, lock=lock)
         activate(ledger, c)
-        settlement = sc.stop_and_settle(ledger, c, "user", Block(2, used))
+        ledger.advance_to(used)
+        settlement = sc.stop_and_settle(ledger, c, "user")
         assert settlement.charge == price * used // lock
         assert settlement.charge + settlement.refund == price
         assert ledger.conservation_check()
@@ -181,7 +189,8 @@ def test_proration_law_random_sweep():
 def test_stop_after_lock_time_charges_no_more_than_price():
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger))
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(500, 7200))
+    ledger.advance_to(7200)
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert settlement.charge == eth(1)
     assert settlement.refund == 0
 
@@ -189,7 +198,8 @@ def test_stop_after_lock_time_charges_no_more_than_price():
 def test_fixed_price_charges_in_full_regardless_of_usage():
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger, kind=ContractKind.FIXED_PRICE))
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(2, 60))
+    ledger.advance_to(60)
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert settlement.charge == eth(1)
     assert settlement.refund == 0
 
@@ -199,7 +209,9 @@ def test_fixed_price_charges_in_full_regardless_of_usage():
 def test_availability_just_below_threshold_forces_full_refund():
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger))
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(120, 1800), availability_bp=7_499)
+    c.samples, c.samples_up = 10_000, 7_499
+    ledger.advance_to(1800)
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert settlement.charge == 0
     assert settlement.refund == eth(1)
 
@@ -208,14 +220,19 @@ def test_availability_at_threshold_settles_normally():
     # strict inequality: 7500 is NOT below 7500
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger))
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(120, 1800), availability_bp=7_500)
+    c.samples, c.samples_up = 4, 3
+    assert c.availability_bp() == 7_500
+    ledger.advance_to(1800)
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert settlement.charge == eth(1) // 2
 
 
 def test_availability_gates_fixed_price_too():
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger, kind=ContractKind.FIXED_PRICE))
-    settlement = sc.expire_and_settle(ledger, c, Block(240, 3600), availability_bp=4_000)
+    c.samples, c.samples_up = 5, 2
+    ledger.advance_to(3600)
+    settlement = sc.expire_and_settle(ledger, c)
     assert settlement.charge == 0
     assert settlement.refund == eth(1)
 
@@ -226,7 +243,7 @@ def test_abort_refunds_in_full_from_user_signed():
     ledger = make_ledger()
     c = deploy(ledger)
     sc.mark_quoted(c)
-    sc.lock_funds(ledger, c, "user", eth(1), Block(1, 0))
+    sc.lock_funds(ledger, c, "user", eth(1))
     settlement = sc.abort_and_refund(ledger, c)
     assert settlement.charge == 0
     assert settlement.refund == eth(1)
@@ -258,7 +275,7 @@ def flexible_contract(ledger, rate=10**12, window=3600, usage_price=eth(1)):
 def test_flexible_minimum_charge_is_kept_even_with_zero_usage():
     ledger = make_ledger()
     c = activate(ledger, flexible_contract(ledger))
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(1, 0))
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert settlement.charge == c.flexible.min_charge
     assert settlement.refund == eth(1)
 
@@ -266,14 +283,17 @@ def test_flexible_minimum_charge_is_kept_even_with_zero_usage():
 def test_flexible_usage_prorated_on_top_of_minimum():
     ledger = make_ledger()
     c = activate(ledger, flexible_contract(ledger))
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(120, 1800))
+    ledger.advance_to(1800)
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert settlement.charge == c.flexible.min_charge + eth(1) // 2
 
 
 def test_flexible_availability_breach_refunds_the_minimum_too():
     ledger = make_ledger()
     c = activate(ledger, flexible_contract(ledger))
-    settlement = sc.stop_and_settle(ledger, c, "user", Block(120, 1800), availability_bp=100)
+    c.samples, c.samples_up = 100, 1
+    ledger.advance_to(1800)
+    settlement = sc.stop_and_settle(ledger, c, "user")
     assert settlement.charge == 0
     assert settlement.refund == c.price
 
@@ -306,12 +326,17 @@ def test_quota_bills_started_minutes():
     ledger = make_ledger()
     c = quota_contract(ledger)
     sc.quota_purchase(ledger, c, "user", 5, 5 * 10**15)
-    sc.quota_start(ledger, c, "user", Block(1, 100))
-    assert sc.quota_stop(ledger, c, "user", Block(2, 161)) == 2  # 61 s -> 2 minutes
-    sc.quota_start(ledger, c, "user", Block(3, 300))
-    assert sc.quota_stop(ledger, c, "user", Block(4, 360)) == 1  # exactly 60 s
-    sc.quota_start(ledger, c, "user", Block(5, 400))
-    assert sc.quota_stop(ledger, c, "user", Block(6, 400)) == 0  # zero-length call
+    ledger.advance_to(100)
+    sc.quota_start(ledger, c, "user")
+    ledger.advance_to(161)
+    assert sc.quota_stop(ledger, c, "user") == 2  # 61 s -> 2 minutes
+    ledger.advance_to(300)
+    sc.quota_start(ledger, c, "user")
+    ledger.advance_to(360)
+    assert sc.quota_stop(ledger, c, "user") == 1  # exactly 60 s
+    ledger.advance_to(400)
+    sc.quota_start(ledger, c, "user")
+    assert sc.quota_stop(ledger, c, "user") == 0  # zero-length call
     assert c.quota.minutes_remaining() == 2
     assert ledger.balance_of("own") == eth(10) + 3 * 10**15
 
@@ -320,13 +345,15 @@ def test_quota_clamps_to_remaining_minutes_and_settles_when_exhausted():
     ledger = make_ledger()
     c = quota_contract(ledger)
     sc.quota_purchase(ledger, c, "user", 3, 3 * 10**15)
-    sc.quota_start(ledger, c, "user", Block(1, 0))
-    assert sc.quota_stop(ledger, c, "user", Block(40, 600)) == 3  # 10 min capped at 3
+    sc.quota_start(ledger, c, "user")
+    ledger.advance_to(600)
+    assert sc.quota_stop(ledger, c, "user") == 3  # 10 min capped at 3
     assert c.state is ContractState.SETTLED
     assert c.escrow == 0
     assert c.settlement.charge == 3 * 10**15
+    ledger.advance_to(615)
     with pytest.raises(WrongState):
-        sc.quota_start(ledger, c, "user", Block(41, 615))
+        sc.quota_start(ledger, c, "user")
     assert ledger.conservation_check()
 
 
@@ -334,41 +361,60 @@ def test_quota_session_discipline():
     ledger = make_ledger()
     c = quota_contract(ledger)
     sc.quota_purchase(ledger, c, "user", 5, 5 * 10**15)
+    ledger.advance_to(10)
     with pytest.raises(NoOpenSession):
-        sc.quota_stop(ledger, c, "user", Block(1, 10))
-    token = sc.quota_start(ledger, c, "user", Block(1, 10))
+        sc.quota_stop(ledger, c, "user")
+    token = sc.quota_start(ledger, c, "user")
+    ledger.advance_to(20)
     with pytest.raises(SessionAlreadyOpen):
-        sc.quota_start(ledger, c, "user", Block(2, 20))
-    sc.quota_stop(ledger, c, "user", Block(3, 70))
-    second = sc.quota_start(ledger, c, "user", Block(4, 100))
+        sc.quota_start(ledger, c, "user")
+    ledger.advance_to(70)
+    sc.quota_stop(ledger, c, "user")
+    ledger.advance_to(100)
+    second = sc.quota_start(ledger, c, "user")
     assert token != second
 
 
 def test_quota_start_and_stop_require_the_end_user():
-    ledger = Ledger({"user": eth(10), "own": eth(10), "eve": eth(10)})  # calls cost gas
+    # calls cost gas
+    ledger = Ledger({"user": eth(10), "own": eth(10), "eve": eth(10)}, block_interval=1)
     c = quota_contract(ledger)
 
     def wei():
         return dict(ledger.accounts), c.escrow, ledger.fee_sink
 
     held = wei()
+    ledger.advance_to(10)
     with pytest.raises(NotEndUser):
-        sc.quota_start(ledger, c, "eve", Block(1, 10))  # checked before the state
+        sc.quota_start(ledger, c, "eve")  # checked before the state
     assert wei() == held
     sc.quota_purchase(ledger, c, "user", 5, 5 * 10**15)
     held = wei()
     with pytest.raises(NotEndUser):
-        sc.quota_stop(ledger, c, "eve", Block(1, 10))  # checked before NoOpenSession
+        sc.quota_stop(ledger, c, "eve")  # checked before NoOpenSession
     with pytest.raises(NotEndUser, match="eve is not the end user user"):
-        sc.quota_start(ledger, c, "eve", Block(1, 10))
+        sc.quota_start(ledger, c, "eve")
     assert wei() == held
-    sc.quota_start(ledger, c, "user", Block(1, 10))
+    sc.quota_start(ledger, c, "user")
     held = wei()
+    ledger.advance_to(100)
     with pytest.raises(NotEndUser):
-        sc.quota_stop(ledger, c, "eve", Block(2, 100))
+        sc.quota_stop(ledger, c, "eve")
     assert wei() == held
     assert c.quota.open_session_start == 10
     assert c.quota.minutes_consumed == 0
+
+
+def test_stop_is_refused_on_a_quota_contract_before_any_fee():
+    ledger = Ledger({"user": eth(10), "own": eth(10)}, block_interval=1)  # calls cost gas
+    c = quota_contract(ledger)
+    sc.quota_purchase(ledger, c, "user", 2, 2 * 10**15)
+    held = dict(ledger.accounts), c.escrow, ledger.fee_sink
+    ledger.advance_to(900)  # past the 2 minutes bought
+    with pytest.raises(WrongState, match="time_limited_quota contracts are not settled by a stop"):
+        sc.stop_and_settle(ledger, c, "user")
+    assert (dict(ledger.accounts), c.escrow, ledger.fee_sink) == held
+    assert c.state is ContractState.ACTIVE
 
 
 def test_quota_records_one_pair_per_session():
@@ -376,8 +422,10 @@ def test_quota_records_one_pair_per_session():
     c = quota_contract(ledger)
     sc.quota_purchase(ledger, c, "user", 8, 8 * 10**15)
     for i in range(4):
-        sc.quota_start(ledger, c, "user", Block(i, 1000 * i))
-        sc.quota_stop(ledger, c, "user", Block(i, 1000 * i + 90))
+        ledger.advance_to(1000 * i)
+        sc.quota_start(ledger, c, "user")
+        ledger.advance_to(1000 * i + 90)
+        sc.quota_stop(ledger, c, "user")
     assert len(c.quota.sessions) == 4
     assert all(s["stop"] is not None for s in c.quota.sessions)
 
@@ -388,8 +436,9 @@ def test_invariant_violation_when_settlement_leaves_escrow(monkeypatch):
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger))
     monkeypatch.setattr(sc, "_payouts_for_charge", lambda *_: {})  # the charge goes nowhere
+    ledger.advance_to(1800)
     with pytest.raises(InvariantViolation, match="after settling"):
-        sc.stop_and_settle(ledger, c, "user", Block(120, 1800))
+        sc.stop_and_settle(ledger, c, "user")
 
 
 def test_invariant_violation_when_exhausted_quota_leaves_escrow():
@@ -397,9 +446,10 @@ def test_invariant_violation_when_exhausted_quota_leaves_escrow():
     c = quota_contract(ledger)
     sc.quota_purchase(ledger, c, "user", 3, 3 * 10**15)
     c.escrow += 1  # stray wei the minutes can never bill
-    sc.quota_start(ledger, c, "user", Block(1, 0))
+    sc.quota_start(ledger, c, "user")
+    ledger.advance_to(600)
     with pytest.raises(InvariantViolation, match="after settling"):
-        sc.quota_stop(ledger, c, "user", Block(40, 600))
+        sc.quota_stop(ledger, c, "user")
 
 
 def test_invariant_violation_is_not_a_simulation_error():
@@ -461,21 +511,23 @@ def test_division_remainder_ties_break_by_listing_order():
 
 
 def test_share_validation():
+    # shares check themselves when built
     with pytest.raises(InvalidShares):
-        IncomeShares({}, 1).validate()
+        IncomeShares({}, 1)
     with pytest.raises(InvalidShares):
-        IncomeShares({"a": 1, "b": 1}, 3).validate()
+        IncomeShares({"a": 1, "b": 1}, 3)
     with pytest.raises(InvalidShares):
-        IncomeShares({"a": 0, "b": 3}, 3).validate()
-    IncomeShares({"a": 1, "b": 2}, 3).validate()
+        IncomeShares({"a": 0, "b": 3}, 3)
+    IncomeShares({"a": 1, "b": 2}, 3)
 
 
 def test_settlement_routed_through_division_contract():
     ledger = make_ledger(helper=0)
     division = division_contract(ledger, {"own": 3, "helper": 1}, 4)
-    agreement = deploy(ledger, division_address=division.address)
+    agreement = deploy(ledger, division=division)
     activate(ledger, agreement)
-    settlement = sc.stop_and_settle(ledger, agreement, "user", Block(120, 1800))
+    ledger.advance_to(1800)
+    settlement = sc.stop_and_settle(ledger, agreement, "user")
     assert settlement.charge == eth(1) // 2
     assert settlement.payouts == {"own": eth(1) * 3 // 8, "helper": eth(1) // 8}
     assert ledger.balance_of("helper") == eth(1) // 8
@@ -553,7 +605,8 @@ def test_constraint_evaluation_matrix():
 def test_export_contract_snapshot_shape():
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger))
-    sc.stop_and_settle(ledger, c, "user", Block(120, 1800))
+    ledger.advance_to(1800)
+    sc.stop_and_settle(ledger, c, "user")
     snap = sc.export_contract(c)
     assert snap["address"] == c.address
     assert snap["kind"] == "dynamic_price"

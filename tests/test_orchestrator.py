@@ -175,8 +175,8 @@ def test_three_of_four_samples_meets_the_default_threshold():
         orch.record_qos_sample(session, ok)
     run_until(ledger, 1800)
     settlement = orch.end_session(session, "alice")
-    assert (session.samples, session.samples_up) == (4, 3)
-    assert session.availability_bp() == 7_500
+    assert (session.contract.samples, session.contract.samples_up) == (4, 3)
+    assert session.contract.availability_bp() == 7_500
     assert settlement.charge > 0
 
 
@@ -197,7 +197,7 @@ def test_degraded_availability_forces_full_refund():
 
 def test_fresh_session_reads_fully_available():
     _, orch = build()
-    assert request(orch).availability_bp() == 10_000
+    assert request(orch).contract.availability_bp() == 10_000
 
 
 # ---- fault injection ------------------------------------------------------------------

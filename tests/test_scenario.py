@@ -266,6 +266,50 @@ def test_quota_calls_on_a_fixed_price_session_are_event_errors():
     assert oracle_settlement(parse_scenario(doc)) == report.settlements
 
 
+@pytest.mark.parametrize(
+    "minutes, stop_at, countersigned",
+    [(20, 300, False), (2, 900, False), (20, 900, False), (20, 300, True)],
+)
+def test_end_session_on_a_quota_session_is_an_event_error(minutes, stop_at, countersigned):
+    # a 600 s SD quota at 1 GWEI: 0.006 ETH a minute, never settled by a stop
+    doc = {
+        "config": {"gas": {"gas_price_gwei": 1}},
+        "genesis": {"alice": str(eth(10)), "oliver": str(eth(10))},
+        "events": [
+            {"at_time": 0, "actor": "alice", "action": "request_session",
+             "params": {"session": "q", "owner": "oliver", "kind": "time_limited_quota",
+                        "availability_target_bp": 9_000, "video_quality": "SD",
+                        "max_period_seconds": 600}},
+            {"at_time": 0, "actor": "alice", "action": "quota_purchase",
+             "params": {"session": "q", "minutes": minutes, "value": "quoted"}},
+        ],
+    }
+    if countersigned:  # a quota contract is active once bought: nothing to sign
+        doc["events"].append(
+            {"at_time": 15, "actor": "oliver", "action": "countersign",
+             "params": {"session": "q"}}
+        )
+    plain = run_scenario(parse_scenario(doc))
+    doc["events"].append(
+        {"at_time": stop_at, "actor": "alice", "action": "end_session",
+         "params": {"session": "q"}}
+    )
+    report = run_scenario(parse_scenario(doc))
+    r = report.report
+    errors = [(e["event_index"], e["error"], e["detail"]) for e in r["event_errors"]]
+    detail = "time_limited_quota contracts are not settled by a stop"
+    assert errors[-1] == (len(doc["events"]) - 1, "WrongState", detail)
+    assert errors[:-1] == [(e["event_index"], e["error"], e["detail"])
+                           for e in plain.report["event_errors"]]
+    assert r["conservation_ok"]
+    for key in ("final_balances", "fee_sink_wei", "tx_digest"):
+        assert r[key] == plain.report[key], key  # no wei moves, not even a call fee
+    [contract] = r["contracts"]
+    assert contract["state"] == "active"
+    assert contract["escrow_wei"] == str(minutes * 6 * 10**15)
+    assert oracle_settlement(parse_scenario(doc)) == report.settlements
+
+
 def test_session_timeout_settles_via_wakeup():
     doc = canonical_document()
     doc["events"] = doc["events"][:3]  # drop the stop; wakeup must settle it
