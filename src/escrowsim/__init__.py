@@ -13,7 +13,7 @@ from .contracts import (
 from .errors import InvariantViolation, SimulationError
 from .ledger import Block, GasSchedule, Ledger
 from .oracle import oracle_settlement
-from .orchestrator import SessionOrchestrator, SessionRequest
+from .orchestrator import SessionOrchestrator
 from .pricing import QosPreferences, Quote, RateCard, compare_fee_methods, quote_price
 from .scenario import (
     ScenarioScript,
@@ -43,7 +43,6 @@ __all__ = [
     "RateCard",
     "ScenarioScript",
     "SessionOrchestrator",
-    "SessionRequest",
     "Settlement",
     "SettlementReport",
     "SimulationError",

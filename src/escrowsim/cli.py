@@ -17,28 +17,10 @@ from decimal import Decimal, InvalidOperation
 
 from .errors import GasPriceOutOfRange, ParseError, ValidationError
 from .oracle import oracle_settlement
+from .orchestrator import STEP_DESCRIPTIONS
 from .pricing import compare_fee_methods
 from .scenario import parse_scenario, render_json, run_scenario
 from .units import format_eth
-
-STEP_DESCRIPTIONS = {
-    1: "price estimated, agreement contract deployed (quoted)",
-    2: "pricing terms sent to the end user",
-    3: "end user approved and locked the full price in escrow",
-    4: "fund lock confirmed to the service owner",
-    5: "owner countersigned the agreement",
-    6: "deployment request sent to the solution services",
-    7: "container instance deployed",
-    8: "deployment success reported",
-    9: "service URL issued",
-    10: "service URL shared with the end user",
-    11: "end user signed the session stop",
-    12: "container instance undeployed",
-    13: "escrow released: charge paid out, remainder refunded",
-    14: "settlement notification sent to the owner",
-    15: "settlement notification sent to the end user",
-    16: "session completion recorded",
-}
 
 
 def _seed(text: str) -> int:

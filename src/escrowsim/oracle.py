@@ -12,7 +12,8 @@ The oracle re-derives the block grid from the script config: deterministic
 runs tick at exact multiples of the interval, jittered runs replay the
 seeded uniform draws.  An event at time t takes effect at the first grid
 point >= t; a release-time wakeup beats any event sharing its block.  A
-payment lands only up to ``quote_ttl_blocks`` blocks after its request.
+payment (``approve_and_pay``) lands only up to ``quote_ttl_blocks`` blocks
+after its request; a quota purchase has no such limit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Optional
 
 from .contracts import ContractKind
 from .ledger import JITTER_INTERVAL_RANGE
+from .pricing import VIDEO_MULTIPLIER_BP
 from .scenario import (
     ApproveAndPay,
     CastVote,
@@ -159,7 +161,7 @@ class _Oracle:
     # ---- quoting, recomputed with rationals --------------------------------
 
     def _multipliers(self, quality: str, target_bp: int, constraint_bp: int) -> Fraction:
-        quality_bp = self.card.video_multiplier_bp[quality]
+        quality_bp = VIDEO_MULTIPLIER_BP[quality]
         if target_bp > self.card.high_availability_threshold_bp:
             avail_bp = self.card.high_availability_multiplier_bp
         else:

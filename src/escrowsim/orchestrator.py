@@ -5,12 +5,8 @@ fund lock, countersignature, simulated container deployment with URL
 issuance, availability monitoring, and settlement, either by an end-user
 stop or by the alarm-clock timeout wakeup at the release time.
 
-Workflow step identifiers 1..16 are appended to each session's step log:
-1 quote+deploy, 2 price notification, 3 pay+lock, 4 signed notification,
-5 countersign, 6 deployment request, 7 deployment, 8 deploy success,
-9 URL issued, 10 URL shared, 11 user stop signature, 12 undeployment,
-13 funds unlocked and returned pro rata, 14-15 settlement notifications,
-16 completion notification.
+Workflow step identifiers 1..16 are appended to each session's step log;
+``STEP_DESCRIPTIONS`` says what each one means.
 """
 
 from __future__ import annotations
@@ -40,16 +36,24 @@ from .errors import (
 from .ledger import Block, Ledger
 from .pricing import Quote, QosPreferences, RateCard, quote_price
 
-
-@dataclass
-class SessionRequest:
-    end_user: str
-    owner: str
-    prefs: QosPreferences
-    constraints: Optional[ConstraintTerms] = None
-    shares: Optional[IncomeShares] = None  # income-division kind
-    ballot: Optional[AgreementContract] = None  # consensus kind: enacted ballot
-    flexible: Optional[FlexibleTerms] = None
+STEP_DESCRIPTIONS = {
+    1: "price estimated, agreement contract deployed (quoted)",
+    2: "pricing terms sent to the end user",
+    3: "end user approved and locked the full price in escrow",
+    4: "fund lock confirmed to the service owner",
+    5: "owner countersigned the agreement",
+    6: "deployment request sent to the solution services",
+    7: "container instance deployed",
+    8: "deployment success reported",
+    9: "service URL issued",
+    10: "service URL shared with the end user",
+    11: "end user signed the session stop",
+    12: "container instance undeployed",
+    13: "escrow released: charge paid out, remainder refunded",
+    14: "settlement notification sent to the owner",
+    15: "settlement notification sent to the end user",
+    16: "session completion recorded",
+}
 
 
 @dataclass
@@ -92,87 +96,74 @@ class SessionOrchestrator:
 
     # ---- steps 1-2: quote and contract deployment -------------------------
 
-    def request_session(self, req: SessionRequest) -> SessionRecord:
+    def request_session(
+        self,
+        end_user: str,
+        owner: str,
+        prefs: QosPreferences,
+        constraints: Optional[ConstraintTerms] = None,
+        shares: Optional[IncomeShares] = None,  # income-division kind
+        ballot: Optional[AgreementContract] = None,  # consensus kind: enacted ballot
+        flexible: Optional[FlexibleTerms] = None,
+    ) -> SessionRecord:
         """Price the request and deploy its agreement contract in QUOTED state."""
         multiplier_bp = sc.IDENTITY_MULTIPLIER_BP
-        if req.constraints is not None:
+        if constraints is not None:
             if not sc.evaluate_constraints(
-                req.constraints, self.provider_region, self.provider_gdpr_compliant
+                constraints, self.provider_region, self.provider_gdpr_compliant
             ):
                 raise InadmissibleOffer(
                     f"no provider satisfies constraints (region {self.provider_region})"
                 )
-            multiplier_bp = req.constraints.price_multiplier_bp
+            multiplier_bp = constraints.price_multiplier_bp
 
-        kind = req.prefs.monetization_kind
+        kind = prefs.monetization_kind
         quote = quote_price(
-            req.prefs,
+            prefs,
             self.rate_card,
             current_height=self.ledger.current_block.height,
             constraint_multiplier_bp=multiplier_bp,
-            flexible=req.flexible,
+            flexible=flexible,
         )
 
         division = None
         if kind is ContractKind.INCOME_DIVISION:
-            division = self._deploy_division(req)
+            if shares is None:
+                raise ValueError("income-division request needs shares")
+            division = AgreementContract(
+                kind=ContractKind.INCOME_DIVISION, owner=owner, end_user=end_user
+            )
+            self.ledger.register_contract(division, payer=owner)
+            sc.set_income_shares(self.ledger, division, owner, shares)
+            kind = ContractKind.DYNAMIC_PRICE  # companion agreement contract
         elif kind is ContractKind.CONSENSUS_DECISION:
-            self._require_enacted(req.ballot)
+            if ballot is None:
+                raise ValueError("consensus request needs the ballot contract")
+            if ballot.voting is None or not ballot.voting.enacted:
+                raise WrongState(f"ballot {ballot.address} has not enacted the agreement")
+            kind = ContractKind.DYNAMIC_PRICE  # companion agreement contract
 
-        contract = self._build_agreement(req, kind, quote, division)
-        self.ledger.register_contract(contract, payer=req.owner)
+        contract = AgreementContract(
+            kind=kind,
+            owner=owner,
+            end_user=end_user,
+            price=quote.price,
+            lock_time_seconds=prefs.max_period_seconds,
+            refund_threshold_bp=self.refund_threshold_bp,
+            flexible=quote.standby,
+            division=division,
+        )
+        if kind is ContractKind.TIME_LIMITED_QUOTA:
+            contract.quota = QuotaTerms(per_minute_price=quote.per_minute_price)
+        if kind is ContractKind.CONSTRAINT_BASED:
+            contract.constraints = constraints or ConstraintTerms()
+        self.ledger.register_contract(contract, payer=owner)
         sc.mark_quoted(contract)
 
         session = SessionRecord(contract=contract, quote=quote)
         session.step_log += [1, 2]
         self.sessions[contract.address] = session
         return session
-
-    def _build_agreement(
-        self,
-        req: SessionRequest,
-        kind: ContractKind,
-        quote: Quote,
-        division: Optional[AgreementContract],
-    ) -> AgreementContract:
-        agreement_kind = kind
-        if kind in (ContractKind.INCOME_DIVISION, ContractKind.CONSENSUS_DECISION):
-            agreement_kind = ContractKind.DYNAMIC_PRICE  # companion agreement contract
-        contract = AgreementContract(
-            kind=agreement_kind,
-            owner=req.owner,
-            end_user=req.end_user,
-            price=quote.price,
-            lock_time_seconds=req.prefs.max_period_seconds,
-            refund_threshold_bp=self.refund_threshold_bp,
-            division=division,
-        )
-        if agreement_kind is ContractKind.TIME_LIMITED_QUOTA:
-            contract.quota = QuotaTerms(per_minute_price=quote.per_minute_price)
-        if agreement_kind is ContractKind.CONSTRAINT_BASED:
-            contract.constraints = req.constraints or ConstraintTerms()
-        if agreement_kind is ContractKind.FLEXIBLE_PERIOD:
-            contract.flexible = req.flexible or FlexibleTerms(
-                standby_rate=self.rate_card.standby_rate_wei_per_second,
-                standby_window_seconds=req.prefs.max_period_seconds,
-            )
-        return contract
-
-    def _deploy_division(self, req: SessionRequest) -> AgreementContract:
-        if req.shares is None:
-            raise ValueError("income-division request needs shares")
-        division = AgreementContract(
-            kind=ContractKind.INCOME_DIVISION, owner=req.owner, end_user=req.end_user
-        )
-        self.ledger.register_contract(division, payer=req.owner)
-        sc.set_income_shares(self.ledger, division, req.owner, req.shares)
-        return division
-
-    def _require_enacted(self, ballot: Optional[AgreementContract]) -> None:
-        if ballot is None:
-            raise ValueError("consensus request needs the ballot contract")
-        if ballot.voting is None or not ballot.voting.enacted:
-            raise WrongState(f"ballot {ballot.address} has not enacted the agreement")
 
     # ---- auxiliary consensus contract --------------------------------------
 
@@ -216,15 +207,16 @@ class SessionOrchestrator:
             sc.abort_and_refund(self.ledger, contract)
             session.settled_by = "abort"
             raise DeploymentFailed(f"simulated deployment fault for {contract.address}")
-        session.deploy_block = self.ledger.current_block.height
-        session.url_token = self._issue_url_token(contract.address)
+        self._deploy(session)
         session.step_log += [7, 8, 9, 10]
         return session.url_token
 
-    def _issue_url_token(self, contract_address: str) -> str:
+    def _deploy(self, session: SessionRecord) -> None:
+        """Record the container deployment at this block and issue its URL token."""
         self._token_seq += 1
-        tag = hashlib.sha256(f"{self._token_seq}:{contract_address}".encode()).hexdigest()
-        return f"vc-{self._token_seq:04d}-{tag[:12]}"
+        tag = hashlib.sha256(f"{self._token_seq}:{session.contract.address}".encode())
+        session.deploy_block = self.ledger.current_block.height
+        session.url_token = f"vc-{self._token_seq:04d}-{tag.hexdigest()[:12]}"
 
     # ---- monitoring -----------------------------------------------------------
 
@@ -243,28 +235,28 @@ class SessionOrchestrator:
         contract = session.contract
         settlement = sc.stop_and_settle(self.ledger, contract, caller)
         self.ledger.cancel_wakeup(contract.address)
-        session.stop_block = self.ledger.current_block.height
-        session.settled_by = "stop"
-        session.step_log += [11, 12, 13, 14, 15, 16]
+        self._settled(session, "stop", 11)
         return settlement
 
     def on_wakeup(self, session: SessionRecord, block: Block) -> Optional[Settlement]:
-        """Timeout settlement; a no-op if the session already settled."""
+        """Timeout settlement at ``block``, the ledger's current block; no-op once settled."""
         contract = session.contract
         if contract.state is ContractState.SETTLED:
             return None
         if contract.state is ContractState.USER_SIGNED:
             # Locked but never countersigned: the release time frees the funds.
             settlement = sc.abort_and_refund(self.ledger, contract)
-            session.settled_by = "expiry"
-            session.stop_block = block.height
-            session.step_log += [13, 14, 15, 16]
+            self._settled(session, "expiry", 13)
             return settlement
         settlement = sc.expire_and_settle(self.ledger, contract)
-        session.stop_block = block.height
-        session.settled_by = "expiry"
-        session.step_log += [12, 13, 14, 15, 16]
+        self._settled(session, "expiry", 12)
         return settlement
+
+    def _settled(self, session: SessionRecord, how: str, first_step: int) -> None:
+        """Record a settlement at this block and its steps ``first_step``..16."""
+        session.stop_block = self.ledger.current_block.height
+        session.settled_by = how
+        session.step_log += range(first_step, 17)
 
     def _handle_wakeup(self, contract_address: str, block: Block) -> None:
         session = self.sessions.get(contract_address)
@@ -280,12 +272,9 @@ class SessionOrchestrator:
         return accepted
 
     def quota_start(self, session: SessionRecord, caller: str) -> str:
-        contract = session.contract
-        token = sc.quota_start(self.ledger, contract, caller)
+        token = sc.quota_start(self.ledger, session.contract, caller)
         if session.deploy_block is None:
-            session.deploy_block = self.ledger.current_block.height
-        if not session.url_token:
-            session.url_token = self._issue_url_token(contract.address)
+            self._deploy(session)
         return token
 
     def quota_stop(self, session: SessionRecord, caller: str) -> int:

@@ -9,7 +9,7 @@ amount-independent gas fee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .contracts import BP_SCALE, ContractKind, FlexibleTerms, IDENTITY_MULTIPLIER_BP
@@ -17,13 +17,15 @@ from .errors import GasPriceOutOfRange, InvalidPreferences
 from .ledger import GAS_PRICE_BOUNDS_GWEI
 from .units import WEI_PER_ETH, WEI_PER_GWEI, require_amount
 
+VIDEO_MULTIPLIER_BP = {"SD": 10_000, "HD": 15_000}
+
 
 @dataclass(frozen=True)
 class QosPreferences:
     """End-user service preferences driving the quote; checked when built."""
 
     availability_target_bp: int
-    video_quality: str  # "SD" | "HD"
+    video_quality: str  # a key of VIDEO_MULTIPLIER_BP
     max_period_seconds: int
     monetization_kind: ContractKind = ContractKind.DYNAMIC_PRICE
 
@@ -36,7 +38,7 @@ class QosPreferences:
             raise InvalidPreferences(
                 f"max_period_seconds must be > 0, got {self.max_period_seconds}"
             )
-        if self.video_quality not in ("SD", "HD"):
+        if self.video_quality not in VIDEO_MULTIPLIER_BP:
             raise InvalidPreferences(f"video_quality {self.video_quality!r} is not SD or HD")
 
 
@@ -45,9 +47,6 @@ class RateCard:
     """Deterministic pricing configuration (multipliers in basis points)."""
 
     base_rate_wei_per_second: int = 10**14
-    video_multiplier_bp: dict = field(
-        default_factory=lambda: {"SD": 10_000, "HD": 15_000}
-    )
     high_availability_threshold_bp: int = 9_950
     high_availability_multiplier_bp: int = 12_000
     standby_rate_wei_per_second: int = 10**12
@@ -66,6 +65,7 @@ class Quote:
     price: int
     per_minute_price: int = 0  # quota kind only
     expires_at_block: int = 0
+    standby: Optional[FlexibleTerms] = None  # flexible-period kind only: the terms priced
 
 
 def quote_price(
@@ -77,7 +77,7 @@ def quote_price(
     flexible: Optional[FlexibleTerms] = None,
 ) -> Quote:
     """Deterministic quote: base rate x period x multipliers, floored once."""
-    quality_bp = rate_card.video_multiplier_bp[prefs.video_quality]
+    quality_bp = VIDEO_MULTIPLIER_BP[prefs.video_quality]
     availability_bp = rate_card.availability_multiplier_bp(prefs.availability_target_bp)
     scale = BP_SCALE**3
 
@@ -87,15 +87,16 @@ def quote_price(
         ) // scale
 
     per_minute = 0
+    standby = None
     if prefs.monetization_kind is ContractKind.TIME_LIMITED_QUOTA:
         per_minute = scaled(rate_card.base_rate_wei_per_second, 60)
         price = per_minute * -(-prefs.max_period_seconds // 60)
     elif prefs.monetization_kind is ContractKind.FLEXIBLE_PERIOD:
-        terms = flexible or FlexibleTerms(
+        standby = flexible or FlexibleTerms(
             standby_rate=rate_card.standby_rate_wei_per_second,
             standby_window_seconds=prefs.max_period_seconds,
         )
-        price = terms.min_charge + scaled(
+        price = standby.min_charge + scaled(
             rate_card.base_rate_wei_per_second, prefs.max_period_seconds
         )
     else:
@@ -106,6 +107,7 @@ def quote_price(
         price=price,
         per_minute_price=per_minute,
         expires_at_block=current_height + rate_card.quote_ttl_blocks,
+        standby=standby,
     )
 
 

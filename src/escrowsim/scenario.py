@@ -34,7 +34,7 @@ from .contracts import (
 )
 from .errors import ParseError, SimulationError, ValidationError
 from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
-from .orchestrator import SessionOrchestrator, SessionRecord, SessionRequest
+from .orchestrator import SessionOrchestrator, SessionRecord
 from .pricing import QosPreferences, RateCard
 from .units import gwei, parse_wei
 
@@ -719,16 +719,15 @@ class _Runner:
     # ---- one handler per event type -----------------------------------------
 
     def _request_session(self, ev: RequestSession) -> None:
-        request = SessionRequest(
-            end_user=ev.actor,
-            owner=ev.owner,
-            prefs=ev.prefs,
+        self.sessions[ev.session] = self.orch.request_session(
+            ev.actor,
+            ev.owner,
+            ev.prefs,
             constraints=ev.constraints,
             shares=ev.shares,
             ballot=self._ballot(ev.ballot) if ev.ballot is not None else None,
             flexible=ev.standby,
         )
-        self.sessions[ev.session] = self.orch.request_session(request)
 
     def _approve_and_pay(self, ev: ApproveAndPay) -> None:
         session = self._session(ev.session)

@@ -1,14 +1,16 @@
 """Behaviour golden: pinned report and tx-log digests for fixed inputs.
 
-Every value here was produced by the engine before next-event time advance
-existed, when every empty block was built one by one.  A refactor or a speed
-change must reproduce them byte for byte; a pin may change only in a change
-that alters behaviour on purpose and says so.
+The per-seed values were produced by the engine before next-event time
+advance existed, when every empty block was built one by one; the two
+aggregate pins by the engine that still had ``SessionRequest``.  A refactor
+or a speed change must reproduce them byte for byte; a pin may change only
+in a change that alters behaviour on purpose and says so.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -88,6 +90,14 @@ DEMO_STDOUT = {
     ("demo", "--seed", "3"): "58b204f39bb7efa9071df92e65272947b0f66e69d4e2c1b4e976664085ef486b",
 }
 
+# sha256 over the report JSON text of every generator seed in range(2000),
+# concatenated in seed order
+REPORTS_0_1999 = "7733597c9229c3466a558298fb3b024705e63936055ef0a8b3d9de7a4f0c162f"
+
+# sha256 over the ``escrowsim oracle`` standard output of every generator
+# seed in range(300), concatenated in seed order
+ORACLE_0_299 = "1d8df222c7f920d6eb621e54f6fa03f1f75f6a96d0a00bef86d1330704c721c6"
+
 
 def _pins(doc: dict) -> tuple[str, str]:
     report = run_scenario(parse_scenario(doc))
@@ -126,3 +136,23 @@ def test_demo_stdout_is_pinned(argv):
     with contextlib.redirect_stdout(out):
         assert main(list(argv)) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == DEMO_STDOUT[argv]
+
+
+def test_report_text_of_seeds_0_to_1999_is_pinned():
+    digest = hashlib.sha256()
+    for seed in range(2000):
+        report = run_scenario(parse_scenario(generate_random_script(seed)))
+        digest.update(report.to_json_text().encode())
+    assert digest.hexdigest() == REPORTS_0_1999
+
+
+def test_oracle_stdout_of_seeds_0_to_299_is_pinned(tmp_path):
+    path = tmp_path / "script.json"
+    digest = hashlib.sha256()
+    for seed in range(300):
+        path.write_text(json.dumps(generate_random_script(seed)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["oracle", str(path)]) == 0
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == ORACLE_0_299

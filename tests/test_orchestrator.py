@@ -13,7 +13,7 @@ from escrowsim.errors import (
     WrongState,
 )
 from escrowsim.ledger import GasSchedule, Ledger
-from escrowsim.orchestrator import SessionOrchestrator, SessionRequest
+from escrowsim.orchestrator import SessionOrchestrator
 from escrowsim.pricing import QosPreferences, RateCard
 from escrowsim.units import eth
 
@@ -34,9 +34,7 @@ def request(orch, period=3_600, kind=ContractKind.DYNAMIC_PRICE, **kw):
         max_period_seconds=period,
         monetization_kind=kind,
     )
-    return orch.request_session(
-        SessionRequest(end_user="alice", owner="oliver", prefs=prefs, **kw)
-    )
+    return orch.request_session("alice", "oliver", prefs, **kw)
 
 
 def run_until(ledger, timestamp):

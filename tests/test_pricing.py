@@ -75,9 +75,12 @@ def test_flexible_quote_adds_standby_minimum():
     q = quote_price(flexible, CARD)
     # 10^12 wei/s * 3600 s on top of the SD-hour usage price
     assert q.price == 3_600_000_000_000_000 + 360_000_000_000_000_000
+    assert q.standby == FlexibleTerms(standby_rate=10**12, standby_window_seconds=3_600)
     terms = FlexibleTerms(standby_rate=10**13, standby_window_seconds=600)
     custom = quote_price(flexible, CARD, flexible=terms)
     assert custom.price == terms.min_charge + 360_000_000_000_000_000
+    assert custom.standby is terms  # the quote returns the terms it priced
+    assert quote_price(prefs(), CARD).standby is None  # other kinds have none
 
 
 def test_standby_min_charge_guards_window():

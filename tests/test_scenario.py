@@ -456,6 +456,72 @@ def test_oracle_matches_engine_on_quote_expiry(ttl, pay_at, funded):
     assert oracle_settlement(script) == report.settlements
 
 
+def test_quote_ttl_does_not_apply_to_quota_purchases():
+    # quote_ttl_blocks 2: at t=600 (block 40) a payment for a dynamic-price
+    # quote is long expired, while the quota purchase is still accepted
+    doc = {
+        "config": {"gas": {"gas_price_gwei": 1}, "rate_card": {"quote_ttl_blocks": 2}},
+        "genesis": {"alice": str(eth(10)), "oliver": str(eth(10))},
+        "events": [
+            {"at_time": 0, "actor": "alice", "action": "request_session",
+             "params": {"session": "q", "owner": "oliver", "kind": "time_limited_quota",
+                        "availability_target_bp": 9_000, "video_quality": "SD",
+                        "max_period_seconds": 600}},
+            {"at_time": 0, "actor": "alice", "action": "request_session",
+             "params": {"session": "d", "owner": "oliver", "kind": "dynamic_price",
+                        "availability_target_bp": 9_000, "video_quality": "SD",
+                        "max_period_seconds": 600}},
+            {"at_time": 600, "actor": "alice", "action": "quota_purchase",
+             "params": {"session": "q", "minutes": 2, "value": "quoted"}},
+            {"at_time": 600, "actor": "alice", "action": "approve_and_pay",
+             "params": {"session": "d", "value": "quoted"}},
+        ],
+    }
+    script = parse_scenario(doc)
+    report = run_scenario(script)
+    r = report.report
+    assert r["final_block"]["height"] == 40
+    assert [(e["event_index"], e["error"]) for e in r["event_errors"]] == [(3, "QuoteExpired")]
+    quota, dynamic = r["contracts"]
+    assert quota["escrow_wei"] == str(12 * 10**15)  # 0.012 ETH: 2 minutes at 0.006
+    assert dynamic["escrow_wei"] == "0"
+    assert r["conservation_ok"]
+    assert oracle_settlement(script) == report.settlements
+
+
+@pytest.mark.parametrize(
+    "kind", ["dynamic_price", "fixed_price", "time_limited_quota", "flexible_period"]
+)
+def test_zero_computed_price_is_an_event_error(kind):
+    genesis = {"alice": str(eth(10)), "oliver": str(eth(10))}
+    doc = {
+        "config": {
+            "gas": {"gas_price_gwei": 1},
+            "rate_card": {"base_rate_wei_per_second": "0", "standby_rate_wei_per_second": "0"},
+        },
+        "genesis": genesis,
+        "events": [
+            {"at_time": 0, "actor": "alice", "action": "request_session",
+             "params": {"session": "s1", "owner": "oliver", "kind": kind,
+                        "availability_target_bp": 9_000, "video_quality": "SD",
+                        "max_period_seconds": 600}},
+            {"at_time": 15, "actor": "alice", "action": "approve_and_pay",
+             "params": {"session": "s1", "value": "quoted"}},
+        ],
+    }
+    script = parse_scenario(doc)
+    report = run_scenario(script)
+    r = report.report
+    assert [(e["error"], e["detail"]) for e in r["event_errors"]] == [
+        ("InvalidPreferences", "computed price must be positive; check the rate card"),
+        ("ValidationError", "unknown session label 's1'"),
+    ]
+    assert r["contracts"] == [] and r["sessions"] == []
+    assert r["final_balances"] == genesis and r["fee_sink_wei"] == "0"  # no fee charged
+    assert r["conservation_ok"]
+    assert oracle_settlement(script) == report.settlements == {}
+
+
 def test_oracle_matches_engine_on_quote_expiry_on_jittered_grids():
     outcomes = set()
     for seed in range(30):
