@@ -208,8 +208,6 @@ class AgreementContract:
 def mark_quoted(contract: AgreementContract) -> None:
     """DEPLOYED -> QUOTED once the owner's price terms are attached."""
     contract.require_state(ContractState.DEPLOYED)
-    if contract.kind in TIME_SETTLED_KINDS and contract.price <= 0:
-        raise ValueError("escrow templates need a positive price to be quoted")
     contract.state = ContractState.QUOTED
 
 
@@ -313,8 +311,11 @@ def expire_and_settle(ledger: Ledger, contract: AgreementContract) -> Settlement
 
 
 def abort_and_refund(ledger: Ledger, contract: AgreementContract) -> Settlement:
-    """Full refund on a provider-side fault (e.g. failed deployment)."""
-    contract.require_state(ContractState.USER_SIGNED, ContractState.ACTIVE)
+    """Full refund of a lock the owner never countersigned, at its release time.
+
+    Triggered by the alarm-clock wakeup, so no party pays a call fee.
+    """
+    contract.require_state(ContractState.USER_SIGNED)
     refund = contract.escrow
     ledger.escrow_out(contract.address, contract.end_user, refund, kind="refund")
     contract.state = ContractState.SETTLED
@@ -333,8 +334,6 @@ def quota_purchase(
     if contract.kind is not ContractKind.TIME_LIMITED_QUOTA:
         raise WrongState(f"{contract.kind.value} contracts do not sell quota minutes")
     contract.require_state(ContractState.QUOTED)
-    if minutes <= 0:
-        raise ValueError("minutes purchased must be > 0")
     if value != contract.quota.per_minute_price * minutes:
         return False
     ledger.escrow_in(sender, contract.address, value)
@@ -443,8 +442,6 @@ def init_vote(
         raise WrongState(f"{contract.kind.value} contracts hold no ballot")
     contract.require_state(ContractState.DEPLOYED)
     contract.require_owner(caller)
-    if not voters:
-        raise ValueError("voter set must be non-empty")
     ledger.contract_call(caller, contract.address)
     contract.voting = VotingState(voters=frozenset(voters))
     contract.state = ContractState.QUOTED
@@ -457,8 +454,6 @@ def cast_vote(ledger: Ledger, contract: AgreementContract, voter: str, choice: s
         raise NotAVoter(voter)
     if voter in contract.voting.votes:
         raise AlreadyVoted(voter)
-    if choice not in ("yes", "no"):
-        raise ValueError(f"vote must be 'yes' or 'no', got {choice!r}")
     ledger.contract_call(voter, contract.address)
     contract.voting.votes[voter] = choice
 

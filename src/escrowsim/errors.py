@@ -87,10 +87,6 @@ class SessionNotActive(SimulationError):
     """Session is not in a deployed, unsettled state."""
 
 
-class DeploymentFailed(SimulationError):
-    """Simulated container deployment fault (test injection)."""
-
-
 # ---- scenario ingestion --------------------------------------------------------
 
 class ParseError(SimulationError):

@@ -65,25 +65,23 @@ class GasSchedule:
     """Flat gas costs per transaction kind and the wei price per gas unit.
 
     The fee for a transaction is ``gas_price_wei * gas_units`` and never
-    depends on the transferred value.  ``price_bounds_gwei`` is enforced at
-    construction; pass ``None`` to allow any price (unit tests use tiny
-    schedules).
+    depends on the transferred value.  The price must lie within
+    ``GAS_PRICE_BOUNDS_GWEI``, checked at construction; zero gas units make
+    a kind of transaction free.
     """
 
     transfer_gas: int = 21_000
     contract_call_gas: int = 50_000
     contract_deploy_gas: int = 200_000
     gas_price_wei: int = gwei(20)
-    price_bounds_gwei: Optional[tuple[int, int]] = GAS_PRICE_BOUNDS_GWEI
 
     def __post_init__(self) -> None:
         require_amount(self.gas_price_wei, "gas_price_wei")
-        if self.price_bounds_gwei is not None:
-            lo, hi = self.price_bounds_gwei
-            if not lo * WEI_PER_GWEI <= self.gas_price_wei <= hi * WEI_PER_GWEI:
-                raise GasPriceOutOfRange(
-                    f"gas price {self.gas_price_wei} wei outside [{lo}, {hi}] GWEI"
-                )
+        lo, hi = GAS_PRICE_BOUNDS_GWEI
+        if not lo * WEI_PER_GWEI <= self.gas_price_wei <= hi * WEI_PER_GWEI:
+            raise GasPriceOutOfRange(
+                f"gas price {self.gas_price_wei} wei outside [{lo}, {hi}] GWEI"
+            )
 
     def transfer_fee(self) -> int:
         return self.gas_price_wei * self.transfer_gas

@@ -26,13 +26,7 @@ from .contracts import (
     QuotaTerms,
     Settlement,
 )
-from .errors import (
-    DeploymentFailed,
-    InadmissibleOffer,
-    QuoteExpired,
-    SessionNotActive,
-    WrongState,
-)
+from .errors import InadmissibleOffer, QuoteExpired, SessionNotActive, WrongState
 from .ledger import Block, Ledger
 from .pricing import Quote, QosPreferences, RateCard, quote_price
 
@@ -66,7 +60,7 @@ class SessionRecord:
     deploy_block: Optional[int] = None
     stop_block: Optional[int] = None
     step_log: list[int] = field(default_factory=list)
-    settled_by: str = ""  # "stop" | "expiry" | "abort"
+    settled_by: str = ""  # "stop" | "expiry"
 
 
 class SessionOrchestrator:
@@ -91,7 +85,6 @@ class SessionOrchestrator:
         self.refund_threshold_bp = refund_threshold_bp
         self.sessions: dict[str, SessionRecord] = {}  # contract address -> record
         self._token_seq = 0
-        self.fail_next_deployment = False  # fault-injection hook
         ledger.wakeup_handler = self._handle_wakeup
 
     # ---- steps 1-2: quote and contract deployment -------------------------
@@ -102,8 +95,8 @@ class SessionOrchestrator:
         owner: str,
         prefs: QosPreferences,
         constraints: Optional[ConstraintTerms] = None,
-        shares: Optional[IncomeShares] = None,  # income-division kind
-        ballot: Optional[AgreementContract] = None,  # consensus kind: enacted ballot
+        shares: Optional[IncomeShares] = None,  # income-division kind: required
+        ballot: Optional[AgreementContract] = None,  # consensus kind: required, enacted
         flexible: Optional[FlexibleTerms] = None,
     ) -> SessionRecord:
         """Price the request and deploy its agreement contract in QUOTED state."""
@@ -128,8 +121,6 @@ class SessionOrchestrator:
 
         division = None
         if kind is ContractKind.INCOME_DIVISION:
-            if shares is None:
-                raise ValueError("income-division request needs shares")
             division = AgreementContract(
                 kind=ContractKind.INCOME_DIVISION, owner=owner, end_user=end_user
             )
@@ -137,8 +128,6 @@ class SessionOrchestrator:
             sc.set_income_shares(self.ledger, division, owner, shares)
             kind = ContractKind.DYNAMIC_PRICE  # companion agreement contract
         elif kind is ContractKind.CONSENSUS_DECISION:
-            if ballot is None:
-                raise ValueError("consensus request needs the ballot contract")
             if ballot.voting is None or not ballot.voting.enacted:
                 raise WrongState(f"ballot {ballot.address} has not enacted the agreement")
             kind = ContractKind.DYNAMIC_PRICE  # companion agreement contract
@@ -198,17 +187,9 @@ class SessionOrchestrator:
 
     def countersign_and_deploy(self, session: SessionRecord, signer: str) -> str:
         """Activate the agreement and simulate the container deployment."""
-        contract = session.contract
-        sc.countersign(self.ledger, contract, signer)
-        session.step_log += [4, 5, 6]
-        if self.fail_next_deployment:
-            self.fail_next_deployment = False
-            self.ledger.cancel_wakeup(contract.address)
-            sc.abort_and_refund(self.ledger, contract)
-            session.settled_by = "abort"
-            raise DeploymentFailed(f"simulated deployment fault for {contract.address}")
+        sc.countersign(self.ledger, session.contract, signer)
         self._deploy(session)
-        session.step_log += [7, 8, 9, 10]
+        session.step_log += range(4, 11)
         return session.url_token
 
     def _deploy(self, session: SessionRecord) -> None:

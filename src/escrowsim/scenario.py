@@ -47,6 +47,11 @@ KIND_ONLY_PARAMS = {
     "standby": ContractKind.FLEXIBLE_PERIOD,
 }
 
+# Input bounds: every wei amount fits an EVM word and every other integer 64
+# bits, so no product the run forms is too long to write out as decimal.
+MAX_WEI = 2**256 - 1
+MAX_INT = 2**64 - 1
+
 # Payment "value" accepts a decimal wei string or one of these tokens.
 PAY_QUOTED = "quoted"
 PAY_WRONG = "wrong"  # quoted price plus one wei: always rejected
@@ -345,7 +350,7 @@ def _need(obj: dict, key: str, kinds, where: str):
 
 
 def _int_field(
-    obj: dict, key: str, where: str, default=None, minimum=0, maximum=None
+    obj: dict, key: str, where: str, default=None, minimum=0, maximum=MAX_INT
 ) -> int:
     if key not in obj:
         if default is None:
@@ -356,7 +361,7 @@ def _int_field(
         raise ValidationError(f"{where}.{key}: must be an integer")
     if value < minimum:
         raise ValidationError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
+    if value > maximum:
         raise ValidationError(f"{where}.{key}: must be <= {maximum}, got {value}")
     return value
 
@@ -377,9 +382,12 @@ def _actor(obj: dict, key: str, where: str, genesis: dict[str, int]) -> str:
 
 def _wei(text: str, what: str) -> int:
     try:
-        return parse_wei(text, what)
+        value = parse_wei(text, what)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    if value > MAX_WEI:
+        raise ValidationError(f"{what}: must be <= 2**256 - 1 wei")
+    return value
 
 
 def _payment(p: dict, where: str) -> Payment:
@@ -437,6 +445,8 @@ def _read_shares(raw: Any, where: str, genesis: dict[str, int]) -> IncomeShares:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
         ):
             raise ValidationError(f"{where}.{addr}: must be [numerator, denominator]")
+        if max(pair) > MAX_INT:
+            raise ValidationError(f"{where}.{addr}: must be <= {MAX_INT}")
         denominators.add(pair[1])
     if len(denominators) != 1:
         raise ValidationError(f"{where}: denominators must all match")
@@ -681,8 +691,6 @@ class _Runner:
                 _RUNNER_HANDLERS[type(event)](self, event)
             except SimulationError as exc:
                 self._record_error(index, event, type(exc).__name__, str(exc))
-            except ValueError as exc:
-                self._record_error(index, event, "ValueError", str(exc))
         horizon = self.script.config.run_until_seconds
         if horizon is not None:
             ledger.advance_to(horizon)

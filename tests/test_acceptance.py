@@ -52,7 +52,7 @@ def test_c02_engine_settlements_equal_oracle_exactly(sweep):
 
 def test_c03_proration_law_over_ten_thousand_triples():
     rng = random.Random(2024)
-    gas = GasSchedule(gas_price_wei=0, price_bounds_gwei=None)
+    gas = GasSchedule(transfer_gas=0, contract_call_gas=0, contract_deploy_gas=0)
     for _ in range(10_000):
         price = rng.randint(1, 10**18)
         lock = rng.randint(1, 10**6)
@@ -74,7 +74,7 @@ def test_c03_proration_law_over_ten_thousand_triples():
 
 
 def test_c04_boundary_values_full_use_and_availability_threshold():
-    gas = GasSchedule(gas_price_wei=0, price_bounds_gwei=None)
+    gas = GasSchedule(transfer_gas=0, contract_call_gas=0, contract_deploy_gas=0)
 
     def settle(used, samples, samples_up):
         ledger = Ledger({"u": eth(1), "o": 0}, gas=gas, block_interval=1)
@@ -178,7 +178,7 @@ def test_c06_contract_counts_per_monetization_pattern():
 
 
 def test_c07_voting_exhaustive_up_to_five_voters():
-    gas = GasSchedule(gas_price_wei=0, price_bounds_gwei=None)
+    gas = GasSchedule(transfer_gas=0, contract_call_gas=0, contract_deploy_gas=0)
     checked = 0
     for n in range(1, 6):
         voters = [f"v{i}" for i in range(n)]

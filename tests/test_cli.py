@@ -119,6 +119,39 @@ PARSE_TIME_REJECTS = {
          "shares": {"alice": [1, 3], "oliver": [1, 3]}},
         "events[0].params.shares",
     ),
+    "vote-maybe": (
+        ("events", 0),
+        {"at_time": 0, "actor": "alice", "action": "cast_vote",
+         "params": {"ballot": "b1", "choice": "maybe"}},
+        "events[0].params.choice",
+    ),
+    "ballot-without-voters": (
+        ("events", 0),
+        {"at_time": 0, "actor": "alice", "action": "deploy_ballot",
+         "params": {"ballot": "b1", "voters": []}},
+        "events[0].params.voters",
+    ),
+    "quota-zero-minutes": (
+        ("events", 0),
+        {"at_time": 0, "actor": "alice", "action": "quota_purchase",
+         "params": {"session": "s1", "minutes": 0, "value": "quoted"}},
+        "events[0].params.minutes",
+    ),
+    "wei-above-2**256-1": (("genesis", "alice"), str(2**256), "genesis.alice"),
+    "rate-of-4201-digits": (
+        ("config", "rate_card"), {"base_rate_wei_per_second": "1" + "0" * 4_200},
+        "config.rate_card.base_rate_wei_per_second",
+    ),
+    "period-above-2**64-1": (
+        ("events", 0, "params", "max_period_seconds"), 10**200, "max_period_seconds",
+    ),
+    "time-above-2**64-1": (("events", 0, "at_time"), 2**64, "events[0].at_time"),
+    "share-above-2**64-1": (
+        ("events", 0, "params"),
+        {**REQUEST, "kind": "income_division",
+         "shares": {"alice": [2**64, 2**64 + 1], "oliver": [1, 2**64 + 1]}},
+        "events[0].params.shares.alice",
+    ),
 }
 
 
@@ -136,6 +169,30 @@ def test_run_rejects_reserved_or_mistyped_fields_at_parse_time(tmp_path, capsys,
     assert out == ""
     assert "error: ValidationError" in err
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_largest_accepted_inputs_run_to_a_report(tmp_path, capsys, command):
+    # Every bound at once: a wei amount of 2**256 - 1 and integers of
+    # 2**64 - 1 multiply into a price of about 10**100 wei, which the report
+    # must still write out.
+    doc = copy.deepcopy(GOOD_SCENARIO)
+    doc["config"]["rate_card"] = {"base_rate_wei_per_second": str(2**256 - 1)}
+    doc["genesis"]["alice"] = str(2**256 - 1)
+    doc["events"] = [{
+        "at_time": 0, "actor": "alice", "action": "request_session",
+        "params": {**REQUEST, "kind": "constraint_based", "video_quality": "HD",
+                   "availability_target_bp": 10_000, "max_period_seconds": 2**64 - 1,
+                   "constraints": {"price_multiplier_bp": 2**64 - 1}},
+    }]
+    code = main([command, write_scenario(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    if command == "run":
+        [contract] = json.loads(out)["contracts"]
+        assert contract["terms"]["price_wei"] == str(
+            (2**256 - 1) * (2**64 - 1) * 15_000 * 12_000 * (2**64 - 1) // 10**12
+        )
 
 
 def test_run_missing_file(tmp_path, capsys):

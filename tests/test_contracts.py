@@ -35,7 +35,7 @@ from escrowsim.units import eth
 
 
 def zero_gas() -> GasSchedule:
-    return GasSchedule(gas_price_wei=0, price_bounds_gwei=None)
+    return GasSchedule(transfer_gas=0, contract_call_gas=0, contract_deploy_gas=0)
 
 
 def make_ledger(**extra) -> Ledger:
@@ -251,11 +251,15 @@ def test_abort_refunds_in_full_from_user_signed():
     assert ledger.balance_of("user") == eth(10)
 
 
-def test_abort_refunds_in_full_from_active():
+def test_abort_from_active_is_refused_and_moves_no_wei():
     ledger = make_ledger()
     c = activate(ledger, deploy(ledger))
-    sc.abort_and_refund(ledger, c)
-    assert ledger.balance_of("user") == eth(10)
+    with pytest.raises(WrongState):
+        sc.abort_and_refund(ledger, c)
+    assert c.state is ContractState.ACTIVE
+    assert c.escrow == eth(1)
+    assert c.settlement is None
+    assert ledger.balance_of("user") == eth(9)
     assert ledger.conservation_check()
 
 
@@ -576,8 +580,6 @@ def test_vote_guards():
     sc.cast_vote(ledger, c, "v1", "no")
     with pytest.raises(AlreadyVoted):
         sc.cast_vote(ledger, c, "v1", "yes")
-    with pytest.raises(ValueError):
-        sc.cast_vote(ledger, c, "v3", "maybe")
 
 
 def test_init_vote_guards():
@@ -585,8 +587,6 @@ def test_init_vote_guards():
     c = deploy(ledger, kind=ContractKind.CONSENSUS_DECISION, price=0, lock=0)
     with pytest.raises(NotOwner):
         sc.init_vote(ledger, c, "user", {"user"})
-    with pytest.raises(ValueError):
-        sc.init_vote(ledger, c, "own", set())
 
 
 # ---- constraints ----------------------------------------------------------------------------------
