@@ -15,7 +15,9 @@ import hashlib
 import heapq
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -32,22 +34,27 @@ GAS_PRICE_BOUNDS_GWEI = (1, 40)
 # ``random.Random.randint(lo, hi)`` takes the top ``k`` bits of one 32-bit
 # Mersenne Twister word, ``k = (hi - lo + 1).bit_length()``, and takes the
 # next word while they are ``>= hi - lo + 1``.  ``getrandbits(32 * n)`` holds
-# the next ``n`` words, the first one least significant, so
-# ``Ledger.advance_to`` reads the words of many blocks in one call: the top
-# byte of each word, translated through this table, is its interval, or 0
-# for a rejected word.
+# the next ``n`` words, the first one least significant, so the ledger draws
+# the intervals of many blocks in one call: the top byte of each word,
+# translated through this table with the bytes of rejected words deleted,
+# leaves one interval byte per block.
 _JITTER_SPAN = JITTER_INTERVAL_RANGE[1] - JITTER_INTERVAL_RANGE[0] + 1
 _JITTER_BITS = _JITTER_SPAN.bit_length()
-if JITTER_INTERVAL_RANGE[0] < 1 or _JITTER_BITS > 8:
+if not 1 <= JITTER_INTERVAL_RANGE[0] <= JITTER_INTERVAL_RANGE[1] <= 255:
     raise ValueError(
-        "JITTER_INTERVAL_RANGE must start at 1 or above (0 marks a rejected "
-        "word) and span at most 256 values (one byte's top bits)"
+        "JITTER_INTERVAL_RANGE must lie within [1, 255]: every block advances "
+        "time, and each interval is one byte"
     )
 _JITTER_TABLE = bytes(
     JITTER_INTERVAL_RANGE[0] + r if r < _JITTER_SPAN else 0
     for r in (b >> (8 - _JITTER_BITS) for b in range(256))
 )
-_JITTER_BATCH_WORDS = 4096  # bounds the transient int and bytes of one batch
+_JITTER_REJECTED = bytes(b for b in range(256) if b >> (8 - _JITTER_BITS) >= _JITTER_SPAN)
+# Words per chunk of the jitter tape: the first chunk, doubling up to the
+# largest.  Sizes depend only on how many chunks were drawn, so the RNG state
+# after a block does not depend on how the run reached it.
+_JITTER_FIRST_CHUNK_WORDS = 64
+_JITTER_CHUNK_WORDS = 4096
 
 CONTRACT_ADDRESS_PREFIX = "sc-"
 
@@ -98,10 +105,12 @@ class Ledger:
 
     ``jitter_seed=None`` selects deterministic block production (exact
     ``block_interval`` spacing); an integer seed draws each block's interval
-    uniformly from ``JITTER_INTERVAL_RANGE`` (5..25 s, mean 15 s) with
-    ``random.Random(jitter_seed).randint`` and ignores ``block_interval``.
-    ``advance_to`` consumes the same Mersenne Twister words for skipped empty
-    blocks, in batches, so heights and timestamps follow that one stream.
+    uniformly from ``JITTER_INTERVAL_RANGE`` (5..25 s, mean 15 s) and ignores
+    ``block_interval``.  The intervals are those of one
+    ``random.Random(jitter_seed).randint`` per block, read off a tape: the
+    Mersenne Twister words are drawn in chunks, and the ledger keeps the
+    block timestamps of at most the current chunk.  Built and skipped blocks
+    read the same tape, so heights and timestamps follow that one stream.
     """
 
     def __init__(
@@ -125,6 +134,11 @@ class Ledger:
         self.gas = gas or GasSchedule()
         self.block_interval = block_interval
         self._rng = random.Random(jitter_seed) if jitter_seed is not None else None
+        # the jitter tape: timestamps of the current chunk's blocks, the one
+        # before the chunk first; _tape[_tape_next - 1] is the current block's
+        self._tape = [0]
+        self._tape_next = 1
+        self._chunk_words = _JITTER_FIRST_CHUNK_WORDS
         self.tx_log: list[str] = []  # one JSON line per tx
         self._tx_hash = hashlib.sha256()  # over tx_log joined by "\n"
         self.wakeup_handler: Optional[Callable[[str, Block], None]] = None
@@ -135,19 +149,18 @@ class Ledger:
 
     # ---- block production -----------------------------------------------
 
-    def produce_block(self, interval: Optional[int] = None) -> Block:
-        """Append one block and deliver every wakeup now due, in order.
-
-        ``interval`` is a jitter draw ``advance_to`` has already taken; by
-        default the interval is drawn (jittered grid) or fixed here.
-        """
-        if interval is None:
-            if self._rng is None:
-                interval = self.block_interval
-            else:
-                interval = self._rng.randint(*JITTER_INTERVAL_RANGE)
+    def produce_block(self) -> Block:
+        """Append one block and deliver every wakeup now due, in order."""
         prev = self.current_block
-        block = Block(height=prev.height + 1, timestamp=prev.timestamp + interval)
+        if self._rng is None:
+            timestamp = prev.timestamp + self.block_interval
+        else:
+            while self._tape_next == len(self._tape):
+                self._tape = list(accumulate(self._draw_chunk(), initial=prev.timestamp))
+                self._tape_next = 1
+            timestamp = self._tape[self._tape_next]
+            self._tape_next += 1
+        block = Block(height=prev.height + 1, timestamp=timestamp)
         self.current_block = block
         self._deliver_due_wakeups(block)
         return block
@@ -159,10 +172,10 @@ class Ledger:
         below ``t``: the same heights, timestamps, wakeup deliveries and RNG
         draws.  Blocks before the next armed wakeup hold no transaction and
         deliver nothing, so they are skipped without being built; they still
-        count in heights.  The deterministic grid skips in closed form; the
-        jittered grid consumes the same Mersenne Twister words as one
-        ``randint`` per block, but in batches of whole words, so the RNG
-        stream is unchanged.  A ``t`` at or before the current timestamp is a
+        count in heights.  The deterministic grid skips in closed form.  The
+        jittered grid skips along its tape: a chunk that ends before the
+        target is summed and dropped, and only the chunk that crosses it
+        becomes the tape.  A ``t`` at or before the current timestamp is a
         no-op.
         """
         while self.current_block.timestamp < t:
@@ -170,30 +183,36 @@ class Ledger:
             target = t if due is None else min(t, due)
             height, ts = self.current_block.height, self.current_block.timestamp
             if self._rng is None:
-                interval = None
                 skipped = max(0, (target - ts - 1) // self.block_interval)
                 height += skipped
                 ts += skipped * self.block_interval
             else:
-                rng = self._rng
-                lo, hi = JITTER_INTERVAL_RANGE
-                # A batch of at most (target - ts - 1) // hi words cannot
-                # reach target, so each accepted draw in it is an empty block.
-                while (words := min((target - ts - 1) // hi, _JITTER_BATCH_WORDS)) > 0:
-                    raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-                    draws = raw[3::4].translate(_JITTER_TABLE)
-                    ts += sum(draws)
-                    height += words - draws.count(0)
-                randint = rng.randint
-                interval = randint(lo, hi)
-                while ts + interval < target:
-                    height += 1
-                    ts += interval
-                    interval = randint(lo, hi)
+                tape, i = self._tape, self._tape_next
+                if tape[-1] < target:  # every block left on the tape is empty
+                    height += len(tape) - i
+                    ts = tape[-1]
+                    draws = self._draw_chunk()
+                    while (end := ts + sum(draws)) < target:
+                        height += len(draws)
+                        ts = end
+                        draws = self._draw_chunk()
+                    self._tape = tape = list(accumulate(draws, initial=ts))
+                    i = 1
+                crossing = bisect_left(tape, target, i)  # the first block at or past target
+                height += crossing - i
+                ts = tape[crossing - 1]
+                self._tape_next = crossing
             if height != self.current_block.height:
                 self.current_block = Block(height=height, timestamp=ts)
-            self.produce_block(interval)  # the first block at or past target
+            self.produce_block()  # the first block at or past target
         return self.current_block
+
+    def _draw_chunk(self) -> bytes:
+        """The intervals of the blocks whose words make up the next chunk."""
+        words = self._chunk_words
+        self._chunk_words = min(2 * words, _JITTER_CHUNK_WORDS)
+        raw = self._rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        return raw[3::4].translate(_JITTER_TABLE, _JITTER_REJECTED)
 
     def drain_wakeups(self) -> Block:
         """Produce blocks until no wakeup is armed, skipping empty ones.

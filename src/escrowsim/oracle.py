@@ -79,7 +79,7 @@ class _JitteredGrid:
         ``t`` must not be below the time of an earlier ``at_event`` call.
         """
         points = self._points
-        if points[-1] < t:  # one randint per block: an independent replay of the batches
+        if points[-1] < t:  # one randint per block: an independent replay of the tape
             randint, (lo, hi) = self._rng.randint, JITTER_INTERVAL_RANGE
             last = points[-1]
             while last < t:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import AbstractSet, Any, ClassVar, Optional, Union
+from typing import AbstractSet, Any, NamedTuple, Optional, Union
 
 from . import contracts as sc
 from .contracts import (
@@ -51,6 +51,11 @@ KIND_ONLY_PARAMS = {
 # bits, so no product the run forms is too long to write out as decimal.
 MAX_WEI = 2**256 - 1
 MAX_INT = 2**64 - 1
+# Times in seconds (an event's ``at_time``, ``run_until_seconds`` and
+# ``max_period_seconds``) are at most about 3.2 years: a jittered grid draws
+# an interval for every block up to the last of them, about 6.7 million
+# blocks at this bound.
+MAX_SECONDS = 10**8
 
 # Payment "value" accepts a decimal wei string or one of these tokens.
 PAY_QUOTED = "quoted"
@@ -69,80 +74,64 @@ def resolve_payment(value: Payment, quoted: int) -> int:
 
 @dataclass
 class ScenarioConfig:
-    block_interval: int = DEFAULT_BLOCK_INTERVAL
-    jitter_seed: Optional[int] = None
-    run_until_seconds: Optional[int] = None
-    refund_threshold_bp: int = sc.DEFAULT_REFUND_THRESHOLD_BP
-    gas: GasSchedule = field(default_factory=GasSchedule)
-    rate_card: RateCard = field(default_factory=RateCard)
-    provider_region: str = "EU"
-    provider_gdpr_compliant: bool = True
+    """A script's config, built by the parser, which fills in the defaults."""
+
+    block_interval: int
+    jitter_seed: Optional[int]
+    run_until_seconds: Optional[int]
+    refund_threshold_bp: int
+    gas: GasSchedule
+    rate_card: RateCard
+    provider_region: str
+    provider_gdpr_compliant: bool
 
 
 # ---------------------------------------------------------------------------
-# typed events: one frozen class per action, built once by the parser
+# typed events: one immutable tuple class per action, built once by the parser
 # ---------------------------------------------------------------------------
-
-# Events compare by identity (no code compares two events) and share one
-# __repr__: generating __eq__, __hash__ and __repr__ for every event class
-# would only add import time.
-_frozen_event = dataclass(frozen=True, slots=True, eq=False, repr=False)
-
-
-@_frozen_event
-class ScriptEvent:
-    """One scripted action; subclasses hold its params, already validated.
-
-    ``read_params(p, where, genesis)`` checks a params object holding only
-    ``param_keys`` (by default the subclass's fields) and returns the fields.
-    """
-
-    action: ClassVar[str]
-    param_keys: ClassVar[frozenset[str]]
-    at_time: int
-    actor: str
-
-    def __repr__(self) -> str:
-        values = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
-        return f"{type(self).__name__}({values})"
-
 
 # The parse table: action name -> event type. It alone defines the action set.
-EVENT_TYPES: dict[str, type[ScriptEvent]] = {}
+# Every event type is a NamedTuple whose fields start with (at_time, actor);
+# the class attribute ``action`` names its action, ``param_keys`` the params
+# it takes (by default its other fields), and ``read_params(p, where,
+# genesis)`` checks a params object holding only those keys and returns the
+# other fields.
+EVENT_TYPES: dict[str, type] = {}
 
 
 def _event(action: str):
-    """Class decorator: the event type for ``action``, entered in EVENT_TYPES.
-
-    A class declaring ``__slots__ = ()`` adds no fields and stays as it is.
-    """
+    """Class decorator: the event type for ``action``, entered in EVENT_TYPES."""
 
     def register(cls):
         cls.action = action
-        if "__slots__" not in vars(cls):
-            cls = _frozen_event(cls)
         if "param_keys" not in vars(cls):
-            cls.param_keys = frozenset(f.name for f in fields(cls)) - {"at_time", "actor"}
+            cls.param_keys = frozenset(cls._fields[2:])
         EVENT_TYPES[action] = cls
         return cls
 
     return register
 
 
-@_frozen_event
-class _SessionEvent(ScriptEvent):
-    """An action on the session that a ``request_session`` labelled."""
-
-    session: str
-
-    @staticmethod
-    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        return (_need(p, "session", str, where),)
+def _read_session(p: dict, where: str, genesis: dict[str, int]) -> tuple:
+    session = p.get("session")
+    if type(session) is not str:
+        raise _field_error(p, "session", where)
+    return (session,)
 
 
 @_event("request_session")
-class RequestSession(ScriptEvent):
+class RequestSession(NamedTuple):
     """The actor, as end user, asks ``owner`` for a quote and a contract."""
+
+    at_time: int
+    actor: str
+    session: str
+    owner: str
+    prefs: QosPreferences  # carries the contract kind
+    constraints: Optional[ConstraintTerms]
+    shares: Optional[IncomeShares]  # income_division only, required there
+    ballot: Optional[str]  # consensus_decision only, required there
+    standby: Optional[FlexibleTerms]  # flexible_period only
 
     param_keys = frozenset(
         {
@@ -156,22 +145,21 @@ class RequestSession(ScriptEvent):
             *KIND_ONLY_PARAMS,
         }
     )
-    session: str
-    owner: str
-    prefs: QosPreferences  # carries the contract kind
-    constraints: Optional[ConstraintTerms]
-    shares: Optional[IncomeShares]  # income_division only, required there
-    ballot: Optional[str]  # consensus_decision only, required there
-    standby: Optional[FlexibleTerms]  # flexible_period only
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        session = _need(p, "session", str, where)
-        owner = _actor(p, "owner", where, genesis)
-        name = _need(p, "kind", str, where)
-        if name not in KIND_NAMES:
+        session = p.get("session")
+        if type(session) is not str:
+            raise _field_error(p, "session", where)
+        owner = p.get("owner")
+        if type(owner) is not str or owner not in genesis:
+            raise _actor_error(p, "owner", where)
+        name = p.get("kind")
+        if type(name) is not str:
+            raise _field_error(p, "kind", where)
+        kind = KIND_NAMES.get(name)
+        if kind is None:
             raise ValidationError(f"{where}.kind: unknown contract kind {name!r}")
-        kind = KIND_NAMES[name]
         for key, reader in KIND_ONLY_PARAMS.items():
             if key in p and kind is not reader:
                 raise ValidationError(f"{where}.{key}: only {reader.value} requests take it")
@@ -179,149 +167,212 @@ class RequestSession(ScriptEvent):
             raise ValidationError(f"{where}: income_division requires shares")
         if kind is ContractKind.CONSENSUS_DECISION and "ballot" not in p:
             raise ValidationError(f"{where}: consensus_decision requires a ballot label")
-        prefs = _checked(
-            where,
-            QosPreferences,
-            _int_field(p, "availability_target_bp", where),
-            _need(p, "video_quality", str, where),
-            _int_field(p, "max_period_seconds", where),
-            kind,
-        )
-        return (
-            session,
-            owner,
-            prefs,
-            _read_constraints(p["constraints"], f"{where}.constraints")
-            if "constraints" in p
-            else None,
-            _read_shares(p["shares"], f"{where}.shares", genesis) if "shares" in p else None,
-            _need(p, "ballot", str, where) if "ballot" in p else None,
-            _read_standby(p["standby"], f"{where}.standby") if "standby" in p else None,
-        )
+        target = p.get("availability_target_bp")
+        if type(target) is not int or not 0 <= target <= MAX_INT:
+            raise _int_error(p, "availability_target_bp", where)
+        quality = p.get("video_quality")
+        if type(quality) is not str:
+            raise _field_error(p, "video_quality", where)
+        period = p.get("max_period_seconds")
+        if type(period) is not int or not 0 <= period <= MAX_SECONDS:
+            raise _int_error(p, "max_period_seconds", where, maximum=MAX_SECONDS)
+        prefs = _checked(where, QosPreferences, target, quality, period, kind)
+        constraints = shares = ballot = standby = None
+        if "constraints" in p:
+            constraints = _read_constraints(p["constraints"], f"{where}.constraints")
+        if "shares" in p:
+            shares = _read_shares(p["shares"], f"{where}.shares", genesis)
+        if "ballot" in p:
+            ballot = p["ballot"]
+            if type(ballot) is not str:
+                raise _field_error(p, "ballot", where)
+        if "standby" in p:
+            standby = _read_standby(p["standby"], f"{where}.standby")
+        return session, owner, prefs, constraints, shares, ballot, standby
 
 
 @_event("approve_and_pay")
-class ApproveAndPay(_SessionEvent):
+class ApproveAndPay(NamedTuple):
     """The actor locks the quoted price in escrow and becomes the end user."""
 
+    at_time: int
+    actor: str
+    session: str
     value: Payment
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        return _need(p, "session", str, where), _payment(p, where)
+        session = p.get("session")
+        if type(session) is not str:
+            raise _field_error(p, "session", where)
+        return session, _payment(p, where)
 
 
 @_event("countersign")
-class Countersign(_SessionEvent):
+class Countersign(NamedTuple):
     """The owner countersigns a funded session, which activates it."""
 
-    __slots__ = ()
+    at_time: int
+    actor: str
+    session: str
+
+    read_params = staticmethod(_read_session)
 
 
 @_event("qos_sample")
-class QosSample(_SessionEvent):
+class QosSample(NamedTuple):
     """One availability observation of an active session."""
 
+    at_time: int
+    actor: str
+    session: str
     available: bool
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        return _need(p, "session", str, where), _bool_field(p, "available", where, None)
+        session = p.get("session")
+        if type(session) is not str:
+            raise _field_error(p, "session", where)
+        available = p.get("available")
+        if type(available) is not bool:
+            raise ValidationError(f"{where}.available: must be a boolean")
+        return session, available
 
 
 @_event("end_session")
-class EndSession(_SessionEvent):
+class EndSession(NamedTuple):
     """The end user stops an active session, which settles it."""
 
-    __slots__ = ()
+    at_time: int
+    actor: str
+    session: str
+
+    read_params = staticmethod(_read_session)
 
 
 @_event("quota_purchase")
-class QuotaPurchase(_SessionEvent):
+class QuotaPurchase(NamedTuple):
     """The actor buys ``minutes`` of a quota and becomes its end user."""
 
+    at_time: int
+    actor: str
+    session: str
     minutes: int
     value: Payment
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        return (
-            _need(p, "session", str, where),
-            _int_field(p, "minutes", where, minimum=1),
-            _payment(p, where),
-        )
+        session = p.get("session")
+        if type(session) is not str:
+            raise _field_error(p, "session", where)
+        minutes = p.get("minutes")
+        if type(minutes) is not int or not 1 <= minutes <= MAX_INT:
+            raise _int_error(p, "minutes", where, minimum=1)
+        return session, minutes, _payment(p, where)
 
 
 @_event("quota_start")
-class QuotaStart(_SessionEvent):
+class QuotaStart(NamedTuple):
     """The end user opens a metered session on a bought quota."""
 
-    __slots__ = ()
+    at_time: int
+    actor: str
+    session: str
+
+    read_params = staticmethod(_read_session)
 
 
 @_event("quota_stop")
-class QuotaStop(_SessionEvent):
+class QuotaStop(NamedTuple):
     """The end user closes the open metered session."""
 
-    __slots__ = ()
+    at_time: int
+    actor: str
+    session: str
+
+    read_params = staticmethod(_read_session)
 
 
 @_event("deploy_ballot")
-class DeployBallot(ScriptEvent):
+class DeployBallot(NamedTuple):
     """The actor deploys a ballot that a consensus request can name."""
 
+    at_time: int
+    actor: str
     ballot: str
     voters: frozenset[str]
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        ballot = _need(p, "ballot", str, where)
+        ballot = p.get("ballot")
+        if type(ballot) is not str:
+            raise _field_error(p, "ballot", where)
         voters = p.get("voters")
-        if not isinstance(voters, list) or not voters:
+        if type(voters) is not list or not voters:
             raise ValidationError(f"{where}.voters: must be a non-empty list")
         for voter in voters:
-            if not isinstance(voter, str) or voter not in genesis:
+            if type(voter) is not str or voter not in genesis:
                 raise ValidationError(f"{where}.voters: undeclared voter {voter!r}")
         return ballot, frozenset(voters)
 
 
 @_event("cast_vote")
-class CastVote(ScriptEvent):
+class CastVote(NamedTuple):
     """A registered voter votes yes or no; a second vote is rejected."""
 
+    at_time: int
+    actor: str
     ballot: str
     choice: str  # "yes" | "no"
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        ballot = _need(p, "ballot", str, where)
-        if p.get("choice") not in ("yes", "no"):
+        ballot = p.get("ballot")
+        if type(ballot) is not str:
+            raise _field_error(p, "ballot", where)
+        choice = p.get("choice")
+        if choice != "yes" and choice != "no":
             raise ValidationError(f"{where}.choice: must be 'yes' or 'no'")
-        return ballot, p["choice"]
+        return ballot, choice
 
 
 @_event("tally")
-class Tally(ScriptEvent):
+class Tally(NamedTuple):
     """Count the votes: yes from a strict majority of the voters enacts for good."""
 
+    at_time: int
+    actor: str
     ballot: str
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        return (_need(p, "ballot", str, where),)
+        ballot = p.get("ballot")
+        if type(ballot) is not str:
+            raise _field_error(p, "ballot", where)
+        return (ballot,)
 
 
 @_event("transfer")
-class Transfer(ScriptEvent):
+class Transfer(NamedTuple):
     """A plain value transfer between two accounts."""
 
+    at_time: int
+    actor: str
     to: str
     value: int
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        to = _actor(p, "to", where, genesis)
-        return to, _wei(_need(p, "value", str, where), f"{where}.value")
+        to = p.get("to")
+        if type(to) is not str or to not in genesis:
+            raise _actor_error(p, "to", where)
+        value = p.get("value")
+        if type(value) is not str:
+            raise _field_error(p, "value", where)
+        return to, _wei(value, f"{where}.value")
+
+
+ScriptEvent = Union[tuple(EVENT_TYPES.values())]  # any one of the event types
 
 
 def handler_table(owner: type) -> dict:
@@ -340,44 +391,43 @@ class ScenarioScript:
 # parsing
 # ---------------------------------------------------------------------------
 
-def _need(obj: dict, key: str, kinds, where: str):
+# Each reader tests the success case inline, and checks a value's type before
+# using it as a dict or set key.  The ``_*_error`` helpers run only once a
+# check has failed: they find out which of its conditions failed and build
+# the error.
+
+def _field_error(obj: dict, key: str, where: str) -> ValidationError:
+    """A required field of one JSON type is missing or has another type."""
     if key not in obj:
-        raise ValidationError(f"{where}: missing required field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds) or isinstance(value, bool) and kinds is int:
-        raise ValidationError(f"{where}.{key}: wrong type {type(value).__name__}")
-    return value
+        return ValidationError(f"{where}: missing required field {key!r}")
+    return ValidationError(f"{where}.{key}: wrong type {type(obj[key]).__name__}")
 
 
-def _int_field(
-    obj: dict, key: str, where: str, default=None, minimum=0, maximum=MAX_INT
-) -> int:
+def _int_error(
+    obj: dict, key: str, where: str, minimum: int = 0, maximum: int = MAX_INT
+) -> ValidationError:
+    """An integer field is missing, not an integer, or outside [minimum, maximum]."""
     if key not in obj:
-        if default is None:
-            raise ValidationError(f"{where}: missing required field {key!r}")
-        return default
+        return ValidationError(f"{where}: missing required field {key!r}")
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}.{key}: must be an integer")
+    if type(value) is not int:
+        return ValidationError(f"{where}.{key}: must be an integer")
     if value < minimum:
-        raise ValidationError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    if value > maximum:
-        raise ValidationError(f"{where}.{key}: must be <= {maximum}, got {value}")
-    return value
+        return ValidationError(f"{where}.{key}: must be >= {minimum}, got {value}")
+    return ValidationError(f"{where}.{key}: must be <= {maximum}, got {value}")
 
 
-def _bool_field(obj: dict, key: str, where: str, default: Optional[bool]) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ValidationError(f"{where}.{key}: must be a boolean")
-    return value
+def _actor_error(obj: dict, key: str, where: str) -> ValidationError:
+    """An account field is missing, not a string, or not a genesis account."""
+    name = obj.get(key)
+    if type(name) is not str:
+        return _field_error(obj, key, where)
+    return ValidationError(f"{where}.{key}: undeclared actor {name!r}")
 
 
-def _actor(obj: dict, key: str, where: str, genesis: dict[str, int]) -> str:
-    name = _need(obj, key, str, where)
-    if name not in genesis:
-        raise ValidationError(f"{where}.{key}: undeclared actor {name!r}")
-    return name
+def _keys_error(obj: dict, allowed: AbstractSet[str], where: str) -> ValidationError:
+    """An object holds keys outside ``allowed``."""
+    return ValidationError(f"{where}: unknown field(s) {sorted(set(obj) - allowed)}")
 
 
 def _wei(text: str, what: str) -> int:
@@ -391,8 +441,10 @@ def _wei(text: str, what: str) -> int:
 
 
 def _payment(p: dict, where: str) -> Payment:
-    value = _need(p, "value", str, where)
-    if value in (PAY_QUOTED, PAY_WRONG):
+    value = p.get("value")
+    if type(value) is not str:
+        raise _field_error(p, "value", where)
+    if value == PAY_QUOTED or value == PAY_WRONG:
         return value
     return _wei(value, f"{where}.value")
 
@@ -405,45 +457,34 @@ def _checked(where: str, build, *args, **kwargs):
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _check_keys(obj: dict, allowed: AbstractSet[str], where: str) -> None:
-    if not obj.keys() <= allowed:
-        unknown = sorted(set(obj) - allowed)
-        raise ValidationError(f"{where}: unknown field(s) {unknown}")
+_CONSTRAINT_KEYS = frozenset({"gdpr_required", "allowed_regions", "price_multiplier_bp"})
 
 
-def _object(raw: Any, where: str) -> dict:
-    if not isinstance(raw, dict):
+def _read_constraints(c: Any, where: str) -> ConstraintTerms:
+    if type(c) is not dict:
         raise ValidationError(f"{where}: must be an object")
-    return raw
-
-
-def _read_constraints(raw: Any, where: str) -> ConstraintTerms:
-    c = _object(raw, where)
-    _check_keys(c, {"gdpr_required", "allowed_regions", "price_multiplier_bp"}, where)
+    if not c.keys() <= _CONSTRAINT_KEYS:
+        raise _keys_error(c, _CONSTRAINT_KEYS, where)
     regions = c.get("allowed_regions", [])
-    if not isinstance(regions, list) or not all(isinstance(r, str) for r in regions):
+    if type(regions) is not list or not all(type(r) is str for r in regions):
         raise ValidationError(f"{where}.allowed_regions: must be a list of strings")
-    return ConstraintTerms(
-        gdpr_required=_bool_field(c, "gdpr_required", where, default=False),
-        allowed_regions=frozenset(regions),
-        price_multiplier_bp=_int_field(
-            c, "price_multiplier_bp", where, default=sc.IDENTITY_MULTIPLIER_BP
-        ),
-    )
+    gdpr_required = c.get("gdpr_required", False)
+    if type(gdpr_required) is not bool:
+        raise ValidationError(f"{where}.gdpr_required: must be a boolean")
+    multiplier = c.get("price_multiplier_bp", sc.IDENTITY_MULTIPLIER_BP)
+    if type(multiplier) is not int or not 0 <= multiplier <= MAX_INT:
+        raise _int_error(c, "price_multiplier_bp", where)
+    return ConstraintTerms(gdpr_required, frozenset(regions), multiplier)
 
 
 def _read_shares(raw: Any, where: str, genesis: dict[str, int]) -> IncomeShares:
-    if not isinstance(raw, dict) or not raw:
+    if type(raw) is not dict or not raw:
         raise ValidationError(f"{where}: must be a non-empty object")
     denominators = set()
     for addr, pair in raw.items():
         if addr not in genesis:
             raise ValidationError(f"{where}: undeclared actor {addr!r}")
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
-        ):
+        if type(pair) is not list or len(pair) != 2 or not all(type(x) is int for x in pair):
             raise ValidationError(f"{where}.{addr}: must be [numerator, denominator]")
         if max(pair) > MAX_INT:
             raise ValidationError(f"{where}.{addr}: must be <= {MAX_INT}")
@@ -454,15 +495,37 @@ def _read_shares(raw: Any, where: str, genesis: dict[str, int]) -> IncomeShares:
     return _checked(where, IncomeShares, numerators, denominators.pop())
 
 
-def _read_standby(raw: Any, where: str) -> FlexibleTerms:
-    s = _object(raw, where)
-    _check_keys(s, {"rate_wei_per_second", "window_seconds"}, where)
-    rate = _wei(_need(s, "rate_wei_per_second", str, where), f"{where}.rate_wei_per_second")
-    return _checked(where, FlexibleTerms, rate, _int_field(s, "window_seconds", where))
+_STANDBY_KEYS = frozenset({"rate_wei_per_second", "window_seconds"})
 
 
-# Config keys in the order they are checked, which fixes the error an input
-# with several bad fields reports.
+def _read_standby(s: Any, where: str) -> FlexibleTerms:
+    if type(s) is not dict:
+        raise ValidationError(f"{where}: must be an object")
+    if not s.keys() <= _STANDBY_KEYS:
+        raise _keys_error(s, _STANDBY_KEYS, where)
+    text = s.get("rate_wei_per_second")
+    if type(text) is not str:
+        raise _field_error(s, "rate_wei_per_second", where)
+    rate = _wei(text, f"{where}.rate_wei_per_second")
+    window = s.get("window_seconds")
+    if type(window) is not int or not 0 <= window <= MAX_INT:
+        raise _int_error(s, "window_seconds", where)
+    return _checked(where, FlexibleTerms, rate, window)
+
+
+_CONFIG_KEYS = frozenset(
+    {
+        "block_interval_seconds",
+        "jitter_seed",
+        "run_until_seconds",
+        "refund_threshold_bp",
+        "gas",
+        "rate_card",
+        "provider",
+    }
+)
+# Gas and rate card keys in the order they are checked, which fixes the error
+# an input with several bad fields reports.
 _GAS_KEYS = ("transfer_gas", "contract_call_gas", "contract_deploy_gas", "gas_price_gwei")
 _RATE_CARD_WEI_KEYS = ("base_rate_wei_per_second", "standby_rate_wei_per_second")
 _RATE_CARD_KEYS = (
@@ -471,83 +534,133 @@ _RATE_CARD_KEYS = (
     "high_availability_multiplier_bp",
     "quote_ttl_blocks",
 )
+_PROVIDER_KEYS = frozenset({"region", "gdpr_compliant"})
 
 
-def _parse_config(raw: dict) -> ScenarioConfig:
-    _check_keys(
-        raw,
-        {
-            "block_interval_seconds",
-            "jitter_seed",
-            "run_until_seconds",
-            "refund_threshold_bp",
-            "gas",
-            "rate_card",
-            "provider",
-        },
-        "config",
-    )
-    cfg = ScenarioConfig()
-    cfg.block_interval = _int_field(
-        raw, "block_interval_seconds", "config", cfg.block_interval, minimum=1
-    )
-    if raw.get("jitter_seed") is not None:
-        cfg.jitter_seed = _int_field(raw, "jitter_seed", "config")
-    if raw.get("run_until_seconds") is not None:
-        cfg.run_until_seconds = _int_field(raw, "run_until_seconds", "config")
-    cfg.refund_threshold_bp = _int_field(
-        raw, "refund_threshold_bp", "config", cfg.refund_threshold_bp, maximum=BP_SCALE
-    )
+def _parse_config(raw: Any) -> ScenarioConfig:
+    if type(raw) is not dict:
+        raise ValidationError("config: must be an object")
+    if not raw.keys() <= _CONFIG_KEYS:
+        raise _keys_error(raw, _CONFIG_KEYS, "config")
+    interval = raw.get("block_interval_seconds", DEFAULT_BLOCK_INTERVAL)
+    if type(interval) is not int or not 1 <= interval <= MAX_INT:
+        raise _int_error(raw, "block_interval_seconds", "config", minimum=1)
+    jitter_seed = raw.get("jitter_seed")
+    if jitter_seed is not None and (type(jitter_seed) is not int or not 0 <= jitter_seed <= MAX_INT):
+        raise _int_error(raw, "jitter_seed", "config")
+    horizon = raw.get("run_until_seconds")
+    if horizon is not None and (type(horizon) is not int or not 0 <= horizon <= MAX_SECONDS):
+        raise _int_error(raw, "run_until_seconds", "config", maximum=MAX_SECONDS)
+    threshold = raw.get("refund_threshold_bp", sc.DEFAULT_REFUND_THRESHOLD_BP)
+    if type(threshold) is not int or not 0 <= threshold <= BP_SCALE:
+        raise _int_error(raw, "refund_threshold_bp", "config", maximum=BP_SCALE)
+
     # Only the keys present are passed on: GasSchedule and RateCard own their defaults.
-    gas_raw = _object(raw.get("gas", {}), "config.gas")
-    _check_keys(gas_raw, set(_GAS_KEYS), "config.gas")
-    gas = {key: _int_field(gas_raw, key, "config.gas") for key in _GAS_KEYS if key in gas_raw}
+    gas_raw = raw.get("gas", {})
+    if type(gas_raw) is not dict:
+        raise ValidationError("config.gas: must be an object")
+    if not gas_raw.keys() <= set(_GAS_KEYS):
+        raise _keys_error(gas_raw, set(_GAS_KEYS), "config.gas")
+    gas = {}
+    for key in _GAS_KEYS:
+        if key in gas_raw:
+            value = gas_raw[key]
+            if type(value) is not int or not 0 <= value <= MAX_INT:
+                raise _int_error(gas_raw, key, "config.gas")
+            gas[key] = value
     if "gas_price_gwei" in gas:
         gas["gas_price_wei"] = gwei(gas.pop("gas_price_gwei"))
-    cfg.gas = _checked("config.gas", GasSchedule, **gas)
-    card_raw = _object(raw.get("rate_card", {}), "config.rate_card")
-    _check_keys(card_raw, set(_RATE_CARD_KEYS), "config.rate_card")
+
+    card_raw = raw.get("rate_card", {})
+    if type(card_raw) is not dict:
+        raise ValidationError("config.rate_card: must be an object")
+    if not card_raw.keys() <= set(_RATE_CARD_KEYS):
+        raise _keys_error(card_raw, set(_RATE_CARD_KEYS), "config.rate_card")
     card = {}
     for key in _RATE_CARD_KEYS:
         if key not in card_raw:
             continue
+        value = card_raw[key]
         if key in _RATE_CARD_WEI_KEYS:
-            text = _need(card_raw, key, str, "config.rate_card")
-            card[key] = _wei(text, f"config.rate_card.{key}")
+            if type(value) is not str:
+                raise _field_error(card_raw, key, "config.rate_card")
+            card[key] = _wei(value, f"config.rate_card.{key}")
+        elif type(value) is not int or not 0 <= value <= MAX_INT:
+            raise _int_error(card_raw, key, "config.rate_card")
         else:
-            card[key] = _int_field(card_raw, key, "config.rate_card")
-    cfg.rate_card = RateCard(**card)
-    provider = _object(raw.get("provider", {}), "config.provider")
-    _check_keys(provider, {"region", "gdpr_compliant"}, "config.provider")
-    cfg.provider_region = provider.get("region", cfg.provider_region)
-    cfg.provider_gdpr_compliant = _bool_field(
-        provider, "gdpr_compliant", "config.provider", cfg.provider_gdpr_compliant
-    )
-    if not isinstance(cfg.provider_region, str):
+            card[key] = value
+
+    provider = raw.get("provider", {})
+    if type(provider) is not dict:
+        raise ValidationError("config.provider: must be an object")
+    if not provider.keys() <= _PROVIDER_KEYS:
+        raise _keys_error(provider, _PROVIDER_KEYS, "config.provider")
+    gdpr_compliant = provider.get("gdpr_compliant", True)
+    if type(gdpr_compliant) is not bool:
+        raise ValidationError("config.provider.gdpr_compliant: must be a boolean")
+    region = provider.get("region", "EU")
+    if type(region) is not str:
         raise ValidationError("config.provider.region: must be a string")
-    return cfg
+    return ScenarioConfig(
+        block_interval=interval,
+        jitter_seed=jitter_seed,
+        run_until_seconds=horizon,
+        refund_threshold_bp=threshold,
+        gas=_checked("config.gas", GasSchedule, **gas),
+        rate_card=RateCard(**card),
+        provider_region=region,
+        provider_gdpr_compliant=gdpr_compliant,
+    )
 
 
 _EVENT_KEYS = frozenset({"at_time", "actor", "action", "params"})
+_NO_PARAMS: dict = {}
 
 
-def _parse_event(raw: Any, index: int, genesis: dict[str, int]) -> ScriptEvent:
-    where = f"events[{index}]"
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: must be an object")
-    _check_keys(raw, _EVENT_KEYS, where)
-    at_time = _int_field(raw, "at_time", where)
-    actor = _actor(raw, "actor", where, genesis)
-    action = _need(raw, "action", str, where)
-    event_type = EVENT_TYPES.get(action)
-    if event_type is None:
-        raise ValidationError(f"{where}.action: unknown action {action!r}")
-    params = raw.get("params", {})
-    where += ".params"
-    if not isinstance(params, dict):
-        raise ValidationError(f"{where}: must be an object")
-    _check_keys(params, event_type.param_keys, where)
-    return event_type(at_time, actor, *event_type.read_params(params, where, genesis))
+def _parse_events(raw_events: list, genesis: dict[str, int]) -> list[ScriptEvent]:
+    """The typed events, in script order; times may not decrease.
+
+    Every event is checked before the order of their times, so a script with
+    both faults reports the event's.
+    """
+    events = []
+    latest = 0
+    decrease = None
+    for index, raw in enumerate(raw_events):
+        where = f"events[{index}]"
+        if type(raw) is not dict:
+            raise ValidationError(f"{where}: must be an object")
+        if not raw.keys() <= _EVENT_KEYS:
+            raise _keys_error(raw, _EVENT_KEYS, where)
+        at_time = raw.get("at_time")
+        if type(at_time) is not int or not 0 <= at_time <= MAX_SECONDS:
+            raise _int_error(raw, "at_time", where, maximum=MAX_SECONDS)
+        actor = raw.get("actor")
+        if type(actor) is not str or actor not in genesis:
+            raise _actor_error(raw, "actor", where)
+        action = raw.get("action")
+        if type(action) is not str:
+            raise _field_error(raw, "action", where)
+        event_type = EVENT_TYPES.get(action)
+        if event_type is None:
+            raise ValidationError(f"{where}.action: unknown action {action!r}")
+        params = raw.get("params", _NO_PARAMS)
+        where += ".params"
+        if type(params) is not dict:
+            raise ValidationError(f"{where}: must be an object")
+        if not params.keys() <= event_type.param_keys:
+            raise _keys_error(params, event_type.param_keys, where)
+        fields = (at_time, actor, *event_type.read_params(params, where, genesis))
+        events.append(tuple.__new__(event_type, fields))
+        if at_time < latest and decrease is None:
+            decrease = f"events[{index}].at_time: decreasing time ({at_time} after {latest})"
+        latest = at_time
+    if decrease is not None:
+        raise ValidationError(decrease)
+    return events
+
+
+_TOP_LEVEL_KEYS = frozenset({"config", "genesis", "events"})
 
 
 def parse_scenario(document) -> ScenarioScript:
@@ -568,13 +681,14 @@ def parse_scenario(document) -> ScenarioScript:
             raise ParseError(str(exc)) from exc
         except RecursionError as exc:
             raise ParseError("arrays and objects nested too deeply") from exc
-    if not isinstance(document, dict):
+    if type(document) is not dict:
         raise ValidationError("top level: must be a JSON object")
-    _check_keys(document, {"config", "genesis", "events"}, "top level")
-    config = _parse_config(_object(document.get("config", {}), "config"))
+    if not document.keys() <= _TOP_LEVEL_KEYS:
+        raise _keys_error(document, _TOP_LEVEL_KEYS, "top level")
+    config = _parse_config(document.get("config", {}))
 
     raw_genesis = document.get("genesis")
-    if not isinstance(raw_genesis, dict) or not raw_genesis:
+    if type(raw_genesis) is not dict or not raw_genesis:
         raise ValidationError("genesis: must be a non-empty object")
     genesis: dict[str, int] = {}
     for name, amount in raw_genesis.items():
@@ -583,21 +697,14 @@ def parse_scenario(document) -> ScenarioScript:
                 f"genesis.{name}: the prefix {CONTRACT_ADDRESS_PREFIX!r} is reserved"
                 " for contract addresses"
             )
-        if not isinstance(amount, str):
+        if type(amount) is not str:
             raise ValidationError(f"genesis.{name}: amount must be a decimal string")
         genesis[name] = _wei(amount, f"genesis.{name}")
 
     raw_events = document.get("events", [])
-    if not isinstance(raw_events, list):
+    if type(raw_events) is not list:
         raise ValidationError("events: must be an array")
-    events = [_parse_event(raw, i, genesis) for i, raw in enumerate(raw_events)]
-    for i in range(1, len(events)):
-        if events[i].at_time < events[i - 1].at_time:
-            raise ValidationError(
-                f"events[{i}].at_time: decreasing time "
-                f"({events[i].at_time} after {events[i - 1].at_time})"
-            )
-    return ScenarioScript(config=config, genesis=genesis, events=events)
+    return ScenarioScript(config=config, genesis=genesis, events=_parse_events(raw_events, genesis))
 
 
 # ---------------------------------------------------------------------------

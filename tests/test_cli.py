@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from escrowsim.cli import main
+from escrowsim.scenario import MAX_SECONDS
 
 GOOD_SCENARIO = {
     "config": {"gas": {"gas_price_gwei": 1}},
@@ -146,6 +147,35 @@ PARSE_TIME_REJECTS = {
         ("events", 0, "params", "max_period_seconds"), 10**200, "max_period_seconds",
     ),
     "time-above-2**64-1": (("events", 0, "at_time"), 2**64, "events[0].at_time"),
+    # each time bounds the blocks a jittered grid draws
+    "time-above-max-seconds": (
+        ("events", 0, "at_time"), MAX_SECONDS + 1, "events[0].at_time",
+    ),
+    "horizon-above-max-seconds": (
+        ("config", "run_until_seconds"), MAX_SECONDS + 1, "config.run_until_seconds",
+    ),
+    "period-above-max-seconds": (
+        ("events", 0, "params", "max_period_seconds"), MAX_SECONDS + 1,
+        "events[0].params.max_period_seconds",
+    ),
+    # values used as dict or set keys are type-checked first
+    "action-list": (("events", 0, "action"), ["transfer"], "events[0].action"),
+    "actor-list": (("events", 0, "actor"), ["alice"], "events[0].actor"),
+    "owner-list": (("events", 0, "params", "owner"), ["oliver"], "events[0].params.owner"),
+    "kind-list": (("events", 0, "params", "kind"), ["fixed_price"], "events[0].params.kind"),
+    "to-list": (
+        ("events", 0),
+        {"at_time": 0, "actor": "alice", "action": "transfer",
+         "params": {"to": ["oliver"], "value": "1"}},
+        "events[0].params.to",
+    ),
+    # one event, two faults: at_time is checked before the actor
+    "bad-time-and-undeclared-actor": (
+        ("events", 0),
+        {"at_time": -1, "actor": "nobody", "action": "countersign",
+         "params": {"session": "s1"}},
+        "events[0].at_time",
+    ),
     "share-above-2**64-1": (
         ("events", 0, "params"),
         {**REQUEST, "kind": "income_division",
@@ -173,16 +203,16 @@ def test_run_rejects_reserved_or_mistyped_fields_at_parse_time(tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
 def test_largest_accepted_inputs_run_to_a_report(tmp_path, capsys, command):
-    # Every bound at once: a wei amount of 2**256 - 1 and integers of
-    # 2**64 - 1 multiply into a price of about 10**100 wei, which the report
-    # must still write out.
+    # Every bound at once: a wei amount of 2**256 - 1, a period of
+    # MAX_SECONDS and a multiplier of 2**64 - 1 multiply into a price of about
+    # 10**89 wei, which the report must still write out.
     doc = copy.deepcopy(GOOD_SCENARIO)
     doc["config"]["rate_card"] = {"base_rate_wei_per_second": str(2**256 - 1)}
     doc["genesis"]["alice"] = str(2**256 - 1)
     doc["events"] = [{
         "at_time": 0, "actor": "alice", "action": "request_session",
         "params": {**REQUEST, "kind": "constraint_based", "video_quality": "HD",
-                   "availability_target_bp": 10_000, "max_period_seconds": 2**64 - 1,
+                   "availability_target_bp": 10_000, "max_period_seconds": MAX_SECONDS,
                    "constraints": {"price_multiplier_bp": 2**64 - 1}},
     }]
     code = main([command, write_scenario(tmp_path, doc)])
@@ -191,7 +221,7 @@ def test_largest_accepted_inputs_run_to_a_report(tmp_path, capsys, command):
     if command == "run":
         [contract] = json.loads(out)["contracts"]
         assert contract["terms"]["price_wei"] == str(
-            (2**256 - 1) * (2**64 - 1) * 15_000 * 12_000 * (2**64 - 1) // 10**12
+            (2**256 - 1) * MAX_SECONDS * 15_000 * 12_000 * (2**64 - 1) // 10**12
         )
 
 

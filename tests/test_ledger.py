@@ -7,7 +7,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from escrowsim.contracts import AgreementContract, ContractKind
@@ -19,7 +19,8 @@ from escrowsim.errors import (
 )
 from escrowsim import ledger as ledger_module
 from escrowsim.ledger import (
-    _JITTER_BATCH_WORDS,
+    _JITTER_CHUNK_WORDS,
+    _JITTER_FIRST_CHUNK_WORDS,
     JITTER_INTERVAL_RANGE,
     Block,
     GasSchedule,
@@ -365,17 +366,18 @@ def test_reschedule_replaces_previous_wakeup():
 # ---- next-event time advance ------------------------------------------------------
 
 WAKEUP_ADDRS = ("sc-1", "sc-2", "sc-3")
-# the widest gap a single batch of jittered words covers
-BATCH_SPAN = JITTER_INTERVAL_RANGE[1] * _JITTER_BATCH_WORDS
+# the widest gaps that the first and the largest chunk of the jitter tape cover
+FIRST_CHUNK_SPAN = JITTER_INTERVAL_RANGE[1] * _JITTER_FIRST_CHUNK_WORDS
+BATCH_SPAN = JITTER_INTERVAL_RANGE[1] * _JITTER_CHUNK_WORDS
 
 
 def ledger_ops(far_advances):
     """Lists of (op, address, offset from the current timestamp).
 
-    ``far_advances`` lets some advances cross a full batch of jittered words
-    and the tail of smaller batches after it.  Only the jittered grid batches;
-    the fixed grid skips in closed form at any distance, and its block-by-block
-    reference would build 10^5 blocks per such advance at interval 1.
+    ``far_advances`` lets some advances cross every chunk of the jitter tape
+    up to a largest one.  Only the jittered grid has a tape; the fixed grid
+    skips in closed form at any distance, and its block-by-block reference
+    would build 10^5 blocks per such advance at interval 1.
     """
     advance = st.integers(-50, 3_000)
     if far_advances:
@@ -431,7 +433,6 @@ def _replay(ops, interval, jitter_seed, rearm_offsets, skip):
     return blocks, deliveries, ledger.armed_wakeup_count(), rng_state
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
 @given(
     data=st.data(),
     interval=st.integers(1, 60),
@@ -445,27 +446,67 @@ def test_advance_to_matches_block_by_block_production(data, interval, jitter_see
     assert skipped == reference
 
 
-@pytest.mark.parametrize(
-    "gap", [1, 24, 25, 26, 50, 51, BATCH_SPAN, BATCH_SPAN + 1, 10**6]
-)
-@pytest.mark.parametrize("jitter_seed", range(20))
-def test_jittered_advance_to_matches_block_by_block_production(jitter_seed, gap):
+def assert_advance_to_matches_block_by_block(jitter_seed, target):
+    """``advance_to(target(now))`` and ``produce_block`` up to it agree, RNG included."""
     skipped, reference = (
         Ledger({"a": eth(1)}, gas=zero_gas(), jitter_seed=jitter_seed) for _ in range(2)
     )
     for ledger in (skipped, reference):  # start mid-stream, at a seed-dependent word
         for _ in range(jitter_seed % 7):
             ledger.produce_block()
-    t = skipped.current_block.timestamp + gap
+    t = target(skipped.current_block.timestamp)
     block = skipped.advance_to(t)
     while reference.current_block.timestamp < t:
         reference.produce_block()
     assert block == reference.current_block
     assert skipped._rng.getstate() == reference._rng.getstate()
+    assert skipped.produce_block() == reference.produce_block()
+
+
+@pytest.mark.parametrize(
+    "gap",
+    [1, 24, 25, 26, 50, 51, FIRST_CHUNK_SPAN, FIRST_CHUNK_SPAN + 1, BATCH_SPAN,
+     BATCH_SPAN + 1, 10**6],
+)
+@pytest.mark.parametrize("jitter_seed", range(20))
+def test_jittered_advance_to_matches_block_by_block_production(jitter_seed, gap):
+    assert_advance_to_matches_block_by_block(jitter_seed, lambda now: now + gap)
+
+
+# the tape's chunks double from the first size up to the largest
+LARGEST_CHUNK = (_JITTER_CHUNK_WORDS // _JITTER_FIRST_CHUNK_WORDS).bit_length() - 1
+
+
+def tape_chunk_ends(jitter_seed, chunks):
+    """Timestamp of the last block of each of the tape's first ``chunks`` chunks."""
+    ledger = Ledger({"a": eth(1)}, gas=zero_gas(), jitter_seed=jitter_seed)
+    ends = []
+    while len(ends) < chunks:
+        ledger.produce_block()
+        if ledger._tape_next == len(ledger._tape):
+            ends.append(ledger.current_block.timestamp)
+    return ends
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("chunk", [0, LARGEST_CHUNK])
+@pytest.mark.parametrize("jitter_seed", range(20))
+def test_jittered_advance_to_matches_block_by_block_production_at_chunk_ends(
+    jitter_seed, chunk, offset
+):
+    end = tape_chunk_ends(jitter_seed, chunk + 1)[chunk]
+    assert_advance_to_matches_block_by_block(jitter_seed, lambda now: end + offset)
+
+
+def test_jitter_tape_holds_at_most_one_chunk():
+    ledger = Ledger({"a": 1}, jitter_seed=1)
+    ledger.advance_to(10**7)
+    assert ledger.current_block.height >= 10**7 // JITTER_INTERVAL_RANGE[1]
+    assert len(ledger._tape) <= 1 + _JITTER_CHUNK_WORDS  # the block before the chunk, then it
 
 
 def test_randint_takes_the_top_bits_of_one_mersenne_twister_word_per_try():
-    """The interpreter behaviour that ``Ledger.advance_to``'s batches rest on.
+    """The interpreter behaviour that the ledger's jitter tape rests on.
 
     ``randint(lo, hi)`` must take the top ``(hi - lo + 1).bit_length()`` bits
     of one 32-bit word per try, rejecting values >= ``hi - lo + 1``, and
@@ -492,8 +533,9 @@ def test_randint_takes_the_top_bits_of_one_mersenne_twister_word_per_try():
     replayed.getrandbits(32 * used)
     message = (
         "random.Random.randint no longer consumes one 32-bit Mersenne Twister word "
-        "per try, top bits first, on this interpreter; Ledger.advance_to's batched "
-        "jitter draws would give different block timestamps than produce_block"
+        "per try, top bits first, on this interpreter; the ledger's jitter tape "
+        "would give different block timestamps than one randint per block, which "
+        "the oracle's grid replays"
     )
     assert derived == expected, message
     assert replayed.getstate() == drawn.getstate(), message
