@@ -19,13 +19,13 @@ from .errors import GasPriceOutOfRange, ParseError, ValidationError
 from .oracle import oracle_settlement
 from .orchestrator import STEP_DESCRIPTIONS
 from .pricing import compare_fee_methods
-from .scenario import parse_scenario, render_json, run_scenario
+from .scenario import MAX_INT, parse_scenario, render_json, run_scenario
 from .units import format_eth
 
 
 def _seed(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    if not text.isdecimal() or int(text) > MAX_INT:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_INT}], got {text!r}")
     return int(text)
 
 
@@ -117,6 +117,8 @@ def _usd_cents(text: str) -> int:
         cents = Decimal(text) * 100
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a decimal amount: {text!r}")
+    if not cents.is_finite():
+        raise argparse.ArgumentTypeError(f"amount must be finite: {text!r}")
     if cents != cents.to_integral_value():
         raise argparse.ArgumentTypeError(f"sub-cent precision not supported: {text!r}")
     if cents < 0:

@@ -8,23 +8,25 @@ typed events; quotes, minimum charges and settlements are computed here
 anew.  Used by the test suite to cross-check the engine on large randomized
 sweeps.
 
-The oracle re-derives the block grid from the script config: deterministic
-runs tick at exact multiples of the interval, jittered runs replay the
-seeded uniform draws.  An event at time t takes effect at the first grid
-point >= t; a release-time wakeup beats any event sharing its block.  A
-payment (``approve_and_pay``) lands only up to ``quote_ttl_blocks`` blocks
-after its request; a quota purchase has no such limit.
+The oracle keeps only the latest block (height, timestamp), re-derived from
+the script config: deterministic runs tick at exact multiples of the
+interval, jittered runs replay the seeded uniform draws, one per block.
+Event times never decrease, so the block only moves forward.  An event at
+time t takes effect in the first block at or after t.  A wakeup is due in
+the first block at or after its release time, and beats any event sharing
+that block.  A payment (``approve_and_pay``) lands only up to
+``quote_ttl_blocks`` blocks after its request; a quota purchase has no such
+limit.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .contracts import ContractKind
 from .ledger import JITTER_INTERVAL_RANGE
@@ -41,6 +43,7 @@ from .scenario import (
     QuotaStop,
     RequestSession,
     ScenarioScript,
+    ScriptEvent,
     Tally,
     Transfer,
     handler_table,
@@ -48,59 +51,6 @@ from .scenario import (
 )
 
 _BP = 10_000
-_GRID_TRIM_MIN = 1024  # jittered grid points worth one trim
-
-
-class _FixedGrid:
-    """Block heights and timestamps at exact multiples of the interval."""
-
-    def __init__(self, interval: int) -> None:
-        self._interval = interval
-
-    def at_or_after(self, t: int) -> tuple[int, int]:
-        """(height, timestamp) of the first block whose timestamp is >= t."""
-        height = max(0, -(-t // self._interval))
-        return height, height * self._interval
-
-    at_event = at_or_after  # closed form: nothing to let go
-
-
-class _JitteredGrid:
-    """Block heights and timestamps replayed from the seeded uniform draws."""
-
-    def __init__(self, jitter_seed: int) -> None:
-        self._rng = random.Random(jitter_seed)
-        self._points = [0]  # the timestamps drawn so far from height self._base on
-        self._base = 0
-
-    def at_or_after(self, t: int) -> tuple[int, int]:
-        """(height, timestamp) of the first block whose timestamp is >= t.
-
-        ``t`` must not be below the time of an earlier ``at_event`` call.
-        """
-        points = self._points
-        if points[-1] < t:  # one randint per block: an independent replay of the tape
-            randint, (lo, hi) = self._rng.randint, JITTER_INTERVAL_RANGE
-            last = points[-1]
-            while last < t:
-                last += randint(lo, hi)
-                points.append(last)
-        i = bisect.bisect_left(points, t)
-        return self._base + i, points[i]
-
-    def at_event(self, t: int) -> tuple[int, int]:
-        """``at_or_after(t)`` for the next event; lets the points below it go.
-
-        Event times never decrease, so no later lookup needs those points.
-        They are dropped only once they are at least half the list, so a trim
-        moves no more points than it drops.
-        """
-        height, ts = self.at_or_after(t)
-        drop = height - self._base
-        if drop >= _GRID_TRIM_MIN and 2 * drop >= len(self._points):
-            del self._points[:drop]
-            self._base = height
-        return height, ts
 
 
 @dataclass
@@ -141,11 +91,6 @@ class _Oracle:
     def __init__(self, script: ScenarioScript) -> None:
         cfg = script.config
         self.script = script
-        self.grid = (
-            _FixedGrid(cfg.block_interval)
-            if cfg.jitter_seed is None
-            else _JitteredGrid(cfg.jitter_seed)
-        )
         self.card = cfg.rate_card
         self.threshold = cfg.refund_threshold_bp
         self.region = cfg.provider_region
@@ -154,7 +99,7 @@ class _Oracle:
         self.sessions: dict[str, _Contract] = {}
         self.ballots: dict[str, _Contract] = {}
         self._seq = 0
-        # (wakeup_ts, push order, contract), pushed once per funded contract
+        # (release time, push order, contract), pushed once per funded contract
         self._wakeups: list[tuple[int, int, _Contract]] = []
         self._wakeup_seq = 0
 
@@ -193,8 +138,7 @@ class _Oracle:
     # ---- event effects ------------------------------------------------------
 
     def run(self) -> dict[str, dict]:
-        for event in self.script.events:
-            height, ts = self.grid.at_event(event.at_time)
+        for event, height, ts in self._event_blocks():
             self._fire_due_wakeups(ts)
             _ORACLE_HANDLERS[type(event)](self, event, height, ts)
         self._fire_due_wakeups(None)  # horizon: everything armed settles
@@ -207,6 +151,28 @@ class _Oracle:
             }
             for c in self.contracts
         }
+
+    def _event_blocks(self) -> Iterator[tuple[ScriptEvent, int, int]]:
+        """Each event with the (height, timestamp) of the first block at or after it.
+
+        Only the latest block is kept; event times never decrease, so it only
+        moves forward.
+        """
+        cfg = self.script.config
+        interval = cfg.block_interval
+        randint = None if cfg.jitter_seed is None else random.Random(cfg.jitter_seed).randint
+        lo, hi = JITTER_INTERVAL_RANGE
+        height = ts = 0  # genesis
+        for event in self.script.events:
+            t = event.at_time
+            if randint is None:
+                height = -(-t // interval)
+                ts = height * interval
+            else:
+                while ts < t:  # one randint per block: an independent replay of the tape
+                    ts += randint(lo, hi)
+                    height += 1
+            yield event, height, ts
 
     def _fire_due_wakeups(self, ts: Optional[int]) -> None:
         wakeups = self._wakeups
@@ -272,8 +238,7 @@ class _Oracle:
         c.end_user = ev.actor
         c.escrow = c.price
         self._wakeup_seq += 1
-        release = self.grid.at_or_after(ts + c.lock)[1]
-        heapq.heappush(self._wakeups, (release, self._wakeup_seq, c))
+        heapq.heappush(self._wakeups, (ts + c.lock, self._wakeup_seq, c))
 
     def _countersign(self, ev: Countersign, height: int, ts: int) -> None:
         c = self.sessions.get(ev.session)

@@ -254,7 +254,10 @@ def test_c09_block_quantization_of_stops_and_wakeups():
         else:
             events = request  # timeout: the wakeup settles at release time
             requested = lock  # funded at t=0, so release = lock
-        report = run_scenario(parse_scenario({**base, "events": events})).report
+        script = parse_scenario({**base, "events": events})
+        result = run_scenario(script)
+        assert oracle_settlement(script) == result.settlements
+        report = result.report
         [session] = report["sessions"]
         executed = session["stop_block"] * 15  # deterministic 15 s blocks
         delay = executed - requested
@@ -266,7 +269,33 @@ def test_c09_block_quantization_of_stops_and_wakeups():
         used = min(executed, lock)
         price = int(settled["terms"]["price_wei"])
         assert int(settled["settlement"]["charge_wei"]) == price * used // lock
-    print(f"block quantization: 60 runs, delays in [0, 15), worst {worst} s")
+
+    # A stop and a down sample before the release time that land in the
+    # release block: the wakeup settles first and both are rejected. An
+    # oracle that compared the release with their at_time would count the
+    # sample and charge nothing. On the fixed grid, 91 s and the 100 s release
+    # share the block at 105 s (height 7); jittered seed 3 has blocks at
+    # 205 s (height 11) and 210 s (height 12), so 206 s and 207 s share one.
+    for config, release, late_at, release_block in (({}, 100, 91, 7),
+                                                    ({"jitter_seed": 3}, 207, 206, 12)):
+        request[0]["params"]["max_period_seconds"] = release  # funded at t=0
+        late = [
+            {"at_time": late_at, "actor": "oliver", "action": "qos_sample",
+             "params": {"session": "s", "available": False}},
+            {"at_time": late_at, "actor": "alice", "action": "end_session",
+             "params": {"session": "s"}},
+        ]
+        script = parse_scenario({**base, "config": config, "events": request + late})
+        result = run_scenario(script)
+        [session] = result.report["sessions"]
+        assert [e["error"] for e in result.report["event_errors"]] == [
+            "SessionNotActive", "WrongState"], config
+        assert (session["settled_by"], session["stop_block"]) == ("expiry", release_block)
+        [settled] = result.settlements.values()
+        assert settled["charge"] > 0, config
+        assert oracle_settlement(script) == result.settlements, config
+    print(f"block quantization: 60 runs, delays in [0, 15), worst {worst} s; "
+          "stops in the release block settle by expiry")
 
 
 def test_c10_demo_step_logs_and_byte_identical_reruns(capsys):

@@ -295,7 +295,7 @@ def test_run_seed_override_changes_block_times(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "oracle", "demo"])
-@pytest.mark.parametrize("seed", ["-1", "-7", "x"])
+@pytest.mark.parametrize("seed", ["-1", "-7", "x", "18446744073709551616"])
 def test_seed_flag_rejects_negative_and_non_integer_seeds(tmp_path, capsys, command, seed):
     args = [command] if command == "demo" else [command, write_scenario(tmp_path, GOOD_SCENARIO)]
     with pytest.raises(SystemExit) as exc:
@@ -376,10 +376,18 @@ def test_fees_rejects_negative_gas(capsys, flags, named):
     assert f"error: {named} must be non-negative" in err
 
 
-def test_fees_rejects_subcent_amounts(capsys):
+@pytest.mark.parametrize("flag", ["--amount-usd", "--eth-usd"], ids=["amount-usd", "eth-usd"])
+@pytest.mark.parametrize("value", ["1.999", "inf", "-inf", "Infinity", "nan"])
+def test_fees_rejects_subcent_amounts(capsys, flag, value):
+    args = ["fees", f"{flag}={value}"]  # "=" keeps "-inf" from reading as a flag
+    if flag == "--eth-usd":
+        args += ["--amount-usd", "1"]
     with pytest.raises(SystemExit) as exc:
-        main(["fees", "--amount-usd", "1.999"])
+        main(args)
+    err = capsys.readouterr()[1]
     assert exc.value.code == 2
+    assert "Traceback" not in err
+    assert ("must be finite" in err) is (value != "1.999")
 
 
 def test_fees_accepts_decimal_dollars(capsys):

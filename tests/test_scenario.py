@@ -1,6 +1,7 @@
 """Scenario scripts: parsing, execution, oracle agreement, random generation."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -562,10 +563,10 @@ def test_oracle_matches_engine_on_quote_expiry_on_jittered_grids():
     assert outcomes == {True, False}  # both sides of the expiry were reached
 
 
-def test_oracle_matches_engine_after_dropping_old_jittered_grid_points():
-    # The transfer at 16,000 s is ~1,067 blocks past the request, enough for
-    # the oracle to drop the grid points below it; the payment in the same
-    # block then sits right at the quote TTL.
+def test_oracle_matches_engine_on_quote_expiry_after_a_long_jittered_gap():
+    # The transfer at 16,000 s is ~1,067 blocks past the request, so the
+    # oracle replays that many block times in one step; the payment in the
+    # same block then sits right at the quote TTL.
     outcomes = set()
     for seed in range(30):
         doc = canonical_document(
@@ -582,6 +583,27 @@ def test_oracle_matches_engine_after_dropping_old_jittered_grid_points():
         assert oracle_settlement(script) == report.settlements, seed
         outcomes.add(not report.report["event_errors"])
     assert outcomes == {True, False}  # both sides of the expiry were reached
+
+
+def test_oracle_memory_does_not_grow_with_a_gap_between_events():
+    # one paid session locked for 10**6 s, then nothing until a transfer at
+    # the release: the oracle keeps only the latest of the ~67k jittered blocks
+    gap = 10**6
+    doc = canonical_document(config={"jitter_seed": 1},
+                             genesis={"alice": str(eth(1_000)), "oliver": str(eth(10))})
+    request, pay = doc["events"][:2]
+    request["params"]["max_period_seconds"] = gap
+    doc["events"] = [request, pay, {"at_time": gap, "actor": "alice", "action": "transfer",
+                                    "params": {"to": "oliver", "value": "1"}}]
+    script = parse_scenario(doc)
+    tracemalloc.start()
+    try:
+        expected = oracle_settlement(script)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"oracle peak {peak} bytes"
+    assert expected == run_scenario(script).settlements
 
 
 def test_oracle_equivalence_smoke_sweep():
