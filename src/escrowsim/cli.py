@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, Inexact, InvalidOperation
 
 from .errors import GasPriceOutOfRange, ParseError, ValidationError
 from .oracle import oracle_settlement
 from .orchestrator import STEP_DESCRIPTIONS
 from .pricing import compare_fee_methods
-from .scenario import MAX_INT, parse_scenario, render_json, run_scenario
+from .scenario import MAX_INT, MAX_WEI, parse_scenario, render_json, run_scenario
 from .units import format_eth
 
 
@@ -112,18 +112,28 @@ def cmd_oracle(args) -> int:
 # fees
 # ---------------------------------------------------------------------------
 
+# Every amount up to MAX_WEI cents, in cents, fits this context's precision,
+# so scaling to cents is exact and a nonzero sub-cent digit traps as Inexact.
+_CENTS_CONTEXT = Context(prec=len(str(MAX_WEI)), traps=[Inexact])
+_MAX_USD = Decimal(MAX_WEI).scaleb(-2, _CENTS_CONTEXT)
+_CENT = Decimal("0.01")
+
+
 def _usd_cents(text: str) -> int:
     try:
-        cents = Decimal(text) * 100
+        amount = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a decimal amount: {text!r}")
-    if not cents.is_finite():
+    if not amount.is_finite():
         raise argparse.ArgumentTypeError(f"amount must be finite: {text!r}")
-    if cents != cents.to_integral_value():
-        raise argparse.ArgumentTypeError(f"sub-cent precision not supported: {text!r}")
-    if cents < 0:
+    if amount < 0:
         raise argparse.ArgumentTypeError("amount must be non-negative")
-    return int(cents)
+    if amount > _MAX_USD:  # checked before any arithmetic: 1e9999999 would overflow
+        raise argparse.ArgumentTypeError(f"amount must be at most {_MAX_USD}: {text!r}")
+    try:
+        return int(amount.quantize(_CENT, context=_CENTS_CONTEXT).scaleb(2, _CENTS_CONTEXT))
+    except Inexact:
+        raise argparse.ArgumentTypeError(f"sub-cent precision not supported: {text!r}")
 
 
 def _positive_cents(text: str) -> int:

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import GasPriceOutOfRange, InsufficientFunds, UnknownAddress, ValidationError
 from .units import WEI_PER_GWEI, gwei, require_amount
@@ -34,8 +34,8 @@ GAS_PRICE_BOUNDS_GWEI = (1, 40)
 # ``random.Random.randint(lo, hi)`` takes the top ``k`` bits of one 32-bit
 # Mersenne Twister word, ``k = (hi - lo + 1).bit_length()``, and takes the
 # next word while they are ``>= hi - lo + 1``.  ``getrandbits(32 * n)`` holds
-# the next ``n`` words, the first one least significant, so the ledger draws
-# the intervals of many blocks in one call: the top byte of each word,
+# the next ``n`` words, the first one least significant, so ``jitter_chunks``
+# draws the intervals of many blocks in one call: the top byte of each word,
 # translated through this table with the bytes of rejected words deleted,
 # leaves one interval byte per block.
 _JITTER_SPAN = JITTER_INTERVAL_RANGE[1] - JITTER_INTERVAL_RANGE[0] + 1
@@ -55,6 +55,21 @@ _JITTER_REJECTED = bytes(b for b in range(256) if b >> (8 - _JITTER_BITS) >= _JI
 # after a block does not depend on how the run reached it.
 _JITTER_FIRST_CHUNK_WORDS = 64
 _JITTER_CHUNK_WORDS = 4096
+
+
+def jitter_chunks(rng: random.Random) -> Iterator[bytes]:
+    """The block intervals drawn from ``rng``, one ``bytes`` per chunk of words.
+
+    Joined, the chunks are the intervals of one ``rng.randint(*JITTER_INTERVAL_RANGE)``
+    per block, and a chunk is drawn only when it is asked for, so ``rng`` is
+    never ahead of the blocks read so far by more than one chunk.
+    """
+    words = _JITTER_FIRST_CHUNK_WORDS
+    while True:
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        yield raw[3::4].translate(_JITTER_TABLE, _JITTER_REJECTED)
+        words = min(2 * words, _JITTER_CHUNK_WORDS)
+
 
 CONTRACT_ADDRESS_PREFIX = "sc-"
 
@@ -107,10 +122,10 @@ class Ledger:
     ``block_interval`` spacing); an integer seed draws each block's interval
     uniformly from ``JITTER_INTERVAL_RANGE`` (5..25 s, mean 15 s) and ignores
     ``block_interval``.  The intervals are those of one
-    ``random.Random(jitter_seed).randint`` per block, read off a tape: the
-    Mersenne Twister words are drawn in chunks, and the ledger keeps the
-    block timestamps of at most the current chunk.  Built and skipped blocks
-    read the same tape, so heights and timestamps follow that one stream.
+    ``random.Random(jitter_seed).randint`` per block, read off a tape of
+    ``jitter_chunks``: the ledger keeps the block timestamps of at most the
+    current chunk.  Built and skipped blocks read the same tape, so heights
+    and timestamps follow that one stream.
     """
 
     def __init__(
@@ -134,11 +149,11 @@ class Ledger:
         self.gas = gas or GasSchedule()
         self.block_interval = block_interval
         self._rng = random.Random(jitter_seed) if jitter_seed is not None else None
+        self._chunks = jitter_chunks(self._rng) if self._rng is not None else None
         # the jitter tape: timestamps of the current chunk's blocks, the one
         # before the chunk first; _tape[_tape_next - 1] is the current block's
         self._tape = [0]
         self._tape_next = 1
-        self._chunk_words = _JITTER_FIRST_CHUNK_WORDS
         self.tx_log: list[str] = []  # one JSON line per tx
         self._tx_hash = hashlib.sha256()  # over tx_log joined by "\n"
         self.wakeup_handler: Optional[Callable[[str, Block], None]] = None
@@ -156,7 +171,7 @@ class Ledger:
             timestamp = prev.timestamp + self.block_interval
         else:
             while self._tape_next == len(self._tape):
-                self._tape = list(accumulate(self._draw_chunk(), initial=prev.timestamp))
+                self._tape = list(accumulate(next(self._chunks), initial=prev.timestamp))
                 self._tape_next = 1
             timestamp = self._tape[self._tape_next]
             self._tape_next += 1
@@ -191,11 +206,11 @@ class Ledger:
                 if tape[-1] < target:  # every block left on the tape is empty
                     height += len(tape) - i
                     ts = tape[-1]
-                    draws = self._draw_chunk()
+                    draws = next(self._chunks)
                     while (end := ts + sum(draws)) < target:
                         height += len(draws)
                         ts = end
-                        draws = self._draw_chunk()
+                        draws = next(self._chunks)
                     self._tape = tape = list(accumulate(draws, initial=ts))
                     i = 1
                 crossing = bisect_left(tape, target, i)  # the first block at or past target
@@ -206,13 +221,6 @@ class Ledger:
                 self.current_block = Block(height=height, timestamp=ts)
             self.produce_block()  # the first block at or past target
         return self.current_block
-
-    def _draw_chunk(self) -> bytes:
-        """The intervals of the blocks whose words make up the next chunk."""
-        words = self._chunk_words
-        self._chunk_words = min(2 * words, _JITTER_CHUNK_WORDS)
-        raw = self._rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        return raw[3::4].translate(_JITTER_TABLE, _JITTER_REJECTED)
 
     def drain_wakeups(self) -> Block:
         """Produce blocks until no wakeup is armed, skipping empty ones.

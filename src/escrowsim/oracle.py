@@ -4,32 +4,35 @@ Recomputes every contract's expected settlement directly from a parsed
 script using exact rational arithmetic (``fractions.Fraction``), without
 touching the ledger, the orchestrator, or the contract state machines.
 The only shared inputs are the parsed script's configuration values and
-typed events; quotes, minimum charges and settlements are computed here
+typed events, and the decoder of the seeded block-time draws
+(``ledger.jitter_chunks``, which the tests check against one ``randint``
+per block); quotes, minimum charges and settlements are computed here
 anew.  Used by the test suite to cross-check the engine on large randomized
 sweeps.
 
-The oracle keeps only the latest block (height, timestamp), re-derived from
-the script config: deterministic runs tick at exact multiples of the
-interval, jittered runs replay the seeded uniform draws, one per block.
-Event times never decrease, so the block only moves forward.  An event at
-time t takes effect in the first block at or after t.  A wakeup is due in
-the first block at or after its release time, and beats any event sharing
-that block.  A payment (``approve_and_pay``) lands only up to
-``quote_ttl_blocks`` blocks after its request; a quota purchase has no such
-limit.
-"""
+The oracle re-derives the blocks of its events from the script config:
+deterministic runs tick at exact multiples of the interval, in closed form;
+jittered runs replay the seeded uniform draws, one per block, read a chunk
+at a time, and keep the timestamps of at most one chunk.  Event times never
+decrease, so the block only moves forward.  An event at time t takes effect
+in the first block at or after t.  A wakeup is due in the first block at or
+after its release time, and beats any event sharing that block.  A payment
+(``approve_and_pay``) lands only up to ``quote_ttl_blocks`` blocks after its
+request; a quota purchase has no such limit."""
 
 from __future__ import annotations
 
 import heapq
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Optional
 
 from .contracts import ContractKind
-from .ledger import JITTER_INTERVAL_RANGE
+from .ledger import jitter_chunks
 from .pricing import VIDEO_MULTIPLIER_BP
 from .scenario import (
     ApproveAndPay,
@@ -155,24 +158,37 @@ class _Oracle:
     def _event_blocks(self) -> Iterator[tuple[ScriptEvent, int, int]]:
         """Each event with the (height, timestamp) of the first block at or after it.
 
-        Only the latest block is kept; event times never decrease, so it only
-        moves forward.
+        Event times never decrease, so the block only moves forward.  The
+        fixed grid is closed form.  The jittered grid keeps the timestamps of
+        one chunk of draws, the block before the chunk first: a chunk that
+        ends before the next event is summed and dropped, and the event's
+        block is looked up in the chunk that reaches it.
         """
         cfg = self.script.config
-        interval = cfg.block_interval
-        randint = None if cfg.jitter_seed is None else random.Random(cfg.jitter_seed).randint
-        lo, hi = JITTER_INTERVAL_RANGE
-        height = ts = 0  # genesis
+        if cfg.jitter_seed is None:
+            interval = cfg.block_interval
+            for event in self.script.events:
+                height = -(-event.at_time // interval)
+                yield event, height, height * interval
+            return
+        chunks = jitter_chunks(random.Random(cfg.jitter_seed))
+        chunk = [0]  # genesis
+        base = 0  # the height of chunk[0]
+        i = 0  # chunk[i] is the latest event's block
         for event in self.script.events:
             t = event.at_time
-            if randint is None:
-                height = -(-t // interval)
-                ts = height * interval
-            else:
-                while ts < t:  # one randint per block: an independent replay of the tape
-                    ts += randint(lo, hi)
-                    height += 1
-            yield event, height, ts
+            if chunk[-1] < t:
+                base += len(chunk) - 1
+                ts = chunk[-1]
+                draws = next(chunks)
+                while (end := ts + sum(draws)) < t:
+                    base += len(draws)
+                    ts = end
+                    draws = next(chunks)
+                chunk = list(accumulate(draws, initial=ts))
+                i = 0
+            i = bisect_left(chunk, t, i)
+            yield event, base + i, chunk[i]
 
     def _fire_due_wakeups(self, ts: Optional[int]) -> None:
         wakeups = self._wakeups

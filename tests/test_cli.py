@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from escrowsim.cli import main
-from escrowsim.scenario import MAX_SECONDS
+from escrowsim.scenario import MAX_SECONDS, MAX_WEI
 
 GOOD_SCENARIO = {
     "config": {"gas": {"gas_price_gwei": 1}},
@@ -376,8 +376,21 @@ def test_fees_rejects_negative_gas(capsys, flags, named):
     assert f"error: {named} must be non-negative" in err
 
 
+# each rejected amount, and what the message says
+REJECTED_AMOUNTS = {
+    "1.999": "sub-cent precision",
+    "inf": "must be finite",
+    "-inf": "must be finite",
+    "Infinity": "must be finite",
+    "nan": "must be finite",
+    "1e9999999": "must be at most",  # the * 100 overflowed the decimal context
+    "1e5000": "must be at most",  # the table printed a 5000-digit int
+    "1e999997": "must be at most",  # never finished
+}
+
+
 @pytest.mark.parametrize("flag", ["--amount-usd", "--eth-usd"], ids=["amount-usd", "eth-usd"])
-@pytest.mark.parametrize("value", ["1.999", "inf", "-inf", "Infinity", "nan"])
+@pytest.mark.parametrize("value", list(REJECTED_AMOUNTS))
 def test_fees_rejects_subcent_amounts(capsys, flag, value):
     args = ["fees", f"{flag}={value}"]  # "=" keeps "-inf" from reading as a flag
     if flag == "--eth-usd":
@@ -387,7 +400,19 @@ def test_fees_rejects_subcent_amounts(capsys, flag, value):
     err = capsys.readouterr()[1]
     assert exc.value.code == 2
     assert "Traceback" not in err
-    assert ("must be finite" in err) is (value != "1.999")
+    assert REJECTED_AMOUNTS[value] in err
+
+
+def test_fees_takes_amounts_up_to_max_wei_cents_exactly(capsys):
+    # 32 digits: beyond the 28 of the default decimal context, which rounded them
+    assert main(["fees", "--amount-usd", "123456789012345678901234567890.12"]) == 0
+    assert "payment of $123456789012345678901234567890.12" in capsys.readouterr()[0]
+    largest = f"{MAX_WEI // 100}.{MAX_WEI % 100:02d}"
+    assert main(["fees", "--amount-usd", largest]) == 0
+    assert f"payment of ${largest}" in capsys.readouterr()[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["fees", "--amount-usd", f"{largest}1"])  # a tenth of a cent more
+    assert exc.value.code == 2
 
 
 def test_fees_accepts_decimal_dollars(capsys):

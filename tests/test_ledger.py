@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from bisect import bisect_left
 from collections import Counter
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from escrowsim.errors import (
     ValidationError,
 )
 from escrowsim import ledger as ledger_module
+from escrowsim import oracle as oracle_module
 from escrowsim.ledger import (
     _JITTER_CHUNK_WORDS,
     _JITTER_FIRST_CHUNK_WORDS,
@@ -27,6 +29,7 @@ from escrowsim.ledger import (
     Ledger,
     replay_balances,
 )
+from escrowsim.oracle import oracle_settlement
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 from escrowsim.units import eth, format_eth, gwei, parse_wei
 
@@ -533,9 +536,9 @@ def test_randint_takes_the_top_bits_of_one_mersenne_twister_word_per_try():
     replayed.getrandbits(32 * used)
     message = (
         "random.Random.randint no longer consumes one 32-bit Mersenne Twister word "
-        "per try, top bits first, on this interpreter; the ledger's jitter tape "
-        "would give different block timestamps than one randint per block, which "
-        "the oracle's grid replays"
+        "per try, top bits first, on this interpreter; jitter_chunks, which the "
+        "ledger's tape and the oracle's grid both read, would give different block "
+        "timestamps than one randint per block"
     )
     assert derived == expected, message
     assert replayed.getstate() == drawn.getstate(), message
@@ -564,6 +567,21 @@ def test_advance_to_stops_at_the_first_block_at_or_past_t():
     assert ledger.advance_to(106) == Block(height=16, timestamp=112)
 
 
+def counting_random(calls):
+    """A ``random`` namespace whose ``Random`` counts its draws in ``calls``."""
+
+    class CountingRandom(random.Random):
+        def randint(self, a, b):
+            calls["randint"] += 1
+            return super().randint(a, b)
+
+        def getrandbits(self, k):
+            calls["getrandbits"] += 1
+            return super().getrandbits(k)
+
+    return SimpleNamespace(Random=CountingRandom)
+
+
 @pytest.mark.parametrize("jitter_seed", [None, 5])
 def test_idle_horizon_builds_only_blocks_that_do_work(monkeypatch, jitter_seed):
     doc = generate_random_script(0)
@@ -584,20 +602,81 @@ def test_idle_horizon_builds_only_blocks_that_do_work(monkeypatch, jitter_seed):
 
     for name in ("produce_block", "schedule_wakeup"):
         monkeypatch.setattr(Ledger, name, counted(name))
-
-    class CountingRandom(random.Random):
-        def randint(self, a, b):
-            calls["randint"] += 1
-            return super().randint(a, b)
-
-        def getrandbits(self, k):
-            calls["getrandbits"] += 1
-            return super().getrandbits(k)
-
-    monkeypatch.setattr(ledger_module, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(ledger_module, "random", counting_random(calls))
     report = run_scenario(parse_scenario(doc)).report
     assert report["final_block"]["timestamp"] >= 10**7
     assert report["final_block"]["height"] >= 10**7 // 25  # empty blocks still count
     assert calls["produce_block"] <= len(doc["events"]) + calls["schedule_wakeup"] + 1
     # one draw per empty block would be ~667k randint calls on the jittered grid
     assert calls["randint"] + calls["getrandbits"] <= 1_000
+
+
+def test_oracle_reads_a_jittered_gap_a_chunk_at_a_time(monkeypatch):
+    doc = generate_random_script(0)
+    doc["config"]["jitter_seed"] = 5
+    doc["events"].append({"at_time": 10**7, "actor": "alice", "action": "transfer",
+                          "params": {"to": "bob", "value": "1"}})
+    script = parse_scenario(doc)
+    expected = oracle_settlement(script)
+    calls = Counter()
+    monkeypatch.setattr(oracle_module, "random", counting_random(calls))
+    assert oracle_settlement(script) == expected
+    # 10^7 s is ~667k blocks, ~1.02M words, ~253 chunks of at most 4096 words;
+    # one randint per block would be ~667k calls
+    assert calls["randint"] == 0
+    assert 0 < calls["getrandbits"] <= 300
+
+
+# ---- the jitter stream against one randint per block ---------------------------
+
+def reference_block_times(jitter_seed, interval, until):
+    """Block timestamps by height, up to the first block at or past ``until``.
+
+    A plain loop: one ``random.Random(jitter_seed).randint`` per block on the
+    jittered grid, ``interval`` per block on the fixed one.
+    """
+    rng = None if jitter_seed is None else random.Random(jitter_seed)
+    times = [0]
+    while times[-1] < until:
+        times.append(times[-1] + (interval if rng is None else rng.randint(*JITTER_INTERVAL_RANGE)))
+    return times
+
+
+@pytest.mark.parametrize("jitter_seed", range(20))
+def test_ledger_blocks_match_one_randint_per_block(jitter_seed):
+    ledger = Ledger({"a": 1}, jitter_seed=jitter_seed)
+    # every block takes at least one word, and 1000 words span the first four chunks
+    blocks = [ledger.produce_block() for _ in range(1000)]
+    times = reference_block_times(jitter_seed, None, blocks[-1].timestamp)
+    assert blocks == [Block(height, times[height]) for height in range(1, 1001)]
+
+
+@pytest.mark.parametrize(
+    "jitter_seed, interval",
+    [(seed, None) for seed in range(20)] + [(None, interval) for interval in (1, 7, 15)],
+)
+def test_oracle_event_blocks_match_the_plain_reference(jitter_seed, interval):
+    reference = reference_block_times(jitter_seed, interval, 300)
+    at_times = [
+        0,
+        reference[5], reference[5] + 1,  # at a block, and one second after it
+        reference[9] + 1, reference[9] + 1, reference[10],  # three events in block 10
+    ]
+    if jitter_seed is not None:  # the ends of the first and the largest chunk
+        ends = tape_chunk_ends(jitter_seed, LARGEST_CHUNK + 1)
+        at_times += [end + offset for end in (ends[0], ends[LARGEST_CHUNK])
+                     for offset in (-1, 0, 1)]
+    at_times.append(at_times[-1] + 10**6)
+    config = {"block_interval_seconds": interval or 15}
+    if jitter_seed is not None:
+        config["jitter_seed"] = jitter_seed
+    script = parse_scenario({
+        "config": config,
+        "genesis": {"alice": "10", "bob": "10"},
+        "events": [{"at_time": t, "actor": "alice", "action": "transfer",
+                    "params": {"to": "bob", "value": "1"}} for t in at_times],
+    })
+    reference = reference_block_times(jitter_seed, interval, at_times[-1])
+    expected = [(h, reference[h]) for h in (bisect_left(reference, t) for t in at_times)]
+    blocks = [(height, ts) for _, height, ts in oracle_module._Oracle(script)._event_blocks()]
+    assert blocks == expected

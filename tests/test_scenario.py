@@ -587,7 +587,8 @@ def test_oracle_matches_engine_on_quote_expiry_after_a_long_jittered_gap():
 
 def test_oracle_memory_does_not_grow_with_a_gap_between_events():
     # one paid session locked for 10**6 s, then nothing until a transfer at
-    # the release: the oracle keeps only the latest of the ~67k jittered blocks
+    # the release: the oracle keeps the timestamps of at most one chunk of
+    # draws (4096 words), not the ~67k jittered blocks
     gap = 10**6
     doc = canonical_document(config={"jitter_seed": 1},
                              genesis={"alice": str(eth(1_000)), "oliver": str(eth(10))})
