@@ -24,7 +24,7 @@ from .units import format_eth
 
 
 def _seed(text: str) -> int:
-    if not text.isdecimal() or int(text) > MAX_INT:
+    if not (text.isascii() and text.isdigit()) or int(text) > MAX_INT:
         raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_INT}], got {text!r}")
     return int(text)
 
@@ -143,6 +143,17 @@ def _positive_cents(text: str) -> int:
     return cents
 
 
+def _gas(text: str) -> int:
+    """A gas flag's integer; a negative one is left for the fee table to reject."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value > MAX_INT:  # the fee of a larger count can be too long to print
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_INT}")
+    return value
+
+
 def _usd(cents: int) -> str:
     return f"${cents // 100}.{cents % 100:02d}"
 
@@ -167,7 +178,8 @@ def cmd_fees(args) -> int:
         f" (ETH at {_usd(args.eth_usd)},"
         f" gas {args.gas_price_gwei} GWEI x {args.gas_units} units)"
     )
-    header = f"{'method':<12}{'fee (USD)':<20}{'proportional':<14}{'merchant min':<18}lock-in"
+    # every cell but the last ends in a space, however long it is
+    header = f"{'method':<11} {'fee (USD)':<19} {'proportional':<13} {'merchant min':<17} lock-in"
     print(header)
     for row in rows:
         if row["proportional"]:
@@ -182,7 +194,7 @@ def cmd_fees(args) -> int:
             if row["merchant_min_bp"] or row["merchant_fixed_usd_cents"]
             else "none"
         )
-        print(f"{row['method']:<12}{fee:<20}{prop:<14}{merchant:<18}{row['lockin']}")
+        print(f"{row['method']:<11} {fee:<19} {prop:<13} {merchant:<17} {row['lockin']}")
     return 0
 
 
@@ -307,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fees = sub.add_parser("fees", help="compare payment-method fees for an amount")
     p_fees.add_argument("--amount-usd", type=_usd_cents, required=True)
     p_fees.add_argument("--eth-usd", type=_positive_cents, default=50_000)
-    p_fees.add_argument("--gas-price-gwei", type=int, default=20)
-    p_fees.add_argument("--gas-units", type=int, default=21_000)
+    p_fees.add_argument("--gas-price-gwei", type=_gas, default=20)
+    p_fees.add_argument("--gas-units", type=_gas, default=21_000)
     p_fees.add_argument(
         "--allow-any-gas-price",
         action="store_true",

@@ -93,9 +93,12 @@ class ScenarioConfig:
 # The parse table: action name -> event type. It alone defines the action set.
 # Every event type is a NamedTuple whose fields start with (at_time, actor);
 # the class attribute ``action`` names its action, ``param_keys`` the params
-# it takes (by default its other fields), and ``read_params(p, where,
-# genesis)`` checks a params object holding only those keys and returns the
-# other fields.
+# it takes (by default its other fields), and ``label_key`` which label its
+# third field holds: "session", "ballot" or None.  The parser checks a params
+# object's keys and, where there is one, its label string; ``read_params(p,
+# where, genesis)`` then checks the other params and returns the fields after
+# the label (after ``actor`` where there is none).  A type that takes only its
+# label keeps the default reader, which returns ().
 EVENT_TYPES: dict[str, type] = {}
 
 
@@ -106,17 +109,13 @@ def _event(action: str):
         cls.action = action
         if "param_keys" not in vars(cls):
             cls.param_keys = frozenset(cls._fields[2:])
+        cls.label_key = cls._fields[2] if cls._fields[2] in ("session", "ballot") else None
+        if "read_params" not in vars(cls):
+            cls.read_params = staticmethod(lambda p, where, genesis: ())
         EVENT_TYPES[action] = cls
         return cls
 
     return register
-
-
-def _read_session(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-    session = p.get("session")
-    if type(session) is not str:
-        raise _field_error(p, "session", where)
-    return (session,)
 
 
 @_event("request_session")
@@ -148,9 +147,6 @@ class RequestSession(NamedTuple):
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        session = p.get("session")
-        if type(session) is not str:
-            raise _field_error(p, "session", where)
         owner = p.get("owner")
         if type(owner) is not str or owner not in genesis:
             raise _actor_error(p, "owner", where)
@@ -188,7 +184,7 @@ class RequestSession(NamedTuple):
                 raise _field_error(p, "ballot", where)
         if "standby" in p:
             standby = _read_standby(p["standby"], f"{where}.standby")
-        return session, owner, prefs, constraints, shares, ballot, standby
+        return owner, prefs, constraints, shares, ballot, standby
 
 
 @_event("approve_and_pay")
@@ -202,10 +198,7 @@ class ApproveAndPay(NamedTuple):
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        session = p.get("session")
-        if type(session) is not str:
-            raise _field_error(p, "session", where)
-        return session, _payment(p, where)
+        return (_payment(p, where),)
 
 
 @_event("countersign")
@@ -215,8 +208,6 @@ class Countersign(NamedTuple):
     at_time: int
     actor: str
     session: str
-
-    read_params = staticmethod(_read_session)
 
 
 @_event("qos_sample")
@@ -230,13 +221,10 @@ class QosSample(NamedTuple):
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        session = p.get("session")
-        if type(session) is not str:
-            raise _field_error(p, "session", where)
         available = p.get("available")
         if type(available) is not bool:
             raise ValidationError(f"{where}.available: must be a boolean")
-        return session, available
+        return (available,)
 
 
 @_event("end_session")
@@ -246,8 +234,6 @@ class EndSession(NamedTuple):
     at_time: int
     actor: str
     session: str
-
-    read_params = staticmethod(_read_session)
 
 
 @_event("quota_purchase")
@@ -262,13 +248,10 @@ class QuotaPurchase(NamedTuple):
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        session = p.get("session")
-        if type(session) is not str:
-            raise _field_error(p, "session", where)
         minutes = p.get("minutes")
         if type(minutes) is not int or not 1 <= minutes <= MAX_INT:
             raise _int_error(p, "minutes", where, minimum=1)
-        return session, minutes, _payment(p, where)
+        return minutes, _payment(p, where)
 
 
 @_event("quota_start")
@@ -279,8 +262,6 @@ class QuotaStart(NamedTuple):
     actor: str
     session: str
 
-    read_params = staticmethod(_read_session)
-
 
 @_event("quota_stop")
 class QuotaStop(NamedTuple):
@@ -289,8 +270,6 @@ class QuotaStop(NamedTuple):
     at_time: int
     actor: str
     session: str
-
-    read_params = staticmethod(_read_session)
 
 
 @_event("deploy_ballot")
@@ -304,16 +283,13 @@ class DeployBallot(NamedTuple):
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        ballot = p.get("ballot")
-        if type(ballot) is not str:
-            raise _field_error(p, "ballot", where)
         voters = p.get("voters")
         if type(voters) is not list or not voters:
             raise ValidationError(f"{where}.voters: must be a non-empty list")
         for voter in voters:
             if type(voter) is not str or voter not in genesis:
                 raise ValidationError(f"{where}.voters: undeclared voter {voter!r}")
-        return ballot, frozenset(voters)
+        return (frozenset(voters),)
 
 
 @_event("cast_vote")
@@ -327,13 +303,10 @@ class CastVote(NamedTuple):
 
     @staticmethod
     def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        ballot = p.get("ballot")
-        if type(ballot) is not str:
-            raise _field_error(p, "ballot", where)
         choice = p.get("choice")
         if choice != "yes" and choice != "no":
             raise ValidationError(f"{where}.choice: must be 'yes' or 'no'")
-        return ballot, choice
+        return (choice,)
 
 
 @_event("tally")
@@ -343,13 +316,6 @@ class Tally(NamedTuple):
     at_time: int
     actor: str
     ballot: str
-
-    @staticmethod
-    def read_params(p: dict, where: str, genesis: dict[str, int]) -> tuple:
-        ballot = p.get("ballot")
-        if type(ballot) is not str:
-            raise _field_error(p, "ballot", where)
-        return (ballot,)
 
 
 @_event("transfer")
@@ -394,7 +360,9 @@ class ScenarioScript:
 # Each reader tests the success case inline, and checks a value's type before
 # using it as a dict or set key.  The ``_*_error`` helpers run only once a
 # check has failed: they find out which of its conditions failed and build
-# the error.
+# the error, so each message is written once, in its helper.  An object's
+# check is ``type(x) is not dict or not x.keys() <= KEYS``, and
+# ``_object_error`` its failure.
 
 def _field_error(obj: dict, key: str, where: str) -> ValidationError:
     """A required field of one JSON type is missing or has another type."""
@@ -425,8 +393,10 @@ def _actor_error(obj: dict, key: str, where: str) -> ValidationError:
     return ValidationError(f"{where}.{key}: undeclared actor {name!r}")
 
 
-def _keys_error(obj: dict, allowed: AbstractSet[str], where: str) -> ValidationError:
-    """An object holds keys outside ``allowed``."""
+def _object_error(obj: Any, allowed: AbstractSet[str], where: str) -> ValidationError:
+    """A value is not an object, or holds keys outside ``allowed``."""
+    if type(obj) is not dict:
+        return ValidationError(f"{where}: must be an object")
     return ValidationError(f"{where}: unknown field(s) {sorted(set(obj) - allowed)}")
 
 
@@ -461,10 +431,8 @@ _CONSTRAINT_KEYS = frozenset({"gdpr_required", "allowed_regions", "price_multipl
 
 
 def _read_constraints(c: Any, where: str) -> ConstraintTerms:
-    if type(c) is not dict:
-        raise ValidationError(f"{where}: must be an object")
-    if not c.keys() <= _CONSTRAINT_KEYS:
-        raise _keys_error(c, _CONSTRAINT_KEYS, where)
+    if type(c) is not dict or not c.keys() <= _CONSTRAINT_KEYS:
+        raise _object_error(c, _CONSTRAINT_KEYS, where)
     regions = c.get("allowed_regions", [])
     if type(regions) is not list or not all(type(r) is str for r in regions):
         raise ValidationError(f"{where}.allowed_regions: must be a list of strings")
@@ -499,10 +467,8 @@ _STANDBY_KEYS = frozenset({"rate_wei_per_second", "window_seconds"})
 
 
 def _read_standby(s: Any, where: str) -> FlexibleTerms:
-    if type(s) is not dict:
-        raise ValidationError(f"{where}: must be an object")
-    if not s.keys() <= _STANDBY_KEYS:
-        raise _keys_error(s, _STANDBY_KEYS, where)
+    if type(s) is not dict or not s.keys() <= _STANDBY_KEYS:
+        raise _object_error(s, _STANDBY_KEYS, where)
     text = s.get("rate_wei_per_second")
     if type(text) is not str:
         raise _field_error(s, "rate_wei_per_second", where)
@@ -538,10 +504,8 @@ _PROVIDER_KEYS = frozenset({"region", "gdpr_compliant"})
 
 
 def _parse_config(raw: Any) -> ScenarioConfig:
-    if type(raw) is not dict:
-        raise ValidationError("config: must be an object")
-    if not raw.keys() <= _CONFIG_KEYS:
-        raise _keys_error(raw, _CONFIG_KEYS, "config")
+    if type(raw) is not dict or not raw.keys() <= _CONFIG_KEYS:
+        raise _object_error(raw, _CONFIG_KEYS, "config")
     interval = raw.get("block_interval_seconds", DEFAULT_BLOCK_INTERVAL)
     if type(interval) is not int or not 1 <= interval <= MAX_INT:
         raise _int_error(raw, "block_interval_seconds", "config", minimum=1)
@@ -557,10 +521,8 @@ def _parse_config(raw: Any) -> ScenarioConfig:
 
     # Only the keys present are passed on: GasSchedule and RateCard own their defaults.
     gas_raw = raw.get("gas", {})
-    if type(gas_raw) is not dict:
-        raise ValidationError("config.gas: must be an object")
-    if not gas_raw.keys() <= set(_GAS_KEYS):
-        raise _keys_error(gas_raw, set(_GAS_KEYS), "config.gas")
+    if type(gas_raw) is not dict or not gas_raw.keys() <= set(_GAS_KEYS):
+        raise _object_error(gas_raw, set(_GAS_KEYS), "config.gas")
     gas = {}
     for key in _GAS_KEYS:
         if key in gas_raw:
@@ -572,10 +534,8 @@ def _parse_config(raw: Any) -> ScenarioConfig:
         gas["gas_price_wei"] = gwei(gas.pop("gas_price_gwei"))
 
     card_raw = raw.get("rate_card", {})
-    if type(card_raw) is not dict:
-        raise ValidationError("config.rate_card: must be an object")
-    if not card_raw.keys() <= set(_RATE_CARD_KEYS):
-        raise _keys_error(card_raw, set(_RATE_CARD_KEYS), "config.rate_card")
+    if type(card_raw) is not dict or not card_raw.keys() <= set(_RATE_CARD_KEYS):
+        raise _object_error(card_raw, set(_RATE_CARD_KEYS), "config.rate_card")
     card = {}
     for key in _RATE_CARD_KEYS:
         if key not in card_raw:
@@ -591,10 +551,8 @@ def _parse_config(raw: Any) -> ScenarioConfig:
             card[key] = value
 
     provider = raw.get("provider", {})
-    if type(provider) is not dict:
-        raise ValidationError("config.provider: must be an object")
-    if not provider.keys() <= _PROVIDER_KEYS:
-        raise _keys_error(provider, _PROVIDER_KEYS, "config.provider")
+    if type(provider) is not dict or not provider.keys() <= _PROVIDER_KEYS:
+        raise _object_error(provider, _PROVIDER_KEYS, "config.provider")
     gdpr_compliant = provider.get("gdpr_compliant", True)
     if type(gdpr_compliant) is not bool:
         raise ValidationError("config.provider.gdpr_compliant: must be a boolean")
@@ -628,10 +586,8 @@ def _parse_events(raw_events: list, genesis: dict[str, int]) -> list[ScriptEvent
     decrease = None
     for index, raw in enumerate(raw_events):
         where = f"events[{index}]"
-        if type(raw) is not dict:
-            raise ValidationError(f"{where}: must be an object")
-        if not raw.keys() <= _EVENT_KEYS:
-            raise _keys_error(raw, _EVENT_KEYS, where)
+        if type(raw) is not dict or not raw.keys() <= _EVENT_KEYS:
+            raise _object_error(raw, _EVENT_KEYS, where)
         at_time = raw.get("at_time")
         if type(at_time) is not int or not 0 <= at_time <= MAX_SECONDS:
             raise _int_error(raw, "at_time", where, maximum=MAX_SECONDS)
@@ -646,11 +602,16 @@ def _parse_events(raw_events: list, genesis: dict[str, int]) -> list[ScriptEvent
             raise ValidationError(f"{where}.action: unknown action {action!r}")
         params = raw.get("params", _NO_PARAMS)
         where += ".params"
-        if type(params) is not dict:
-            raise ValidationError(f"{where}: must be an object")
-        if not params.keys() <= event_type.param_keys:
-            raise _keys_error(params, event_type.param_keys, where)
-        fields = (at_time, actor, *event_type.read_params(params, where, genesis))
+        if type(params) is not dict or not params.keys() <= event_type.param_keys:
+            raise _object_error(params, event_type.param_keys, where)
+        label_key = event_type.label_key
+        if label_key is None:
+            fields = (at_time, actor, *event_type.read_params(params, where, genesis))
+        else:
+            label = params.get(label_key)
+            if type(label) is not str:
+                raise _field_error(params, label_key, where)
+            fields = (at_time, actor, label, *event_type.read_params(params, where, genesis))
         events.append(tuple.__new__(event_type, fields))
         if at_time < latest and decrease is None:
             decrease = f"events[{index}].at_time: decreasing time ({at_time} after {latest})"
@@ -684,7 +645,7 @@ def parse_scenario(document) -> ScenarioScript:
     if type(document) is not dict:
         raise ValidationError("top level: must be a JSON object")
     if not document.keys() <= _TOP_LEVEL_KEYS:
-        raise _keys_error(document, _TOP_LEVEL_KEYS, "top level")
+        raise _object_error(document, _TOP_LEVEL_KEYS, "top level")
     config = _parse_config(document.get("config", {}))
 
     raw_genesis = document.get("genesis")

@@ -29,12 +29,22 @@ def require_amount(value: int, what: str = "amount") -> int:
 
 
 def parse_wei(text: str, what: str = "amount") -> int:
-    """Parse a decimal-string wei amount (scripts carry amounts as strings)."""
+    """Parse a wei amount written as ASCII decimal digits (scripts carry amounts as strings).
+
+    ``int`` alone would also take spaces, a plus sign, underscores and other
+    scripts' digits.
+    """
+    negative = type(text) is str and text[:1] == "-"
+    digits = text[1:] if negative else text
     try:
-        value = int(text, 10)
-    except (TypeError, ValueError):
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        value = int(digits)
+    except (AttributeError, ValueError):  # not a string, not digits, or past the digit limit
         raise ValueError(f"{what} must be a decimal integer string, got {text!r}")
-    return require_amount(value, what)
+    if negative:
+        raise ValueError(f"{what} must be non-negative, got {text}")
+    return value
 
 
 def format_eth(wei: int) -> str:

@@ -2,13 +2,15 @@
 
 import copy
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from escrowsim.cli import main
-from escrowsim.scenario import MAX_SECONDS, MAX_WEI
+from escrowsim.scenario import MAX_INT, MAX_SECONDS, MAX_WEI
 
 GOOD_SCENARIO = {
     "config": {"gas": {"gas_price_gwei": 1}},
@@ -76,6 +78,12 @@ def test_run_rejects_invalid_scenario(tmp_path, capsys):
 
 
 REQUEST = GOOD_SCENARIO["events"][0]["params"]
+
+
+def label_case(action, params, at_time=0):
+    """One event by alice, which the cases below give a bad label and one more fault."""
+    return {"at_time": at_time, "actor": "alice", "action": action, "params": params}
+
 
 # (path to the key, value, text the error must name); each once passed
 # parsing and then crashed the run, was misread, or made the engine and the
@@ -181,6 +189,51 @@ PARSE_TIME_REJECTS = {
         {**REQUEST, "kind": "income_division",
          "shares": {"alice": [2**64, 2**64 + 1], "oliver": [1, 2**64 + 1]}},
         "events[0].params.shares.alice",
+    ),
+    "genesis-wei-with-sign-and-underscore": (("genesis", "alice"), " +1_000 ", "genesis.alice"),
+    # The leading label of an action is checked before its other params; a
+    # second fault later in the event, or in the order of times, must not be
+    # the one reported.  Label-only actions run at t=5000, before an event at 0.
+    "label-of-request_session": (
+        ("events", 0), label_case("request_session", {**REQUEST, "session": 5, "owner": "x"}),
+        "events[0].params.session",
+    ),
+    "label-of-approve_and_pay": (
+        ("events", 0), label_case("approve_and_pay", {"value": 5}),
+        "missing required field 'session'",
+    ),
+    "label-of-countersign": (
+        ("events", 0), label_case("countersign", {"session": None}, 5000),
+        "events[0].params.session",
+    ),
+    "label-of-qos_sample": (
+        ("events", 0), label_case("qos_sample", {"session": ["s1"], "available": "yes"}),
+        "events[0].params.session",
+    ),
+    "label-of-end_session": (
+        ("events", 0), label_case("end_session", {}, 5000), "missing required field 'session'",
+    ),
+    "label-of-quota_purchase": (
+        ("events", 0), label_case("quota_purchase", {"session": {}, "minutes": 0, "value": "1"}),
+        "events[0].params.session",
+    ),
+    "label-of-quota_start": (
+        ("events", 0), label_case("quota_start", {"session": True}, 5000),
+        "events[0].params.session",
+    ),
+    "label-of-quota_stop": (
+        ("events", 0), label_case("quota_stop", {}, 5000), "missing required field 'session'",
+    ),
+    "label-of-deploy_ballot": (
+        ("events", 0), label_case("deploy_ballot", {"ballot": 1, "voters": []}),
+        "events[0].params.ballot",
+    ),
+    "label-of-cast_vote": (
+        ("events", 0), label_case("cast_vote", {"choice": "maybe"}),
+        "missing required field 'ballot'",
+    ),
+    "label-of-tally": (
+        ("events", 0), label_case("tally", {"ballot": None}, 5000), "events[0].params.ballot",
     ),
 }
 
@@ -295,7 +348,7 @@ def test_run_seed_override_changes_block_times(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "oracle", "demo"])
-@pytest.mark.parametrize("seed", ["-1", "-7", "x", "18446744073709551616"])
+@pytest.mark.parametrize("seed", ["-1", "-7", "x", "18446744073709551616", "\u0661\u0662"])
 def test_seed_flag_rejects_negative_and_non_integer_seeds(tmp_path, capsys, command, seed):
     args = [command] if command == "demo" else [command, write_scenario(tmp_path, GOOD_SCENARIO)]
     with pytest.raises(SystemExit) as exc:
@@ -367,13 +420,39 @@ def test_fees_gas_price_bounds(capsys):
     [
         (["--gas-units", "-5"], "gas_units"),
         (["--gas-price-gwei", "-5", "--allow-any-gas-price"], "gas_price_gwei"),
+        # above MAX_INT, named by flag: 4299 nines made a fee too long to print
+        (["--eth-usd", "1e70", "--gas-units", "9" * 4_299], "--gas-units"),
+        (["--gas-units", str(MAX_INT + 1)], "--gas-units"),
+        (["--gas-price-gwei", str(MAX_INT + 1), "--allow-any-gas-price"], "--gas-price-gwei"),
     ],
 )
 def test_fees_rejects_negative_gas(capsys, flags, named):
-    assert main(["fees", "--amount-usd", "10", *flags]) == 2
+    try:
+        code = main(["fees", "--amount-usd", "10", *flags])
+    except SystemExit as exc:  # argparse rejects a value above MAX_INT
+        code = exc.code
     out, err = capsys.readouterr()
+    assert code == 2
     assert out == ""
-    assert f"error: {named} must be non-negative" in err
+    assert "Traceback" not in err
+    if named.startswith("--"):
+        assert f"argument {named}: must be at most {MAX_INT}" in err
+    else:
+        assert f"error: {named} must be non-negative" in err
+
+
+def test_fees_table_cells_end_in_a_space(capsys):
+    assert main(["fees", "--amount-usd", "100"]) == 0
+    lines = capsys.readouterr()[0].splitlines()
+    # cells that fit their column are padded to it, as they always were
+    assert lines[1] == "method      fee (USD)           proportional  merchant min      lock-in"
+    assert lines[2] == "Visa        $1.43 - $2.40       yes           1.25% + $0.00     limited"
+    assert lines[5] == "Ethereum    $0.21 (flat)        no            none              flexible"
+    # a longer fee, proportional or flat, still ends in a space
+    assert main(["fees", "--amount-usd", "1234567890123456789012345678901.23"]) == 0
+    assert "$29629629362962962936296296293.62 yes " in capsys.readouterr()[0]
+    assert main(["fees", "--amount-usd", "1", "--eth-usd", "1e70"]) == 0
+    assert ".00 (flat) no " in capsys.readouterr()[0]
 
 
 # each rejected amount, and what the message says
@@ -464,9 +543,12 @@ def test_demo_timeout_charges_in_full(capsys):
 
 def test_module_entry_point_runs(tmp_path):
     path = write_scenario(tmp_path, GOOD_SCENARIO)
+    # pytest's ``pythonpath`` setting reaches only its own process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    search = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "escrowsim.cli", "run", path],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": search},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["conservation_ok"] is True

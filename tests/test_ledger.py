@@ -58,6 +58,10 @@ def test_parse_wei_rejects_junk():
         parse_wei("-3")
     with pytest.raises(ValueError):
         parse_wei("0x10")
+    # int() takes each of these; a wei string is ASCII digits only
+    for text in (" +1_000 ", "\u0661\u0662", "\uff10\uff10", "-0"):
+        with pytest.raises(ValueError):
+            parse_wei(text)
 
 
 def test_format_eth():
