@@ -15,7 +15,7 @@ import argparse
 import sys
 from decimal import Context, Decimal, Inexact, InvalidOperation
 
-from .errors import GasPriceOutOfRange, ParseError, ValidationError
+from .errors import GasPriceOutOfRange, ParseError, ValidationError, echo
 from .oracle import oracle_settlement
 from .orchestrator import STEP_DESCRIPTIONS
 from .pricing import compare_fee_methods
@@ -24,9 +24,12 @@ from .units import format_eth
 
 
 def _seed(text: str) -> int:
-    if not (text.isascii() and text.isdigit()) or int(text) > MAX_INT:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_INT}], got {text!r}")
-    return int(text)
+    try:
+        if text.isascii() and text.isdigit() and int(text) <= MAX_INT:
+            return int(text)
+    except ValueError:  # past the int-to-str digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, {MAX_INT}], got {echo(text)}")
 
 
 def _read_script(args):
@@ -123,17 +126,17 @@ def _usd_cents(text: str) -> int:
     try:
         amount = Decimal(text)
     except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a decimal amount: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a decimal amount: {echo(text)}")
     if not amount.is_finite():
-        raise argparse.ArgumentTypeError(f"amount must be finite: {text!r}")
+        raise argparse.ArgumentTypeError(f"amount must be finite: {echo(text)}")
     if amount < 0:
         raise argparse.ArgumentTypeError("amount must be non-negative")
     if amount > _MAX_USD:  # checked before any arithmetic: 1e9999999 would overflow
-        raise argparse.ArgumentTypeError(f"amount must be at most {_MAX_USD}: {text!r}")
+        raise argparse.ArgumentTypeError(f"amount must be at most {_MAX_USD}: {echo(text)}")
     try:
         return int(amount.quantize(_CENT, context=_CENTS_CONTEXT).scaleb(2, _CENTS_CONTEXT))
     except Inexact:
-        raise argparse.ArgumentTypeError(f"sub-cent precision not supported: {text!r}")
+        raise argparse.ArgumentTypeError(f"sub-cent precision not supported: {echo(text)}")
 
 
 def _positive_cents(text: str) -> int:
@@ -148,7 +151,7 @@ def _gas(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}")
     if value > MAX_INT:  # the fee of a larger count can be too long to print
         raise argparse.ArgumentTypeError(f"must be at most {MAX_INT}")
     return value

@@ -1,4 +1,18 @@
-"""Exception hierarchy shared by all simulator components."""
+"""Exception hierarchy shared by all simulator components, and how an error
+message quotes the input it rejects."""
+
+ECHO_CHARS = 32
+
+
+def echo(value: object) -> str:
+    """A rejected input as an error message quotes it, so every error line
+    stays short: ``repr`` of a string, cut to its first ``ECHO_CHARS``
+    characters plus its length when longer, and the type name of anything else."""
+    if type(value) is not str:
+        return type(value).__name__
+    if len(value) <= ECHO_CHARS:
+        return repr(value)
+    return f"{value[:ECHO_CHARS]!r}... ({len(value)} characters)"
 
 
 class SimulationError(Exception):

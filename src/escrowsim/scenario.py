@@ -36,6 +36,7 @@ from .errors import ParseError, SimulationError, ValidationError
 from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
 from .orchestrator import SessionOrchestrator, SessionRecord
 from .pricing import QosPreferences, RateCard
+from .report import write_report
 from .units import gwei, parse_wei
 
 KIND_NAMES = {kind.value: kind for kind in ContractKind}
@@ -710,11 +711,13 @@ def render_json(value: Any, newline: str = "\n") -> str:
 class SettlementReport:
     """Run output: final state snapshot plus per-contract settlements."""
 
-    report: dict  # ordered, JSON-ready
+    # ordered, JSON-ready, built in full by the run; ``to_json_text`` writes
+    # it, and the CLI's summary, the benchmark's checks and the tests read it
+    report: dict
     settlements: dict[str, dict]  # address -> {charge, refund, payouts, escrow}
 
     def to_json_text(self) -> str:
-        return render_json(self.report) + "\n"
+        return write_report(self.report)
 
     def summary_text(self) -> str:
         r = self.report

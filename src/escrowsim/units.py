@@ -5,6 +5,8 @@ Python integers are unbounded, so no overflow can occur silently; the
 only illegal amount is a negative one.
 """
 
+from .errors import echo
+
 WEI_PER_GWEI = 10**9
 WEI_PER_ETH = 10**18
 
@@ -41,9 +43,9 @@ def parse_wei(text: str, what: str = "amount") -> int:
             raise ValueError
         value = int(digits)
     except (AttributeError, ValueError):  # not a string, not digits, or past the digit limit
-        raise ValueError(f"{what} must be a decimal integer string, got {text!r}")
+        raise ValueError(f"{what} must be a decimal integer string, got {echo(text)}")
     if negative:
-        raise ValueError(f"{what} must be non-negative, got {text}")
+        raise ValueError(f"{what} must be non-negative, got {echo(text)}")
     return value
 
 

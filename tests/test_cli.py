@@ -347,8 +347,45 @@ def test_run_seed_override_changes_block_times(tmp_path, capsys):
     assert plain["final_block"]["timestamp"] != jittered["final_block"]["timestamp"]
 
 
+def _one_short_error_line(err: str, field: str) -> None:
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1, err[:400]
+    assert len(errors[0].encode()) < 200, errors[0][:400]
+    assert field in errors[0]
+    assert "Traceback" not in err
+
+
+def test_a_5000_digit_genesis_amount_gets_a_short_error(tmp_path, capsys):
+    doc = dict(GOOD_SCENARIO, genesis={"alice": "1" * 5000, "oliver": "1"})
+    code = main(["run", write_scenario(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    _one_short_error_line(err, "genesis.alice")
+
+
+@pytest.mark.parametrize("flag", ["--gas-units", "--gas-price-gwei"])
+def test_a_5000_digit_gas_flag_gets_a_short_error(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["fees", "--amount-usd", "10", flag, "1" * 5000])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    _one_short_error_line(err, flag)
+
+
 @pytest.mark.parametrize("command", ["run", "oracle", "demo"])
-@pytest.mark.parametrize("seed", ["-1", "-7", "x", "18446744073709551616", "\u0661\u0662"])
+@pytest.mark.parametrize(
+    "seed",
+    [
+        "-1",
+        "-7",
+        "x",
+        "18446744073709551616",
+        "\u0661\u0662",
+        pytest.param("1" * 5000, id="5000-digits"),
+    ],
+)
 def test_seed_flag_rejects_negative_and_non_integer_seeds(tmp_path, capsys, command, seed):
     args = [command] if command == "demo" else [command, write_scenario(tmp_path, GOOD_SCENARIO)]
     with pytest.raises(SystemExit) as exc:
@@ -356,8 +393,7 @@ def test_seed_flag_rejects_negative_and_non_integer_seeds(tmp_path, capsys, comm
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == ""
-    assert "--seed" in err
-    assert "Traceback" not in err
+    _one_short_error_line(err, "--seed")
 
 
 # ---- oracle ---------------------------------------------------------------------

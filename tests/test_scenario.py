@@ -1,14 +1,18 @@
-"""Scenario scripts: parsing, execution, oracle agreement, random generation."""
+"""Scenario scripts: parsing, execution, the report, oracle agreement, random generation."""
 
+import copy
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from escrowsim.errors import ParseError, ValidationError
 from escrowsim.oracle import oracle_settlement
+from escrowsim.report import write_report
 from escrowsim.scenario import (
     ACTOR_POOL,
     EVENT_TYPES,
@@ -659,3 +663,156 @@ def test_render_json_matches_json_dumps_indent_2(value):
 def test_render_json_rejects_floats(value):
     with pytest.raises(TypeError):
         render_json(value)
+
+
+# ---- the report writer --------------------------------------------------------
+# write_report knows the report's shape; these trees have that shape, with
+# every terms section on or off and every list possibly empty.
+
+_ints = st.integers() | st.sampled_from([2**256 - 1, 10**300])
+
+
+def _rows(row):
+    return st.lists(row, max_size=3)
+
+
+def _record(optional=None, **fields):
+    """Dicts with these keys in this order, then any optional key drawn."""
+    order = [*fields, *(optional or ())]
+    return st.fixed_dictionaries(fields, optional=optional).map(
+        lambda row: {key: row[key] for key in order if key in row}
+    )
+
+
+_TERM_SECTIONS = (
+    _record(price_wei=_json_strings, lock_time_seconds=_ints, refund_threshold_bp=_ints),
+    _record(
+        per_minute_price_wei=_json_strings,
+        minutes_purchased=_ints,
+        minutes_consumed=_ints,
+        sessions=_rows(
+            _record(token=_json_strings, start=_ints, stop=st.none() | _ints, minutes=_ints)
+        ),
+    ),
+    _record(shares=st.dictionaries(_json_strings, st.lists(_ints, min_size=2, max_size=2))),
+    _record(
+        voters=st.lists(_json_strings),
+        votes=st.dictionaries(_json_strings, _json_strings),
+        enacted=st.booleans(),
+    ),
+    _record(
+        gdpr_required=st.booleans(),
+        allowed_regions=st.lists(_json_strings),
+        price_multiplier_bp=_ints,
+    ),
+    _record(
+        standby_rate_wei_per_second=_json_strings,
+        standby_window_seconds=_ints,
+        min_charge_wei=_json_strings,
+    ),
+    _record(division_address=_json_strings),
+)
+_terms = st.tuples(*(st.none() | section for section in _TERM_SECTIONS)).map(
+    lambda sections: {k: v for section in sections if section for k, v in section.items()}
+)
+_text_map = st.dictionaries(_json_strings, _json_strings, max_size=3)
+_contract_rows = _record(
+    optional={
+        "settlement": _record(
+            charge_wei=_json_strings, refund_wei=_json_strings, payouts=_text_map
+        )
+    },
+    address=_json_strings,
+    kind=_json_strings,
+    state=_json_strings,
+    escrow_wei=_json_strings,
+    owner=_json_strings,
+    end_user=_json_strings,
+    terms=_terms,
+)
+_session_rows = _record(
+    label=_json_strings,
+    contract=_json_strings,
+    url_token=_json_strings,
+    deploy_block=st.none() | _ints,
+    stop_block=st.none() | _ints,
+    availability_bp=_ints,
+    settled_by=_json_strings,
+    step_log=st.lists(_ints),
+)
+_error_rows = _record(
+    event_index=_ints,
+    at_time=_ints,
+    actor=_json_strings,
+    action=_json_strings,
+    error=_json_strings,
+    detail=_json_strings,
+)
+_reports = _record(
+    final_balances=_text_map,
+    fee_sink_wei=_json_strings,
+    conservation_ok=st.booleans(),
+    final_block=_record(height=_ints, timestamp=_ints),
+    contracts=_rows(_contract_rows),
+    sessions=_rows(_session_rows),
+    ballots=_rows(_record(label=_json_strings, contract=_json_strings)),
+    events_applied=_ints,
+    event_errors=_rows(_error_rows),
+    tx_digest=_json_strings,
+)
+_EMPTY_REPORT = {
+    "final_balances": {},
+    "fee_sink_wei": "0",
+    "conservation_ok": True,
+    "final_block": {"height": 0, "timestamp": 0},
+    "contracts": [],
+    "sessions": [],
+    "ballots": [],
+    "events_applied": 0,
+    "event_errors": [],
+    "tx_digest": "",
+}
+
+
+@given(_reports)
+@example(_EMPTY_REPORT)
+def test_report_writer_matches_json_dumps_indent_2(report):
+    assert write_report(report) == json.dumps(report, indent=2) + "\n"
+
+
+def _merged_generator_scripts(seeds):
+    """The benchmark's merge of generator scripts into one document."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.merge_scripts(list(seeds), workloads.BULK_SPACING_SECONDS)
+
+
+def test_report_writer_matches_json_dumps_on_real_runs():
+    documents = [generate_random_script(seed) for seed in range(300)]
+    documents += [canonical_document(), _merged_generator_scripts(range(50))]
+    for index, doc in enumerate(documents):
+        report = run_scenario(parse_scenario(doc))
+        assert report.to_json_text() == json.dumps(report.report, indent=2) + "\n", index
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("contracts", 0, "terms", "lock_time_seconds"),
+        ("sessions", 0, "availability_bp"),
+        ("sessions", 0, "step_log", 0),
+        ("event_errors", 0, "at_time"),
+    ],
+)
+def test_report_writer_rejects_a_float_in_an_int_field(path):
+    # seed 0: a dynamic-price contract first, a session and an event error
+    report = copy.deepcopy(run_scenario(parse_scenario(generate_random_script(0))).report)
+    *parents, key = path
+    node = report
+    for step in parents:
+        node = node[step]
+    node[key] = float(node[key])
+    with pytest.raises(TypeError):
+        write_report(report)
