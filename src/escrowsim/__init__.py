@@ -15,13 +15,8 @@ from .ledger import Block, GasSchedule, Ledger
 from .oracle import oracle_settlement
 from .orchestrator import SessionOrchestrator
 from .pricing import QosPreferences, Quote, RateCard, compare_fee_methods, quote_price
-from .scenario import (
-    ScenarioScript,
-    SettlementReport,
-    generate_random_script,
-    parse_scenario,
-    run_scenario,
-)
+from .report import SettlementReport
+from .scenario import ScenarioScript, generate_random_script, parse_scenario, run_scenario
 from .units import eth, format_eth, gwei, parse_wei
 
 __version__ = "0.1.0"

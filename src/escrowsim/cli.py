@@ -12,6 +12,7 @@ to stderr; data (reports, tables, traces) goes to stdout.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from decimal import Context, Decimal, Inexact, InvalidOperation
 
@@ -19,7 +20,7 @@ from .errors import GasPriceOutOfRange, ParseError, ValidationError, echo
 from .oracle import oracle_settlement
 from .orchestrator import STEP_DESCRIPTIONS
 from .pricing import compare_fee_methods
-from .scenario import MAX_INT, MAX_WEI, parse_scenario, render_json, run_scenario
+from .scenario import MAX_INT, MAX_WEI, parse_scenario, run_scenario
 from .units import format_eth
 
 
@@ -102,7 +103,7 @@ def cmd_oracle(args) -> int:
         }
         for addr, entry in expected.items()  # sc-1, sc-2, ...: the oracle adds them so
     }
-    text = render_json(rendered) + "\n"
+    text = json.dumps(rendered, indent=2) + "\n"
     if args.out:
         if not _write_out(args.out, text):
             return 2

@@ -480,56 +480,3 @@ def evaluate_constraints(
     return (not terms.gdpr_required or gdpr_compliant) and (
         not terms.allowed_regions or provider_region in terms.allowed_regions
     )
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def export_contract(contract: AgreementContract) -> dict:
-    """Stable-keyed contract snapshot embedded in scenario reports."""
-    terms: dict = {}
-    if contract.kind in TIME_SETTLED_KINDS:
-        terms["price_wei"] = str(contract.price)
-        terms["lock_time_seconds"] = contract.lock_time_seconds
-        terms["refund_threshold_bp"] = contract.refund_threshold_bp
-    if contract.quota is not None:
-        terms["per_minute_price_wei"] = str(contract.quota.per_minute_price)
-        terms["minutes_purchased"] = contract.quota.minutes_purchased
-        terms["minutes_consumed"] = contract.quota.minutes_consumed
-        terms["sessions"] = [dict(s) for s in contract.quota.sessions]
-    if contract.shares is not None:
-        terms["shares"] = {
-            addr: [num, contract.shares.denominator]
-            for addr, num in contract.shares.numerators.items()
-        }
-    if contract.voting is not None:
-        terms["voters"] = sorted(contract.voting.voters)
-        terms["votes"] = {v: contract.voting.votes[v] for v in sorted(contract.voting.votes)}
-        terms["enacted"] = contract.voting.enacted
-    if contract.constraints is not None:
-        terms["gdpr_required"] = contract.constraints.gdpr_required
-        terms["allowed_regions"] = sorted(contract.constraints.allowed_regions)
-        terms["price_multiplier_bp"] = contract.constraints.price_multiplier_bp
-    if contract.flexible is not None:
-        terms["standby_rate_wei_per_second"] = str(contract.flexible.standby_rate)
-        terms["standby_window_seconds"] = contract.flexible.standby_window_seconds
-        terms["min_charge_wei"] = str(contract.flexible.min_charge)
-    if contract.division is not None:
-        terms["division_address"] = contract.division.address
-    snapshot = {
-        "address": contract.address,
-        "kind": contract.kind.value,
-        "state": contract.state.value,
-        "escrow_wei": str(contract.escrow),
-        "owner": contract.owner,
-        "end_user": contract.end_user,
-        "terms": terms,
-    }
-    if contract.settlement is not None:
-        snapshot["settlement"] = {
-            "charge_wei": str(contract.settlement.charge),
-            "refund_wei": str(contract.settlement.refund),
-            "payouts": {a: str(v) for a, v in contract.settlement.payouts.items()},
-        }
-    return snapshot

@@ -4,15 +4,16 @@ message quotes the input it rejects."""
 ECHO_CHARS = 32
 
 
-def echo(value: object) -> str:
+def echo(value: object, quote=repr) -> str:
     """A rejected input as an error message quotes it, so every error line
-    stays short: ``repr`` of a string, cut to its first ``ECHO_CHARS``
-    characters plus its length when longer, and the type name of anything else."""
+    stays short: ``quote`` of a string (``str`` for a name in a path), cut to
+    its first ``ECHO_CHARS`` characters plus its length when longer, and the
+    type name of anything else."""
     if type(value) is not str:
         return type(value).__name__
     if len(value) <= ECHO_CHARS:
-        return repr(value)
-    return f"{value[:ECHO_CHARS]!r}... ({len(value)} characters)"
+        return quote(value)
+    return f"{quote(value[:ECHO_CHARS])}... ({len(value)} characters)"
 
 
 class SimulationError(Exception):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .contracts import BP_SCALE, ContractKind, FlexibleTerms, IDENTITY_MULTIPLIER_BP
-from .errors import GasPriceOutOfRange, InvalidPreferences
+from .errors import GasPriceOutOfRange, InvalidPreferences, echo
 from .ledger import GAS_PRICE_BOUNDS_GWEI
 from .units import WEI_PER_ETH, WEI_PER_GWEI, require_amount
 
@@ -39,7 +39,7 @@ class QosPreferences:
                 f"max_period_seconds must be > 0, got {self.max_period_seconds}"
             )
         if self.video_quality not in VIDEO_MULTIPLIER_BP:
-            raise InvalidPreferences(f"video_quality {self.video_quality!r} is not SD or HD")
+            raise InvalidPreferences(f"video_quality {echo(self.video_quality)} is not SD or HD")
 
 
 @dataclass(frozen=True)

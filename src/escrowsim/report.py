@@ -1,17 +1,98 @@
-"""The settlement report's writer.
+"""The settlement report: its record, its contract rows and its writer.
 
-``write_report`` writes the bytes of ``json.dumps(report, indent=2)`` for the
-one shape ``scenario._Runner._build_report`` gives a report: each top-level
-key and each contract, session, ballot and event error row is one f-string
-with its line breaks and indentation written out (row keys sit 6 spaces deep,
-terms and settlement keys 8), and a contract's terms one f-string per section
-it carries.  Strings go through ``json``'s C escaper and ints through
-``int.__repr__``; both raise ``TypeError`` on any other type (a bool, being an
-int, would be written as 0 or 1).  ``scenario.render_json`` writes any other
-tree, such as the oracle's output.
+``SettlementReport`` holds what a run ends with: the report, an ordered dict
+in ``json`` types that ``scenario._Runner._build_report`` builds, and each
+contract's settlement.  ``export_contract`` builds a contract's row.
+
+``write_report`` writes the bytes of ``json.dumps(report, indent=2)`` for that
+one shape: each top-level key and each contract, session, ballot and event
+error row is one f-string with its line breaks and indentation written out
+(row keys sit 6 spaces deep, terms and settlement keys 8), and a contract's
+terms one f-string per section it carries.  Strings go through ``json``'s C
+escaper and ints through ``int.__repr__``; both raise ``TypeError`` on any
+other type (a bool, being an int, would be written as 0 or 1).
 """
 
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+
+from .contracts import TIME_SETTLED_KINDS, AgreementContract
+
+
+@dataclass
+class SettlementReport:
+    """Run output: final state snapshot plus per-contract settlements."""
+
+    # ordered, JSON-ready, built in full by the run; ``to_json_text`` writes
+    # it, and the CLI's summary, the benchmark's checks and the tests read it
+    report: dict
+    settlements: dict[str, dict]  # address -> {charge, refund, payouts, escrow}
+
+    def to_json_text(self) -> str:
+        return write_report(self.report)
+
+    def summary_text(self) -> str:
+        r = self.report
+        lines = [
+            f"blocks produced: {r['final_block']['height']}"
+            f" (last timestamp {r['final_block']['timestamp']} s)",
+            f"contracts: {len(r['contracts'])}, sessions: {len(r['sessions'])}",
+            f"events applied: {r['events_applied']},"
+            f" errors: {len(r['event_errors'])}",
+            f"conservation: {'ok' if r['conservation_ok'] else 'VIOLATED'}",
+            f"tx digest: {r['tx_digest']}",
+        ]
+        return "\n".join(lines) + "\n"
+
+
+def export_contract(contract: AgreementContract) -> dict:
+    """Stable-keyed contract snapshot embedded in scenario reports."""
+    terms: dict = {}
+    if contract.kind in TIME_SETTLED_KINDS:
+        terms["price_wei"] = str(contract.price)
+        terms["lock_time_seconds"] = contract.lock_time_seconds
+        terms["refund_threshold_bp"] = contract.refund_threshold_bp
+    if contract.quota is not None:
+        terms["per_minute_price_wei"] = str(contract.quota.per_minute_price)
+        terms["minutes_purchased"] = contract.quota.minutes_purchased
+        terms["minutes_consumed"] = contract.quota.minutes_consumed
+        terms["sessions"] = [dict(s) for s in contract.quota.sessions]
+    if contract.shares is not None:
+        terms["shares"] = {
+            addr: [num, contract.shares.denominator]
+            for addr, num in contract.shares.numerators.items()
+        }
+    if contract.voting is not None:
+        terms["voters"] = sorted(contract.voting.voters)
+        terms["votes"] = {v: contract.voting.votes[v] for v in sorted(contract.voting.votes)}
+        terms["enacted"] = contract.voting.enacted
+    if contract.constraints is not None:
+        terms["gdpr_required"] = contract.constraints.gdpr_required
+        terms["allowed_regions"] = sorted(contract.constraints.allowed_regions)
+        terms["price_multiplier_bp"] = contract.constraints.price_multiplier_bp
+    if contract.flexible is not None:
+        terms["standby_rate_wei_per_second"] = str(contract.flexible.standby_rate)
+        terms["standby_window_seconds"] = contract.flexible.standby_window_seconds
+        terms["min_charge_wei"] = str(contract.flexible.min_charge)
+    if contract.division is not None:
+        terms["division_address"] = contract.division.address
+    snapshot = {
+        "address": contract.address,
+        "kind": contract.kind.value,
+        "state": contract.state.value,
+        "escrow_wei": str(contract.escrow),
+        "owner": contract.owner,
+        "end_user": contract.end_user,
+        "terms": terms,
+    }
+    if contract.settlement is not None:
+        snapshot["settlement"] = {
+            "charge_wei": str(contract.settlement.charge),
+            "refund_wei": str(contract.settlement.refund),
+            "payouts": {a: str(v) for a, v in contract.settlement.payouts.items()},
+        }
+    return snapshot
+
 
 _esc = encode_basestring_ascii
 _int = int.__repr__

@@ -1,4 +1,4 @@
-"""Scripted scenarios: parsing, execution, reporting, random generation.
+"""Scripted scenarios: typed events, parsing, execution, random generation.
 
 A scenario is a JSON document with three top-level keys:
 
@@ -11,7 +11,8 @@ Amounts travel as decimal strings end to end; 10^18-scale integers do not
 fit common numeric text ranges.  An event at time t executes in the first
 block whose timestamp is >= t; events sharing a block run in script order.
 Every run is deterministic for a fixed (script, seed) pair, including the
-rendered report bytes.
+rendered report bytes.  The runner builds the report; ``report`` holds its
+contract rows, its record type and its writer.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import AbstractSet, Any, NamedTuple, Optional, Union
 
 from . import contracts as sc
@@ -30,13 +30,12 @@ from .contracts import (
     ContractKind,
     FlexibleTerms,
     IncomeShares,
-    export_contract,
 )
-from .errors import ParseError, SimulationError, ValidationError
+from .errors import ECHO_CHARS, ParseError, SimulationError, ValidationError, echo
 from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
 from .orchestrator import SessionOrchestrator, SessionRecord
 from .pricing import QosPreferences, RateCard
-from .report import write_report
+from .report import SettlementReport, export_contract
 from .units import gwei, parse_wei
 
 KIND_NAMES = {kind.value: kind for kind in ContractKind}
@@ -156,7 +155,7 @@ class RequestSession(NamedTuple):
             raise _field_error(p, "kind", where)
         kind = KIND_NAMES.get(name)
         if kind is None:
-            raise ValidationError(f"{where}.kind: unknown contract kind {name!r}")
+            raise ValidationError(f"{where}.kind: unknown contract kind {echo(name)}")
         for key, reader in KIND_ONLY_PARAMS.items():
             if key in p and kind is not reader:
                 raise ValidationError(f"{where}.{key}: only {reader.value} requests take it")
@@ -289,7 +288,7 @@ class DeployBallot(NamedTuple):
             raise ValidationError(f"{where}.voters: must be a non-empty list")
         for voter in voters:
             if type(voter) is not str or voter not in genesis:
-                raise ValidationError(f"{where}.voters: undeclared voter {voter!r}")
+                raise ValidationError(f"{where}.voters: undeclared voter {echo(voter)}")
         return (frozenset(voters),)
 
 
@@ -382,8 +381,8 @@ def _int_error(
     if type(value) is not int:
         return ValidationError(f"{where}.{key}: must be an integer")
     if value < minimum:
-        return ValidationError(f"{where}.{key}: must be >= {minimum}, got {value}")
-    return ValidationError(f"{where}.{key}: must be <= {maximum}, got {value}")
+        return ValidationError(f"{where}.{key}: must be >= {minimum}, got {echo(str(value), str)}")
+    return ValidationError(f"{where}.{key}: must be <= {maximum}, got {echo(str(value), str)}")
 
 
 def _actor_error(obj: dict, key: str, where: str) -> ValidationError:
@@ -391,14 +390,18 @@ def _actor_error(obj: dict, key: str, where: str) -> ValidationError:
     name = obj.get(key)
     if type(name) is not str:
         return _field_error(obj, key, where)
-    return ValidationError(f"{where}.{key}: undeclared actor {name!r}")
+    return ValidationError(f"{where}.{key}: undeclared actor {echo(name)}")
 
 
 def _object_error(obj: Any, allowed: AbstractSet[str], where: str) -> ValidationError:
     """A value is not an object, or holds keys outside ``allowed``."""
     if type(obj) is not dict:
         return ValidationError(f"{where}: must be an object")
-    return ValidationError(f"{where}: unknown field(s) {sorted(set(obj) - allowed)}")
+    names = sorted(set(obj) - allowed)
+    # the first three names, or only the first if one of them is cut
+    shown = names[:3] if all(len(str(name)) <= ECHO_CHARS for name in names[:3]) else names[:1]
+    more = f" and {len(names) - len(shown)} more" if len(names) > len(shown) else ""
+    return ValidationError(f"{where}: unknown field(s) [{', '.join(map(echo, shown))}]{more}")
 
 
 def _wei(text: str, what: str) -> int:
@@ -452,11 +455,11 @@ def _read_shares(raw: Any, where: str, genesis: dict[str, int]) -> IncomeShares:
     denominators = set()
     for addr, pair in raw.items():
         if addr not in genesis:
-            raise ValidationError(f"{where}: undeclared actor {addr!r}")
+            raise ValidationError(f"{where}: undeclared actor {echo(addr)}")
         if type(pair) is not list or len(pair) != 2 or not all(type(x) is int for x in pair):
-            raise ValidationError(f"{where}.{addr}: must be [numerator, denominator]")
+            raise ValidationError(f"{where}.{echo(addr, str)}: must be [numerator, denominator]")
         if max(pair) > MAX_INT:
-            raise ValidationError(f"{where}.{addr}: must be <= {MAX_INT}")
+            raise ValidationError(f"{where}.{echo(addr, str)}: must be <= {MAX_INT}")
         denominators.add(pair[1])
     if len(denominators) != 1:
         raise ValidationError(f"{where}: denominators must all match")
@@ -600,7 +603,7 @@ def _parse_events(raw_events: list, genesis: dict[str, int]) -> list[ScriptEvent
             raise _field_error(raw, "action", where)
         event_type = EVENT_TYPES.get(action)
         if event_type is None:
-            raise ValidationError(f"{where}.action: unknown action {action!r}")
+            raise ValidationError(f"{where}.action: unknown action {echo(action)}")
         params = raw.get("params", _NO_PARAMS)
         where += ".params"
         if type(params) is not dict or not params.keys() <= event_type.param_keys:
@@ -654,14 +657,15 @@ def parse_scenario(document) -> ScenarioScript:
         raise ValidationError("genesis: must be a non-empty object")
     genesis: dict[str, int] = {}
     for name, amount in raw_genesis.items():
+        where = f"genesis.{echo(name, str)}"
         if name.startswith(CONTRACT_ADDRESS_PREFIX):
             raise ValidationError(
-                f"genesis.{name}: the prefix {CONTRACT_ADDRESS_PREFIX!r} is reserved"
+                f"{where}: the prefix {CONTRACT_ADDRESS_PREFIX!r} is reserved"
                 " for contract addresses"
             )
         if type(amount) is not str:
-            raise ValidationError(f"genesis.{name}: amount must be a decimal string")
-        genesis[name] = _wei(amount, f"genesis.{name}")
+            raise ValidationError(f"{where}: amount must be a decimal string")
+        genesis[name] = _wei(amount, where)
 
     raw_events = document.get("events", [])
     if type(raw_events) is not list:
@@ -672,66 +676,6 @@ def parse_scenario(document) -> ScenarioScript:
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-
-def render_json(value: Any, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for a tree of dicts with str keys,
-    lists, str, int, bool and None; any other type raises ``TypeError``.
-
-    On CPython ``json.dumps`` with an indent runs the pure-Python encoder;
-    this writes the same text with its C string escaper.  ``newline`` is the
-    line break plus the indent of the line ``value`` sits on.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{encode_basestring_ascii(k)}: {render_json(v, inner)}" for k, v in value.items()
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [render_json(v, inner) for v in value]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-@dataclass
-class SettlementReport:
-    """Run output: final state snapshot plus per-contract settlements."""
-
-    # ordered, JSON-ready, built in full by the run; ``to_json_text`` writes
-    # it, and the CLI's summary, the benchmark's checks and the tests read it
-    report: dict
-    settlements: dict[str, dict]  # address -> {charge, refund, payouts, escrow}
-
-    def to_json_text(self) -> str:
-        return write_report(self.report)
-
-    def summary_text(self) -> str:
-        r = self.report
-        lines = [
-            f"blocks produced: {r['final_block']['height']}"
-            f" (last timestamp {r['final_block']['timestamp']} s)",
-            f"contracts: {len(r['contracts'])}, sessions: {len(r['sessions'])}",
-            f"events applied: {r['events_applied']},"
-            f" errors: {len(r['event_errors'])}",
-            f"conservation: {'ok' if r['conservation_ok'] else 'VIOLATED'}",
-            f"tx digest: {r['tx_digest']}",
-        ]
-        return "\n".join(lines) + "\n"
-
 
 class _Runner:
     def __init__(self, script: ScenarioScript) -> None:
@@ -787,12 +731,12 @@ class _Runner:
 
     def _session(self, label: str) -> SessionRecord:
         if label not in self.sessions:
-            raise ValidationError(f"unknown session label {label!r}")
+            raise ValidationError(f"unknown session label {echo(label)}")
         return self.sessions[label]
 
     def _ballot(self, label: str) -> AgreementContract:
         if label not in self.ballots:
-            raise ValidationError(f"unknown ballot label {label!r}")
+            raise ValidationError(f"unknown ballot label {echo(label)}")
         return self.ballots[label]
 
     # ---- one handler per event type -----------------------------------------

@@ -238,15 +238,21 @@ PARSE_TIME_REJECTS = {
 }
 
 
+def edited(*edits):
+    """GOOD_SCENARIO with each (path to a key, value) edit applied in turn."""
+    doc = copy.deepcopy(GOOD_SCENARIO)
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize("case", list(PARSE_TIME_REJECTS))
 def test_run_rejects_reserved_or_mistyped_fields_at_parse_time(tmp_path, capsys, case):
     path, value, named = PARSE_TIME_REJECTS[case]
-    doc = copy.deepcopy(GOOD_SCENARIO)
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    code = main(["run", write_scenario(tmp_path, doc)])
+    code = main(["run", write_scenario(tmp_path, edited((path, value)))])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
@@ -394,6 +400,72 @@ def test_seed_flag_rejects_negative_and_non_integer_seeds(tmp_path, capsys, comm
     assert exc.value.code == 2
     assert out == ""
     _one_short_error_line(err, "--seed")
+
+
+LONG = "x" * 5000
+SHARES = {**REQUEST, "kind": "income_division"}
+
+# (edits to GOOD_SCENARIO, text the error must name); each error message once
+# quoted the whole 5000-character input
+LONG_INPUTS = {
+    "action": ([(("events", 0, "action"), LONG)], "events[0].action"),
+    "actor": ([(("events", 0, "actor"), LONG)], "events[0].actor"),
+    "params-key": ([(("events", 0, "params", LONG), 1)], "events[0].params"),
+    "four-unknown-fields": (
+        [(("config",), {f"{c}{LONG}": 1 for c in "abcd"})], "config: unknown field(s)",
+    ),
+    "kind": ([(("events", 0, "params", "kind"), LONG)], "events[0].params.kind"),
+    "owner": ([(("events", 0, "params", "owner"), LONG)], "events[0].params.owner"),
+    "video-quality": (
+        [(("events", 0, "params", "video_quality"), LONG)], "events[0].params: video_quality",
+    ),
+    "to": (
+        [(("events", 0), label_case("transfer", {"to": LONG, "value": "1"}))],
+        "events[0].params.to",
+    ),
+    "voter": (
+        [(("events", 0), label_case("deploy_ballot", {"ballot": "b1", "voters": [LONG]}))],
+        "events[0].params.voters",
+    ),
+    "share-holder": (
+        [(("events", 0, "params"), {**SHARES, "shares": {LONG: [1, 1]}})],
+        "events[0].params.shares",
+    ),
+    "share-holder-path": (
+        [(("genesis", LONG), "1"), (("events", 0, "params"), {**SHARES, "shares": {LONG: [1]}})],
+        "events[0].params.shares.xxx",
+    ),
+    "contract-prefix-genesis-name": ([(("genesis", "sc-" + LONG), "1")], "genesis.sc-xxx"),
+    "genesis-name-amount-not-string": ([(("genesis", LONG), 1)], "genesis.xxx"),
+    "genesis-name-amount-negative": ([(("genesis", LONG), "-1")], "genesis.xxx"),
+    "time-of-4000-digits": ([(("events", 0, "at_time"), 10**4000)], "events[0].at_time"),
+}
+
+
+@pytest.mark.parametrize("case", list(LONG_INPUTS))
+def test_a_5000_character_input_gets_a_short_error(tmp_path, capsys, case):
+    edits, named = LONG_INPUTS[case]
+    code = main(["run", write_scenario(tmp_path, edited(*edits))])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    _one_short_error_line(err, named)
+
+
+@pytest.mark.parametrize(
+    "event",
+    [label_case("countersign", {"session": LONG}, 15), label_case("tally", {"ballot": LONG}, 15)],
+)
+def test_a_5000_character_unknown_label_gets_a_short_error(tmp_path, capsys, event):
+    doc = edited((("events", 3), event))
+    code = main(["run", write_scenario(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    [line] = err.splitlines()
+    assert len(line.encode()) < 200, line[:400]
+    assert line.startswith(f"event 3 at t=15 ({event['action']}): ValidationError: unknown")
+    [error] = json.loads(out)["event_errors"]
+    assert error["detail"] == line.split("ValidationError: ")[1]
 
 
 # ---- oracle ---------------------------------------------------------------------

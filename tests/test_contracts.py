@@ -31,6 +31,7 @@ from escrowsim.errors import (
     WrongState,
 )
 from escrowsim.ledger import GasSchedule, Ledger
+from escrowsim.report import export_contract
 from escrowsim.units import eth
 
 
@@ -607,7 +608,7 @@ def test_export_contract_snapshot_shape():
     c = activate(ledger, deploy(ledger))
     ledger.advance_to(1800)
     sc.stop_and_settle(ledger, c, "user")
-    snap = sc.export_contract(c)
+    snap = export_contract(c)
     assert snap["address"] == c.address
     assert snap["kind"] == "dynamic_price"
     assert snap["state"] == "settled"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from escrowsim.cli import main
 from escrowsim.errors import ParseError, ValidationError
 from escrowsim.oracle import oracle_settlement
 from escrowsim.report import write_report
@@ -19,7 +20,6 @@ from escrowsim.scenario import (
     MAX_EVENTS,
     generate_random_script,
     parse_scenario,
-    render_json,
     run_scenario,
 )
 from escrowsim.units import eth
@@ -107,6 +107,21 @@ def test_unknown_action_and_stray_keys_rejected():
         parse_scenario({**base, "events": [
             {"at_time": 0, "actor": "a", "action": "transfer",
              "params": {"to": "a", "value": "1", "memo": "hi"}}]})
+
+
+@pytest.mark.parametrize(
+    "extra, listed",
+    [
+        ("abc", "['a', 'b', 'c']"),
+        ("abcde", "['a', 'b', 'c'] and 2 more"),
+        (["a", "x" * 33], "['a'] and 1 more"),
+    ],
+)
+def test_unknown_fields_quote_at_most_three_names(extra, listed):
+    doc = {"genesis": {"a": "1"}, "config": dict.fromkeys(extra, 1)}
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(doc)
+    assert str(exc.value) == f"config: unknown field(s) {listed}"
 
 
 def test_genesis_amounts_must_be_decimal_strings():
@@ -636,39 +651,14 @@ def test_generator_is_deterministic():
     assert generate_random_script(7) != generate_random_script(8)
 
 
-# ---- report rendering ----------------------------------------------------------
+# ---- the report writer --------------------------------------------------------
+# write_report knows the report's shape; these trees have that shape, with
+# every terms section on or off and every list possibly empty.
 
 _TRICKY_STRINGS = [
     '"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "é", "\u2028", "\ud800", "\udfff", "\U0001f600",
 ]
 _json_strings = st.text(st.characters(exclude_categories=())) | st.sampled_from(_TRICKY_STRINGS)
-_json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.sampled_from([0, -1, 2**63, -(10**40), 10**300])
-    | _json_strings,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(_json_strings, children, max_size=4),
-    max_leaves=30,
-)
-
-
-@given(_json_values)
-def test_render_json_matches_json_dumps_indent_2(value):
-    assert render_json(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, [{"b": float("nan")}]])
-def test_render_json_rejects_floats(value):
-    with pytest.raises(TypeError):
-        render_json(value)
-
-
-# ---- the report writer --------------------------------------------------------
-# write_report knows the report's shape; these trees have that shape, with
-# every terms section on or off and every list possibly empty.
-
 _ints = st.integers() | st.sampled_from([2**256 - 1, 10**300])
 
 
@@ -795,6 +785,27 @@ def test_report_writer_matches_json_dumps_on_real_runs():
     for index, doc in enumerate(documents):
         report = run_scenario(parse_scenario(doc))
         assert report.to_json_text() == json.dumps(report.report, indent=2) + "\n", index
+
+
+def test_oracle_out_file_matches_stdout_and_json_dumps(tmp_path, capsys):
+    doc = _merged_generator_scripts(range(50))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(doc))
+    assert main(["oracle", str(script)]) == 0
+    stdout = capsys.readouterr()[0]
+    target = tmp_path / "oracle.json"
+    assert main(["oracle", str(script), "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    expected = {
+        addr: {
+            "charge": str(entry["charge"]),
+            "refund": str(entry["refund"]),
+            "payouts": {name: str(wei) for name, wei in entry["payouts"].items()},
+            "escrow": str(entry["escrow"]),
+        }
+        for addr, entry in oracle_settlement(parse_scenario(doc)).items()
+    }
+    assert target.read_text() == stdout == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
