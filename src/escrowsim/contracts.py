@@ -28,6 +28,7 @@ from .errors import (
     QuotaExhausted,
     SessionAlreadyOpen,
     WrongState,
+    echo,
 )
 from .ledger import Ledger
 from .units import require_amount
@@ -198,11 +199,13 @@ class AgreementContract:
 
     def require_owner(self, caller: str) -> None:
         if caller != self.owner:
-            raise NotOwner(f"{caller} is not the owner {self.owner}")
+            raise NotOwner(f"{echo(caller, str)} is not the owner {echo(self.owner, str)}")
 
     def require_end_user(self, caller: str) -> None:
         if caller != self.end_user:
-            raise NotEndUser(f"{caller} is not the end user {self.end_user}")
+            raise NotEndUser(
+                f"{echo(caller, str)} is not the end user {echo(self.end_user, str)}"
+            )
 
 
 def mark_quoted(contract: AgreementContract) -> None:
@@ -276,8 +279,14 @@ def _require_empty_escrow(contract: AgreementContract) -> None:
 
 def _execute_settlement(ledger: Ledger, contract: AgreementContract, used: int) -> Settlement:
     charge = _charge_for_usage(contract, used)
+    return _release(ledger, contract, charge, _payouts_for_charge(contract, charge))
+
+
+def _release(
+    ledger: Ledger, contract: AgreementContract, charge: int, payouts: dict[str, int]
+) -> Settlement:
+    """Pay out the charge, refund the rest of the escrow to the end user, settle."""
     refund = contract.escrow - charge
-    payouts = _payouts_for_charge(contract, charge)
     for recipient, amount in payouts.items():
         ledger.escrow_out(contract.address, recipient, amount, kind="charge")
     ledger.escrow_out(contract.address, contract.end_user, refund, kind="refund")
@@ -316,11 +325,7 @@ def abort_and_refund(ledger: Ledger, contract: AgreementContract) -> Settlement:
     Triggered by the alarm-clock wakeup, so no party pays a call fee.
     """
     contract.require_state(ContractState.USER_SIGNED)
-    refund = contract.escrow
-    ledger.escrow_out(contract.address, contract.end_user, refund, kind="refund")
-    contract.state = ContractState.SETTLED
-    contract.settlement = Settlement(charge=0, refund=refund, payouts={})
-    return contract.settlement
+    return _release(ledger, contract, 0, {})
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +403,6 @@ def set_income_shares(
     ledger: Ledger, contract: AgreementContract, proposer: str, shares: IncomeShares
 ) -> None:
     """Record the agreed division; quoting freezes it."""
-    if contract.kind is not ContractKind.INCOME_DIVISION:
-        raise WrongState(f"{contract.kind.value} contracts carry no income shares")
     contract.require_state(ContractState.DEPLOYED)
     ledger.contract_call(proposer, contract.address)
     contract.shares = shares
@@ -413,8 +416,6 @@ def settle_with_division(contract: AgreementContract, charge: int) -> dict[str, 
     one each to the largest remainders, ties broken by share listing order.
     Payouts always sum exactly to the charge.
     """
-    if contract.shares is None:
-        raise WrongState(f"{contract.address}: no income shares recorded")
     require_amount(charge, "charge")
     shares = contract.shares
     payouts: dict[str, int] = {}
@@ -438,8 +439,6 @@ def init_vote(
     ledger: Ledger, contract: AgreementContract, caller: str, voters: set[str]
 ) -> None:
     """Register the voter set; the ballot then runs until enacted."""
-    if contract.kind is not ContractKind.CONSENSUS_DECISION:
-        raise WrongState(f"{contract.kind.value} contracts hold no ballot")
     contract.require_state(ContractState.DEPLOYED)
     contract.require_owner(caller)
     ledger.contract_call(caller, contract.address)
@@ -448,20 +447,16 @@ def init_vote(
 
 
 def cast_vote(ledger: Ledger, contract: AgreementContract, voter: str, choice: str) -> None:
-    if contract.voting is None:
-        raise WrongState(f"{contract.address}: ballot not initialized")
     if voter not in contract.voting.voters:
-        raise NotAVoter(voter)
+        raise NotAVoter(echo(voter, str))
     if voter in contract.voting.votes:
-        raise AlreadyVoted(voter)
+        raise AlreadyVoted(echo(voter, str))
     ledger.contract_call(voter, contract.address)
     contract.voting.votes[voter] = choice
 
 
 def tally_and_enact(contract: AgreementContract) -> dict:
     """Strict-majority tally; enactment is sticky and unlocks the companion."""
-    if contract.voting is None:
-        raise WrongState(f"{contract.address}: ballot not initialized")
     voting = contract.voting
     yes = sum(1 for choice in voting.votes.values() if choice == "yes")
     if 2 * yes > len(voting.voters):

@@ -21,7 +21,7 @@ from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .errors import GasPriceOutOfRange, InsufficientFunds, UnknownAddress, ValidationError
+from .errors import GasPriceOutOfRange, InsufficientFunds, UnknownAddress, ValidationError, echo
 from .units import WEI_PER_GWEI, gwei, require_amount
 
 if TYPE_CHECKING:
@@ -160,7 +160,6 @@ class Ledger:
         self._wakeup_heap: list[tuple[int, int, str]] = []
         self._wakeup_armed: dict[str, int] = {}  # contract address -> fire_at
         self._wakeup_seq = 0
-        self._contract_seq = 0
 
     # ---- block production -----------------------------------------------
 
@@ -280,36 +279,39 @@ class Ledger:
         if addr not in self.accounts:
             raise UnknownAddress(addr)
 
+    def _debit(self, payer: str, to: str, value: int, fee: int, kind: str) -> None:
+        """Take ``value + fee`` from the user account ``payer``, add the fee to
+        ``fee_sink`` and log the transaction; the caller credits ``to``."""
+        balance = self.accounts[payer]
+        if balance < value + fee:
+            name = echo(payer, str)
+            raise InsufficientFunds(
+                f"{name} has {balance} wei, needs {value + fee}"
+                if kind in ("transfer", "lock")
+                else f"{name} cannot pay {kind} fee of {fee} wei"
+            )
+        self.accounts[payer] = balance - value - fee
+        self.fee_sink += fee
+        self._log(payer, to, value, fee, kind)
+
     def transfer(self, from_addr: str, to_addr: str, value: int) -> None:
         """Move ``value`` between user accounts; sender also pays the gas fee."""
         require_amount(value, "transfer value")
         self._require_account(from_addr)
         self._require_account(to_addr)
-        fee = self.gas.transfer_fee()
-        if self.accounts[from_addr] < value + fee:
-            raise InsufficientFunds(
-                f"{from_addr} has {self.accounts[from_addr]} wei, needs {value + fee}"
-            )
-        self.accounts[from_addr] -= value + fee
+        self._debit(from_addr, to_addr, value, self.gas.transfer_fee(), "transfer")
         self.accounts[to_addr] += value
-        self.fee_sink += fee
-        self._log(from_addr, to_addr, value, fee, "transfer")
 
     # ---- contract plumbing -------------------------------------------------
 
     def register_contract(self, contract: AgreementContract, payer: str) -> str:
         """Give ``contract`` a fresh address and return it; the payer covers the deploy fee."""
         self._require_account(payer)
-        fee = self.gas.deploy_fee()
-        if self.accounts[payer] < fee:
-            raise InsufficientFunds(f"{payer} cannot pay deploy fee of {fee} wei")
-        self._contract_seq += 1
-        addr = f"{CONTRACT_ADDRESS_PREFIX}{self._contract_seq}"
-        self.accounts[payer] -= fee
-        self.fee_sink += fee
+        # contracts are only ever added, so addresses run sc-1, sc-2, ...
+        addr = f"{CONTRACT_ADDRESS_PREFIX}{len(self.contracts) + 1}"
+        self._debit(payer, addr, 0, self.gas.deploy_fee(), "deploy")
         contract.address = addr
         self.contracts[addr] = contract
-        self._log(payer, addr, 0, fee, "deploy")
         return addr
 
     def contract_call(self, caller: str, contract_addr: str) -> None:
@@ -317,12 +319,7 @@ class Ledger:
         self._require_account(caller)
         if contract_addr not in self.contracts:
             raise UnknownAddress(contract_addr)
-        fee = self.gas.call_fee()
-        if self.accounts[caller] < fee:
-            raise InsufficientFunds(f"{caller} cannot pay call fee of {fee} wei")
-        self.accounts[caller] -= fee
-        self.fee_sink += fee
-        self._log(caller, contract_addr, 0, fee, "call")
+        self._debit(caller, contract_addr, 0, self.gas.call_fee(), "call")
 
     def escrow_in(self, caller: str, contract_addr: str, value: int) -> None:
         """Move value from a user account into a contract's escrow, plus call fee."""
@@ -331,15 +328,8 @@ class Ledger:
         contract = self.contracts.get(contract_addr)
         if contract is None:
             raise UnknownAddress(contract_addr)
-        fee = self.gas.call_fee()
-        if self.accounts[caller] < value + fee:
-            raise InsufficientFunds(
-                f"{caller} has {self.accounts[caller]} wei, needs {value + fee}"
-            )
-        self.accounts[caller] -= value + fee
+        self._debit(caller, contract_addr, value, self.gas.call_fee(), "lock")
         contract.escrow += value
-        self.fee_sink += fee
-        self._log(caller, contract_addr, value, fee, "lock")
 
     def escrow_out(self, contract_addr: str, to_addr: str, value: int, kind: str) -> None:
         """Release escrowed value to a user account (no fee on releases)."""

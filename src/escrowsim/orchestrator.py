@@ -26,7 +26,7 @@ from .contracts import (
     QuotaTerms,
     Settlement,
 )
-from .errors import InadmissibleOffer, QuoteExpired, SessionNotActive, WrongState
+from .errors import InadmissibleOffer, QuoteExpired, SessionNotActive, WrongState, echo
 from .ledger import Block, Ledger
 from .pricing import Quote, QosPreferences, RateCard, quote_price
 
@@ -106,7 +106,7 @@ class SessionOrchestrator:
                 constraints, self.provider_region, self.provider_gdpr_compliant
             ):
                 raise InadmissibleOffer(
-                    f"no provider satisfies constraints (region {self.provider_region})"
+                    f"no provider satisfies constraints (region {echo(self.provider_region, str)})"
                 )
             multiplier_bp = constraints.price_multiplier_bp
 

@@ -468,6 +468,57 @@ def test_a_5000_character_unknown_label_gets_a_short_error(tmp_path, capsys, eve
     assert error["detail"] == line.split("ValidationError: ")[1]
 
 
+TEN_ETH = GOOD_SCENARIO["genesis"]["alice"]
+REQUEST_EVENT, PAY_EVENT, COUNTERSIGN_EVENT = GOOD_SCENARIO["events"][:3]
+
+# (document, error class); each error message once quoted the whole
+# 5000-character account name or provider region
+LONG_RUN_TIME_INPUTS = {
+    "genesis-name-cannot-pay-transfer": (
+        edited((("genesis", LONG), "0"), (("events",), [
+            {"at_time": 0, "actor": LONG, "action": "transfer",
+             "params": {"to": "alice", "value": "1"}},
+        ])),
+        "InsufficientFunds",
+    ),
+    "genesis-name-countersigns-as-stranger": (
+        edited((("genesis", LONG), TEN_ETH), (("events",), [
+            REQUEST_EVENT, PAY_EVENT, {**COUNTERSIGN_EVENT, "actor": LONG},
+        ])),
+        "NotOwner",
+    ),
+    "genesis-name-votes-without-being-a-voter": (
+        edited((("genesis", LONG), TEN_ETH), (("events",), [
+            label_case("deploy_ballot", {"ballot": "b1", "voters": ["alice"]}),
+            {"at_time": 0, "actor": LONG, "action": "cast_vote",
+             "params": {"ballot": "b1", "choice": "yes"}},
+        ])),
+        "NotAVoter",
+    ),
+    "provider-region-with-inadmissible-constraints": (
+        edited((("config", "provider"), {"region": LONG}), (("events",), [
+            {**REQUEST_EVENT, "params": {**REQUEST, "kind": "constraint_based",
+                                         "constraints": {"allowed_regions": ["EU"]}}},
+        ])),
+        "InadmissibleOffer",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(LONG_RUN_TIME_INPUTS))
+def test_a_5000_character_name_gets_a_short_run_time_error(tmp_path, capsys, case):
+    doc, error = LONG_RUN_TIME_INPUTS[case]
+    code = main(["run", write_scenario(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    [line] = err.splitlines()
+    assert len(line.encode()) < 200, line[:400]
+    [row] = json.loads(out)["event_errors"]
+    assert row["error"] == error
+    assert len(row["detail"].encode()) < 200, row["detail"][:400]
+    assert line.endswith(f": {error}: {row['detail']}")
+
+
 # ---- oracle ---------------------------------------------------------------------
 
 def test_oracle_settlements_match_the_engine_run(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Metamorphic relations: runs of related scripts, on the engine and the oracle.
 
 Engine == oracle only catches a fault where the two disagree; these relations
-check each of them against itself.  Both are run on the fixed-grid scripts
-among generator seeds 0..99.
+check each of them against itself.  The shift and the rename are run on the
+fixed-grid scripts among generator seeds 0..99, the unknown label and the
+richer genesis on all of them.
 """
 
 import copy
@@ -100,3 +101,66 @@ def test_renaming_every_actor_in_sorted_order_renames_the_report():
         assert json.dumps(dict(report.report, tx_digest=None)) == json.dumps(expected), seed
         assert report.settlements == _renamed(base_report.settlements, names), seed
         assert oracle == _renamed(base_oracle, names), seed
+
+
+UNKNOWN_LABEL = "no-such-session"
+
+
+def _with_unknown_label_after(doc, k):
+    """``doc`` with an ``end_session`` on an unknown label right after event ``k``,
+    at its time and by its actor."""
+    doc = copy.deepcopy(doc)
+    event = doc["events"][k]
+    doc["events"].insert(k + 1, {
+        "at_time": event["at_time"],
+        "actor": event["actor"],
+        "action": "end_session",
+        "params": {"session": UNKNOWN_LABEL},
+    })
+    return doc
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_an_event_on_an_unknown_label_adds_one_event_error_and_nothing_else(where):
+    for seed, doc in DOCUMENTS.items():
+        n = len(doc["events"])
+        k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        base_report, base_oracle = _run(doc)
+        report, oracle = _run(_with_unknown_label_after(doc, k))
+        event = doc["events"][k]
+        row = {
+            "event_index": k + 1,
+            "at_time": event["at_time"],
+            "actor": event["actor"],
+            "action": "end_session",
+            "error": "ValidationError",
+            "detail": f"unknown session label {UNKNOWN_LABEL!r}",
+        }
+        errors = base_report.report["event_errors"]
+        expected = [
+            *(e for e in errors if e["event_index"] <= k),
+            row,
+            *(dict(e, event_index=e["event_index"] + 1) for e in errors if e["event_index"] > k),
+        ]
+        assert report.report == dict(base_report.report, event_errors=expected), seed
+        assert report.settlements == base_report.settlements, seed
+        assert oracle == base_oracle, seed
+
+
+RICHER_BY = 10**18
+
+
+def test_a_richer_genesis_raises_every_final_balance_and_nothing_else():
+    for seed, doc in DOCUMENTS.items():
+        base_report, base_oracle = _run(doc)
+        base = base_report.report
+        # a richer account may pay where a poorer one could not
+        assert all(e["error"] != "InsufficientFunds" for e in base["event_errors"]), seed
+        richer = copy.deepcopy(doc)
+        for name, wei in doc["genesis"].items():
+            richer["genesis"][name] = str(int(wei) + RICHER_BY)
+        report, oracle = _run(richer)
+        raised = {name: str(int(wei) + RICHER_BY) for name, wei in base["final_balances"].items()}
+        assert report.report == dict(base, final_balances=raised), seed
+        assert report.settlements == base_report.settlements, seed
+        assert oracle == base_oracle, seed

@@ -124,6 +124,22 @@ def test_unknown_fields_quote_at_most_three_names(extra, listed):
     assert str(exc.value) == f"config: unknown field(s) {listed}"
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({1: 0, "x": 0}, "top level: unknown field(s) [int, 'x']"),
+        ({"genesis": {"a": "1", 7: "2"}}, "genesis: account name must be a string, got int"),
+        ({"genesis": {"a": "1"}, "config": {1: 0, "z": 0}}, "config: unknown field(s) [int, 'z']"),
+    ],
+    ids=["top-level", "genesis", "config"],
+)
+def test_a_dict_with_non_string_keys_is_a_validation_error(doc, message):
+    # a dict handed to parse_scenario, unlike parsed JSON, may have keys of any type
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(doc)
+    assert str(exc.value) == message
+
+
 def test_genesis_amounts_must_be_decimal_strings():
     with pytest.raises(ValidationError, match="decimal string"):
         parse_scenario({"genesis": {"a": 5}, "events": []})

@@ -1,0 +1,43 @@
+"""The repository tools under tools/: what they report about the package."""
+
+import ast
+import importlib.util
+import inspect
+import json
+import sys
+from pathlib import Path
+
+from escrowsim import contracts, scenario
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def first_statement_line(module, function_name):
+    tree = ast.parse(inspect.getsource(module))
+    [function] = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function_name
+    ]
+    return function.body[1].lineno  # body[0] is the docstring
+
+
+def test_reach_lists_a_raise_no_generated_script_takes_and_not_the_parse():
+    reach = load_tool("reach")
+    texts = (json.dumps(scenario.generate_random_script(seed)) for seed in range(10))
+    tracer = sys.gettrace()
+    missed = reach.unreached(texts)
+    assert sys.gettrace() is tracer
+    [quota_exhausted] = [
+        number
+        for number, line in enumerate(inspect.getsource(contracts).splitlines(), 1)
+        if line.strip() == "raise QuotaExhausted(contract.address)"
+    ]
+    assert quota_exhausted in missed["contracts.py"]
+    assert first_statement_line(scenario, "parse_scenario") not in missed["scenario.py"]
