@@ -156,6 +156,11 @@ class Ledger:
         self._tape_next = 1
         self.tx_log: list[str] = []  # one JSON line per tx
         self._tx_hash = hashlib.sha256()  # over tx_log joined by "\n"
+        # Called as (contract address, block) for each wakeup as it falls due.
+        # SessionOrchestrator.__init__ installs its _handle_wakeup here, and the
+        # owner of both (scenario._Runner.run) sets it back to None when the run
+        # ends: the bound method holds the orchestrator, which holds this
+        # ledger, and only the cyclic collector would free a cycle left in place.
         self.wakeup_handler: Optional[Callable[[str, Block], None]] = None
         self._wakeup_heap: list[tuple[int, int, str]] = []
         self._wakeup_armed: dict[str, int] = {}  # contract address -> fire_at

@@ -78,6 +78,15 @@ class SessionOrchestrator:
         provider_gdpr_compliant: bool = True,
         refund_threshold_bp: int = sc.DEFAULT_REFUND_THRESHOLD_BP,
     ) -> None:
+        """Drive sessions on ``ledger`` and install ``_handle_wakeup`` as its wakeup handler.
+
+        The hook makes the ledger settle timed-out sessions through this
+        orchestrator.  It also closes a reference cycle (ledger -> bound method
+        -> orchestrator -> ledger), so whoever owns the pair removes it by
+        setting ``ledger.wakeup_handler = None`` once the last wakeup is
+        delivered, as ``scenario._Runner.run`` does; then reference counting
+        frees the run's state as soon as its owner lets go.
+        """
         self.ledger = ledger
         self.rate_card = rate_card or RateCard()
         self.provider_region = provider_region

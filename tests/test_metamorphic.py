@@ -1,9 +1,10 @@
 """Metamorphic relations: runs of related scripts, on the engine and the oracle.
 
 Engine == oracle only catches a fault where the two disagree; these relations
-check each of them against itself.  The shift and the rename are run on the
-fixed-grid scripts among generator seeds 0..99, the unknown label and the
-richer genesis on all of them.
+check each of them against itself.  The shift and the order-keeping rename are
+run on the fixed-grid scripts among generator seeds 0..99, the unknown label
+and the richer genesis on all of them, and the order-reversing rename and the
+later horizon on all of generator seeds 0..299.
 """
 
 import copy
@@ -15,7 +16,8 @@ import pytest
 from escrowsim.oracle import oracle_settlement
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 
-DOCUMENTS = {seed: generate_random_script(seed) for seed in range(100)}
+DOCUMENTS_0_TO_299 = {seed: generate_random_script(seed) for seed in range(300)}
+DOCUMENTS = {seed: DOCUMENTS_0_TO_299[seed] for seed in range(100)}
 FIXED_GRID = [seed for seed, doc in DOCUMENTS.items() if "jitter_seed" not in doc["config"]]
 
 
@@ -74,9 +76,10 @@ def test_shifting_every_event_by_k_blocks_moves_only_the_heights(k):
 PREFIX = "acct-"  # the same prefix on every name keeps their sorted order
 
 
-def _renamed(value, names):
-    """``value`` with every actor name in ``names`` prefixed, in keys and strings alike."""
-    pattern = re.compile(r"\b(" + "|".join(map(re.escape, names)) + r")\b")
+def _renamed(value, renames):
+    """``value`` with every actor name renamed as ``renames`` maps it, in keys and
+    strings alike."""
+    pattern = re.compile(r"\b(" + "|".join(map(re.escape, renames)) + r")\b")
 
     def walk(node):
         if isinstance(node, dict):
@@ -84,7 +87,7 @@ def _renamed(value, names):
         if isinstance(node, list):
             return list(map(walk, node))
         if isinstance(node, str):
-            return pattern.sub(lambda m: PREFIX + m.group(1), node)
+            return pattern.sub(lambda m: renames[m.group(1)], node)
         return node
 
     return walk(value)
@@ -93,11 +96,44 @@ def _renamed(value, names):
 def test_renaming_every_actor_in_sorted_order_renames_the_report():
     for seed in FIXED_GRID:
         doc = DOCUMENTS[seed]
-        names = sorted(doc["genesis"])
+        names = {name: PREFIX + name for name in doc["genesis"]}
         base_report, base_oracle = _run(doc)
         report, oracle = _run(_renamed(doc, names))
         expected = _renamed(dict(base_report.report, tx_digest=None), names)
         # as text, so that the order of every key counts too
+        assert json.dumps(dict(report.report, tx_digest=None)) == json.dumps(expected), seed
+        assert report.settlements == _renamed(base_report.settlements, names), seed
+        assert oracle == _renamed(base_oracle, names), seed
+
+
+def _reversing(names):
+    """A renaming of ``names`` that reverses their sorted order."""
+    last = len(names) - 1
+    return {name: f"{PREFIX}{last - i}-{name}" for i, name in enumerate(sorted(names))}
+
+
+def _sorted_by_name(report):
+    """``report`` with the balances, voters and votes in name order again."""
+    contracts = []
+    for row in report["contracts"]:
+        terms = row["terms"]
+        if "voters" in terms:
+            votes = dict(sorted(terms["votes"].items()))
+            terms = dict(terms, voters=sorted(terms["voters"]), votes=votes)
+        contracts.append(dict(row, terms=terms))
+    return dict(
+        report,
+        final_balances=dict(sorted(report["final_balances"].items())),
+        contracts=contracts,
+    )
+
+
+def test_renaming_every_actor_against_sorted_order_renames_and_resorts_the_report():
+    for seed, doc in DOCUMENTS_0_TO_299.items():
+        names = _reversing(doc["genesis"])
+        base_report, base_oracle = _run(doc)
+        report, oracle = _run(_renamed(doc, names))
+        expected = _sorted_by_name(_renamed(dict(base_report.report, tx_digest=None), names))
         assert json.dumps(dict(report.report, tx_digest=None)) == json.dumps(expected), seed
         assert report.settlements == _renamed(base_report.settlements, names), seed
         assert oracle == _renamed(base_oracle, names), seed
@@ -164,3 +200,25 @@ def test_a_richer_genesis_raises_every_final_balance_and_nothing_else():
         assert report.report == dict(base, final_balances=raised), seed
         assert report.settlements == base_report.settlements, seed
         assert oracle == base_oracle, seed
+
+
+LATER_BY = 100_000
+
+
+def test_a_later_horizon_once_no_escrow_is_held_moves_only_the_final_block():
+    qualified = 0
+    for seed, doc in DOCUMENTS_0_TO_299.items():
+        base_report, base_oracle = _run(doc)
+        if any(row["escrow"] for row in base_report.settlements.values()):
+            continue  # a later horizon may still release it
+        qualified += 1
+        horizon = base_report.report["final_block"]["timestamp"] + LATER_BY
+        later = copy.deepcopy(doc)
+        later["config"]["run_until_seconds"] = horizon
+        report, oracle = _run(later)
+        final_block = report.report["final_block"]
+        assert final_block["timestamp"] >= horizon, seed
+        assert report.report == dict(base_report.report, final_block=final_block), seed
+        assert report.settlements == base_report.settlements, seed
+        assert oracle == base_oracle, seed
+    assert qualified >= 250

@@ -41,3 +41,12 @@ def test_reach_lists_a_raise_no_generated_script_takes_and_not_the_parse():
     ]
     assert quota_exhausted in missed["contracts.py"]
     assert first_statement_line(scenario, "parse_scenario") not in missed["scenario.py"]
+
+
+def test_mem_gives_one_row_per_stage_and_no_cyclic_garbage():
+    mem = load_tool("mem")
+    texts = [json.dumps(scenario.generate_random_script(seed)) for seed in range(10)]
+    rows = mem.stage_rows(texts)
+    assert [row.stage for row in rows] == ["parse", "run", "render", "oracle"]
+    assert all(row.live_bytes > 0 for row in rows)
+    assert [row.garbage for row in rows] == [0, 0, 0, 0]
