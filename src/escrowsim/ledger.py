@@ -126,6 +126,12 @@ class Ledger:
     ``jitter_chunks``: the ledger keeps the block timestamps of at most the
     current chunk.  Built and skipped blocks read the same tape, so heights
     and timestamps follow that one stream.
+
+    The clock is two ints, the height and timestamp of the latest block.
+    ``advance_to`` moves only them over the empty blocks it skips;
+    ``produce_block`` builds the one ``Block`` of each block that can hold a
+    transaction or a wakeup and keeps it as ``current_block``.  The tx log is
+    a list of JSON lines, hashed once when ``tx_log_digest`` is asked.
     """
 
     def __init__(
@@ -138,12 +144,15 @@ class Ledger:
         for name, balance in genesis.items():
             if name.startswith(CONTRACT_ADDRESS_PREFIX):
                 raise ValidationError(
-                    f"genesis account {name!r} uses the reserved contract prefix"
+                    f"genesis account {echo(name)} uses the reserved contract prefix"
                 )
-            require_amount(balance, f"genesis balance of {name}")
+            require_amount(balance, f"genesis balance of {echo(name, str)}")
         self.accounts: dict[str, int] = dict(genesis)
         self.contracts: dict[str, AgreementContract] = {}
         self.fee_sink: int = 0
+        # the clock: height and timestamp of the latest block, skipped or built
+        self._height = 0
+        self._timestamp = 0
         self.current_block = Block(height=0, timestamp=0)
         self.genesis_total: int = sum(genesis.values())
         self.gas = gas or GasSchedule()
@@ -155,7 +164,6 @@ class Ledger:
         self._tape = [0]
         self._tape_next = 1
         self.tx_log: list[str] = []  # one JSON line per tx
-        self._tx_hash = hashlib.sha256()  # over tx_log joined by "\n"
         # Called as (contract address, block) for each wakeup as it falls due.
         # SessionOrchestrator.__init__ installs its _handle_wakeup here, and the
         # owner of both (scenario._Runner.run) sets it back to None when the run
@@ -170,18 +178,18 @@ class Ledger:
 
     def produce_block(self) -> Block:
         """Append one block and deliver every wakeup now due, in order."""
-        prev = self.current_block
         if self._rng is None:
-            timestamp = prev.timestamp + self.block_interval
+            self._timestamp += self.block_interval
         else:
             while self._tape_next == len(self._tape):
-                self._tape = list(accumulate(next(self._chunks), initial=prev.timestamp))
+                self._tape = list(accumulate(next(self._chunks), initial=self._timestamp))
                 self._tape_next = 1
-            timestamp = self._tape[self._tape_next]
+            self._timestamp = self._tape[self._tape_next]
             self._tape_next += 1
-        block = Block(height=prev.height + 1, timestamp=timestamp)
-        self.current_block = block
-        self._deliver_due_wakeups(block)
+        self._height += 1
+        block = self.current_block = Block(self._height, self._timestamp)
+        if self._wakeup_heap and self._wakeup_heap[0][0] <= self._timestamp:
+            self._deliver_due_wakeups(block)
         return block
 
     def advance_to(self, t: int) -> Block:
@@ -190,23 +198,24 @@ class Ledger:
         The result equals calling ``produce_block`` while the timestamp is
         below ``t``: the same heights, timestamps, wakeup deliveries and RNG
         draws.  Blocks before the next armed wakeup hold no transaction and
-        deliver nothing, so they are skipped without being built; they still
-        count in heights.  The deterministic grid skips in closed form.  The
-        jittered grid skips along its tape: a chunk that ends before the
-        target is summed and dropped, and only the chunk that crosses it
-        becomes the tape.  A ``t`` at or before the current timestamp is a
-        no-op.
+        deliver nothing, so they are skipped without being built: only the
+        clock moves over them, and they still count in heights.  The
+        deterministic grid skips in closed form.  The jittered grid skips
+        along its tape: a chunk that ends before the target is summed and
+        dropped, and only the chunk that crosses it becomes the tape.  A
+        ``t`` at or before the current timestamp is a no-op.
         """
-        while self.current_block.timestamp < t:
+        while self._timestamp < t:
             due = self._next_wakeup_at()
             target = t if due is None else min(t, due)
-            height, ts = self.current_block.height, self.current_block.timestamp
             if self._rng is None:
-                skipped = max(0, (target - ts - 1) // self.block_interval)
-                height += skipped
-                ts += skipped * self.block_interval
+                skipped = (target - self._timestamp - 1) // self.block_interval
+                if skipped > 0:
+                    self._height += skipped
+                    self._timestamp += skipped * self.block_interval
             else:
                 tape, i = self._tape, self._tape_next
+                height = self._height
                 if tape[-1] < target:  # every block left on the tape is empty
                     height += len(tape) - i
                     ts = tape[-1]
@@ -218,11 +227,9 @@ class Ledger:
                     self._tape = tape = list(accumulate(draws, initial=ts))
                     i = 1
                 crossing = bisect_left(tape, target, i)  # the first block at or past target
-                height += crossing - i
-                ts = tape[crossing - 1]
+                self._height = height + crossing - i
+                self._timestamp = tape[crossing - 1]
                 self._tape_next = crossing
-            if height != self.current_block.height:
-                self.current_block = Block(height=height, timestamp=ts)
             self.produce_block()  # the first block at or past target
         return self.current_block
 
@@ -233,7 +240,7 @@ class Ledger:
         a wakeup already due is delivered by the next block.
         """
         while (due := self._next_wakeup_at()) is not None:
-            self.advance_to(max(due, self.current_block.timestamp + 1))
+            self.advance_to(max(due, self._timestamp + 1))
         return self.current_block
 
     def _next_wakeup_at(self) -> Optional[int]:
@@ -278,11 +285,11 @@ class Ledger:
             return self.accounts[addr]
         if addr in self.contracts:
             return self.contracts[addr].escrow
-        raise UnknownAddress(addr)
+        raise UnknownAddress(echo(addr, str))
 
     def _require_account(self, addr: str) -> None:
         if addr not in self.accounts:
-            raise UnknownAddress(addr)
+            raise UnknownAddress(echo(addr, str))
 
     def _debit(self, payer: str, to: str, value: int, fee: int, kind: str) -> None:
         """Take ``value + fee`` from the user account ``payer``, add the fee to
@@ -323,7 +330,7 @@ class Ledger:
         """Charge the flat call fee for a state-changing contract trigger."""
         self._require_account(caller)
         if contract_addr not in self.contracts:
-            raise UnknownAddress(contract_addr)
+            raise UnknownAddress(echo(contract_addr, str))
         self._debit(caller, contract_addr, 0, self.gas.call_fee(), "call")
 
     def escrow_in(self, caller: str, contract_addr: str, value: int) -> None:
@@ -332,7 +339,7 @@ class Ledger:
         self._require_account(caller)
         contract = self.contracts.get(contract_addr)
         if contract is None:
-            raise UnknownAddress(contract_addr)
+            raise UnknownAddress(echo(contract_addr, str))
         self._debit(caller, contract_addr, value, self.gas.call_fee(), "lock")
         contract.escrow += value
 
@@ -341,7 +348,7 @@ class Ledger:
         require_amount(value, "release value")
         contract = self.contracts.get(contract_addr)
         if contract is None:
-            raise UnknownAddress(contract_addr)
+            raise UnknownAddress(echo(contract_addr, str))
         if value == 0:
             return
         self._require_account(to_addr)
@@ -365,18 +372,21 @@ class Ledger:
         # The bytes of json.dumps(..., separators=(", ", ": ")) on a dict with
         # keys block_height, from, to, value_wei, fee_wei, kind in that order.
         line = (
-            f'{{"block_height": {self.current_block.height:d}, '
+            f'{{"block_height": {self._height:d}, '
             f'"from": {encode_basestring_ascii(from_addr)}, '
             f'"to": {encode_basestring_ascii(to_addr)}, '
             f'"value_wei": "{value:d}", "fee_wei": "{fee:d}", '
             f'"kind": {encode_basestring_ascii(kind)}}}'
         )
-        self._tx_hash.update(("\n" + line if self.tx_log else line).encode())
         self.tx_log.append(line)
 
     def tx_log_digest(self) -> str:
-        r"""SHA-256 of ``"\n".join(tx_log)``, hashed as each tx is logged."""
-        return self._tx_hash.hexdigest()
+        r"""SHA-256 of ``"\n".join(tx_log)``, hashed in one pass when asked.
+
+        A run asks once, when its report is built, so the log is not hashed
+        line by line as it grows.
+        """
+        return hashlib.sha256("\n".join(self.tx_log).encode()).hexdigest()
 
 
 def replay_balances(

@@ -165,6 +165,45 @@ def test_genesis_rejects_reserved_contract_prefix():
         Ledger({"sc-1": 10}, gas=zero_gas())
 
 
+LONG_NAME = "n" * 5000
+
+
+def _funded_ledger():
+    ledger = Ledger({"a": eth(1)}, gas=zero_gas())
+    ledger.register_contract(_contract(), payer="a")
+    return ledger
+
+
+@pytest.mark.parametrize("error, act", [
+    (ValidationError, lambda: Ledger({"sc-" + LONG_NAME: 1})),
+    (ValueError, lambda: Ledger({LONG_NAME: -1})),
+    (UnknownAddress, lambda: _funded_ledger().transfer("a", LONG_NAME, 1)),
+    (UnknownAddress, lambda: _funded_ledger().transfer(LONG_NAME, "a", 1)),
+    (UnknownAddress, lambda: _funded_ledger().contract_call(LONG_NAME, "sc-1")),
+    (UnknownAddress, lambda: _funded_ledger().contract_call("a", LONG_NAME)),
+    (UnknownAddress, lambda: _funded_ledger().escrow_in("a", LONG_NAME, 1)),
+    (UnknownAddress, lambda: _funded_ledger().escrow_out(LONG_NAME, "a", 1, "refund")),
+    (UnknownAddress, lambda: _funded_ledger().balance_of(LONG_NAME)),
+], ids=["reserved-prefix", "negative-genesis", "transfer-to", "transfer-from",
+        "call-caller", "call-contract", "escrow-in-contract", "escrow-out-contract",
+        "balance-of"])
+def test_a_5000_character_name_gets_a_short_ledger_error(error, act):
+    with pytest.raises(error) as raised:
+        act()
+    message = str(raised.value)
+    assert len(message) < 200, message[:300]
+    assert "n" * 20 in message and "characters)" in message  # the name, cut
+
+
+def test_short_names_are_quoted_whole_in_ledger_errors():
+    with pytest.raises(ValidationError, match="^genesis account 'sc-1' uses"):
+        Ledger({"sc-1": 10})
+    with pytest.raises(ValueError, match="^genesis balance of bob must be non-negative, got -1$"):
+        Ledger({"bob": -1})
+    with pytest.raises(UnknownAddress, match="^nobody$"):
+        _funded_ledger().contract_call("a", "nobody")
+
+
 # ---- contract escrow accounts --------------------------------------------------------
 
 def _contract() -> AgreementContract:
@@ -210,14 +249,19 @@ def test_deploy_fee_charged_to_payer():
 
 # ---- randomized conservation sweep --------------------------------------------------
 
-def test_conservation_holds_under_random_op_storm():
-    rng = random.Random(1234)
+def random_op_storm(steps, seed=1234):
+    """A ledger under ``steps`` random operations, yielded after each one.
+
+    Transfers, deploys, escrow in and out and blocks, among four accounts and
+    at most six contracts; an operation the payer cannot afford is skipped.
+    """
+    rng = random.Random(seed)
     gas = GasSchedule(transfer_gas=100, contract_call_gas=200,
                       contract_deploy_gas=300, gas_price_wei=gwei(3))
     names = ["a", "b", "c", "d"]
     ledger = Ledger({n: eth(1) for n in names}, gas=gas)
     contracts = []
-    for step in range(2000):
+    for step in range(steps):
         op = rng.randrange(5)
         try:
             if op == 0:
@@ -235,6 +279,11 @@ def test_conservation_holds_under_random_op_storm():
                 ledger.produce_block()
         except InsufficientFunds:
             pass
+        yield step, ledger
+
+
+def test_conservation_holds_under_random_op_storm():
+    for step, ledger in random_op_storm(2000):
         assert ledger.conservation_check(), f"conservation broke at step {step}"
 
 
@@ -318,6 +367,19 @@ def test_tx_log_digest_hashes_the_joined_lines():
     assert len(ledger.tx_log) == 5
     joined = "\n".join(ledger.tx_log).encode()
     assert ledger.tx_log_digest() == hashlib.sha256(joined).hexdigest()
+
+
+def test_tx_log_digest_after_a_random_op_storm_hashes_the_log_as_it_stands():
+    for _, ledger in random_op_storm(2000):
+        pass
+    assert len(ledger.tx_log) > 500
+    digest = ledger.tx_log_digest()
+    assert digest == hashlib.sha256("\n".join(ledger.tx_log).encode()).hexdigest()
+    assert ledger.tx_log_digest() == digest  # asking again changes nothing
+    payer = max(ledger.accounts, key=ledger.accounts.get)
+    ledger.transfer(payer, payer, 1)
+    assert ledger.tx_log_digest() != digest
+    assert ledger.tx_log_digest() == hashlib.sha256("\n".join(ledger.tx_log).encode()).hexdigest()
 
 
 def test_tx_log_digest_is_stable():
@@ -595,22 +657,25 @@ def test_idle_horizon_builds_only_blocks_that_do_work(monkeypatch, jitter_seed):
     doc["config"]["run_until_seconds"] = 10**7
     calls = Counter()
 
-    def counted(name):
-        original = getattr(Ledger, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("produce_block", "schedule_wakeup"):
-        monkeypatch.setattr(Ledger, name, counted(name))
+    count(Ledger, "produce_block")
+    count(Ledger, "schedule_wakeup")
+    count(ledger_module, "Block")
     monkeypatch.setattr(ledger_module, "random", counting_random(calls))
     report = run_scenario(parse_scenario(doc)).report
     assert report["final_block"]["timestamp"] >= 10**7
     assert report["final_block"]["height"] >= 10**7 // 25  # empty blocks still count
     assert calls["produce_block"] <= len(doc["events"]) + calls["schedule_wakeup"] + 1
+    # a skip moves only the clock: one Block per produced block, and the genesis block
+    assert calls["Block"] == calls["produce_block"] + 1
     # one draw per empty block would be ~667k randint calls on the jittered grid
     assert calls["randint"] + calls["getrandbits"] <= 1_000
 

@@ -3,8 +3,9 @@
 Engine == oracle only catches a fault where the two disagree; these relations
 check each of them against itself.  The shift and the order-keeping rename are
 run on the fixed-grid scripts among generator seeds 0..99, the unknown label
-and the richer genesis on all of them, and the order-reversing rename and the
-later horizon on all of generator seeds 0..299.
+and the richer genesis on all of them, the order-reversing rename and the
+later horizon on all of generator seeds 0..299, and the disjoint union on the
+pairs of generator seeds 2k and 2k + 1 for k < 100.
 """
 
 import copy
@@ -222,3 +223,92 @@ def test_a_later_horizon_once_no_escrow_is_held_moves_only_the_final_block():
         assert report.settlements == base_report.settlements, seed
         assert oracle == base_oracle, seed
     assert qualified >= 250
+
+
+UNION_PREFIX = "z-"
+LABEL_KEYS = ("session", "ballot")
+ADDRESS = re.compile(r"\bsc-\d+\b")
+
+
+def _second_part(doc, config):
+    """``doc`` with its actors and labels prefixed, run under ``config``."""
+    labels = {event["params"][key] for event in doc["events"] for key in LABEL_KEYS
+              if key in event["params"]}
+    renames = {name: UNION_PREFIX + name for name in [*doc["genesis"], *labels]}
+    return dict(_renamed(doc, renames), config=config)
+
+
+def _union(first, second):
+    """One document holding both scripts, events merged by a stable sort on time."""
+    events = sorted(first["events"] + second["events"], key=lambda e: e["at_time"])
+    return dict(first, genesis={**first["genesis"], **second["genesis"]}, events=events)
+
+
+def _contracts_by_owner(report):
+    """Each owner's contracts in address order, as (address, kind, state,
+    charge, refund, payouts)."""
+    owned = {}
+    for row in report.report["contracts"]:
+        settled = report.settlements[row["address"]]
+        owned.setdefault(row["owner"], []).append((
+            row["address"], row["kind"], row["state"],
+            settled["charge"], settled["refund"], settled["payouts"],
+        ))
+    return owned
+
+
+def _without_addresses(owned):
+    return {owner: [row[1:] for row in rows] for owner, rows in owned.items()}
+
+
+def _renumbering(part_owned, merged_owned):
+    """A part's contract address -> the same contract's address in the merged run."""
+    return {
+        row[0]: merged_row[0]
+        for owner, rows in part_owned.items()
+        for row, merged_row in zip(rows, merged_owned[owner])
+    }
+
+
+def _interleaves(merged, first, second):
+    """Whether ``merged`` is ``first`` and ``second`` interleaved, each in its own order."""
+    ends = {(0, 0)}
+    for item in merged:
+        ends = {(i + 1, j) for i, j in ends if i < len(first) and first[i] == item} | {
+            (i, j + 1) for i, j in ends if j < len(second) and second[j] == item
+        }
+    return (len(first), len(second)) in ends
+
+
+def test_two_scripts_with_disjoint_actors_merged_settle_as_the_two_parts():
+    for k in range(100):
+        first = DOCUMENTS_0_TO_299[2 * k]
+        second = _second_part(DOCUMENTS_0_TO_299[2 * k + 1], first["config"])
+        merged = _union(first, second)
+        (first_report, first_oracle), (second_report, second_oracle) = _run(first), _run(second)
+        report, oracle = _run(merged)
+
+        owned = _contracts_by_owner(report)
+        first_owned, second_owned = map(_contracts_by_owner, (first_report, second_report))
+        assert not first_owned.keys() & second_owned.keys(), k
+        assert _without_addresses(owned) == _without_addresses({**first_owned, **second_owned}), k
+        r, a, b = report.report, first_report.report, second_report.report
+        assert r["final_balances"] == {**a["final_balances"], **b["final_balances"]}, k
+        assert int(r["fee_sink_wei"]) == int(a["fee_sink_wei"]) + int(b["fee_sink_wei"]), k
+        # each part's event errors, at their merged index and with merged addresses
+        sources = first["events"] + second["events"]
+        order = sorted(range(len(sources)), key=lambda i: sources[i]["at_time"])
+        position = {source: merged_index for merged_index, source in enumerate(order)}
+        moved = []
+        for part, start, part_owned in ((a, 0, first_owned), (b, len(first["events"]), second_owned)):
+            renumbered = _renumbering(part_owned, owned)
+            moved += [
+                dict(e, event_index=position[start + e["event_index"]],
+                     detail=ADDRESS.sub(lambda m: renumbered[m.group()], e["detail"]))
+                for e in part["event_errors"]
+            ]
+        assert r["event_errors"] == sorted(moved, key=lambda e: e["event_index"]), k
+
+        assert len(oracle) == len(first_oracle) + len(second_oracle), k
+        assert _interleaves(list(oracle.values()), list(first_oracle.values()),
+                            list(second_oracle.values())), k
