@@ -6,7 +6,7 @@ Seven monetization templates over one explicit state machine:
 
 Escrow is strictly positive exactly in USER_SIGNED and ACTIVE, and zero once
 SETTLED.  A contract settles from its own terms, its availability counts and
-the ledger's current block time.  All money math is exact integer wei;
+the ledger's clock, ``ledger.timestamp``.  All money math is exact integer wei;
 prorated charges round down so the remainder favors the end user.
 """
 
@@ -231,7 +231,7 @@ def lock_funds(ledger: Ledger, contract: AgreementContract, sender: str, value: 
     if value != contract.price:
         return False  # value does not match the agreed price; nothing changes
     ledger.escrow_in(sender, contract.address, value)
-    now = ledger.current_block.timestamp
+    now = ledger.timestamp
     contract.end_user = sender
     contract.session_start_time = now
     contract.release_time = now + contract.lock_time_seconds
@@ -303,7 +303,7 @@ def stop_and_settle(ledger: Ledger, contract: AgreementContract, caller: str) ->
     contract.require_state(ContractState.ACTIVE)
     contract.require_end_user(caller)
     ledger.contract_call(caller, contract.address)
-    elapsed = ledger.current_block.timestamp - contract.session_start_time
+    elapsed = ledger.timestamp - contract.session_start_time
     return _execute_settlement(ledger, contract, min(elapsed, contract.lock_time_seconds))
 
 
@@ -313,7 +313,7 @@ def expire_and_settle(ledger: Ledger, contract: AgreementContract) -> Settlement
     Triggered by the alarm-clock wakeup, so no party pays a call fee.
     """
     contract.require_state(ContractState.ACTIVE)
-    now = ledger.current_block.timestamp
+    now = ledger.timestamp
     if now < contract.release_time:
         raise NotYetReleased(f"release at {contract.release_time}, block time is {now}")
     return _execute_settlement(ledger, contract, contract.lock_time_seconds)
@@ -360,7 +360,7 @@ def quota_start(ledger: Ledger, contract: AgreementContract, caller: str) -> str
     if terms.minutes_remaining() <= 0:
         raise QuotaExhausted(contract.address)
     ledger.contract_call(caller, contract.address)
-    now = ledger.current_block.timestamp
+    now = ledger.timestamp
     terms.open_session_start = now
     token = f"{contract.address}/q{len(terms.sessions) + 1}"
     terms.sessions.append({"token": token, "start": now, "stop": None, "minutes": 0})
@@ -375,7 +375,7 @@ def quota_stop(ledger: Ledger, contract: AgreementContract, caller: str) -> int:
         raise NoOpenSession(contract.address)
     contract.require_state(ContractState.ACTIVE)
     ledger.contract_call(caller, contract.address)
-    now = ledger.current_block.timestamp
+    now = ledger.timestamp
     elapsed = now - terms.open_session_start
     minutes = min(-(-elapsed // 60), terms.minutes_remaining())  # ceil, then clamp
     charge = minutes * terms.per_minute_price

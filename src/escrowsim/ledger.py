@@ -127,10 +127,10 @@ class Ledger:
     current chunk.  Built and skipped blocks read the same tape, so heights
     and timestamps follow that one stream.
 
-    The clock is two ints, the height and timestamp of the latest block.
+    The clock is two ints, ``height`` and ``timestamp`` of the latest block.
     ``advance_to`` moves only them over the empty blocks it skips;
     ``produce_block`` builds the one ``Block`` of each block that can hold a
-    transaction or a wakeup and keeps it as ``current_block``.  The tx log is
+    transaction or a wakeup and hands it to the wakeup handler.  The tx log is
     a list of JSON lines, hashed once when ``tx_log_digest`` is asked.
     """
 
@@ -151,9 +151,8 @@ class Ledger:
         self.contracts: dict[str, AgreementContract] = {}
         self.fee_sink: int = 0
         # the clock: height and timestamp of the latest block, skipped or built
-        self._height = 0
-        self._timestamp = 0
-        self.current_block = Block(height=0, timestamp=0)
+        self.height = 0
+        self.timestamp = 0
         self.genesis_total: int = sum(genesis.values())
         self.gas = gas or GasSchedule()
         self.block_interval = block_interval
@@ -179,20 +178,20 @@ class Ledger:
     def produce_block(self) -> Block:
         """Append one block and deliver every wakeup now due, in order."""
         if self._rng is None:
-            self._timestamp += self.block_interval
+            self.timestamp += self.block_interval
         else:
             while self._tape_next == len(self._tape):
-                self._tape = list(accumulate(next(self._chunks), initial=self._timestamp))
+                self._tape = list(accumulate(next(self._chunks), initial=self.timestamp))
                 self._tape_next = 1
-            self._timestamp = self._tape[self._tape_next]
+            self.timestamp = self._tape[self._tape_next]
             self._tape_next += 1
-        self._height += 1
-        block = self.current_block = Block(self._height, self._timestamp)
-        if self._wakeup_heap and self._wakeup_heap[0][0] <= self._timestamp:
+        self.height += 1
+        block = Block(self.height, self.timestamp)
+        if self._wakeup_heap and self._wakeup_heap[0][0] <= self.timestamp:
             self._deliver_due_wakeups(block)
         return block
 
-    def advance_to(self, t: int) -> Block:
+    def advance_to(self, t: int) -> None:
         """Produce blocks until the latest block's timestamp is >= ``t``.
 
         The result equals calling ``produce_block`` while the timestamp is
@@ -205,17 +204,17 @@ class Ledger:
         dropped, and only the chunk that crosses it becomes the tape.  A
         ``t`` at or before the current timestamp is a no-op.
         """
-        while self._timestamp < t:
+        while self.timestamp < t:
             due = self._next_wakeup_at()
             target = t if due is None else min(t, due)
             if self._rng is None:
-                skipped = (target - self._timestamp - 1) // self.block_interval
+                skipped = (target - self.timestamp - 1) // self.block_interval
                 if skipped > 0:
-                    self._height += skipped
-                    self._timestamp += skipped * self.block_interval
+                    self.height += skipped
+                    self.timestamp += skipped * self.block_interval
             else:
                 tape, i = self._tape, self._tape_next
-                height = self._height
+                height = self.height
                 if tape[-1] < target:  # every block left on the tape is empty
                     height += len(tape) - i
                     ts = tape[-1]
@@ -227,21 +226,19 @@ class Ledger:
                     self._tape = tape = list(accumulate(draws, initial=ts))
                     i = 1
                 crossing = bisect_left(tape, target, i)  # the first block at or past target
-                self._height = height + crossing - i
-                self._timestamp = tape[crossing - 1]
+                self.height = height + crossing - i
+                self.timestamp = tape[crossing - 1]
                 self._tape_next = crossing
             self.produce_block()  # the first block at or past target
-        return self.current_block
 
-    def drain_wakeups(self) -> Block:
+    def drain_wakeups(self) -> None:
         """Produce blocks until no wakeup is armed, skipping empty ones.
 
         Equals calling ``produce_block`` while ``armed_wakeup_count() > 0``;
         a wakeup already due is delivered by the next block.
         """
         while (due := self._next_wakeup_at()) is not None:
-            self.advance_to(max(due, self._timestamp + 1))
-        return self.current_block
+            self.advance_to(max(due, self.timestamp + 1))
 
     def _next_wakeup_at(self) -> Optional[int]:
         """Fire time of the earliest armed wakeup, or None.
@@ -257,10 +254,8 @@ class Ledger:
         return None
 
     def _deliver_due_wakeups(self, block: Block) -> None:
-        while self._wakeup_heap and self._wakeup_heap[0][0] <= block.timestamp:
-            fire_at, _, addr = heapq.heappop(self._wakeup_heap)
-            if self._wakeup_armed.get(addr) != fire_at:
-                continue  # cancelled or rescheduled
+        while (due := self._next_wakeup_at()) is not None and due <= block.timestamp:
+            addr = heapq.heappop(self._wakeup_heap)[2]
             del self._wakeup_armed[addr]
             if self.wakeup_handler is not None:
                 self.wakeup_handler(addr, block)
@@ -372,7 +367,7 @@ class Ledger:
         # The bytes of json.dumps(..., separators=(", ", ": ")) on a dict with
         # keys block_height, from, to, value_wei, fee_wei, kind in that order.
         line = (
-            f'{{"block_height": {self._height:d}, '
+            f'{{"block_height": {self.height:d}, '
             f'"from": {encode_basestring_ascii(from_addr)}, '
             f'"to": {encode_basestring_ascii(to_addr)}, '
             f'"value_wei": "{value:d}", "fee_wei": "{fee:d}", '

@@ -123,7 +123,7 @@ class SessionOrchestrator:
         quote = quote_price(
             prefs,
             self.rate_card,
-            current_height=self.ledger.current_block.height,
+            current_height=self.ledger.height,
             constraint_multiplier_bp=multiplier_bp,
             flexible=flexible,
         )
@@ -181,7 +181,7 @@ class SessionOrchestrator:
 
         Whoever funds the lock is recorded as the end user.
         """
-        if self.ledger.current_block.height > session.quote.expires_at_block:
+        if self.ledger.height > session.quote.expires_at_block:
             raise QuoteExpired(
                 f"quote expired at block {session.quote.expires_at_block}"
             )
@@ -205,7 +205,7 @@ class SessionOrchestrator:
         """Record the container deployment at this block and issue its URL token."""
         self._token_seq += 1
         tag = hashlib.sha256(f"{self._token_seq}:{session.contract.address}".encode())
-        session.deploy_block = self.ledger.current_block.height
+        session.deploy_block = self.ledger.height
         session.url_token = f"vc-{self._token_seq:04d}-{tag.hexdigest()[:12]}"
 
     # ---- monitoring -----------------------------------------------------------
@@ -229,7 +229,7 @@ class SessionOrchestrator:
         return settlement
 
     def on_wakeup(self, session: SessionRecord, block: Block) -> Optional[Settlement]:
-        """Timeout settlement at ``block``, the ledger's current block; no-op once settled."""
+        """Timeout settlement at ``block``, the ledger's clock on delivery; no-op once settled."""
         contract = session.contract
         if contract.state is ContractState.SETTLED:
             return None
@@ -244,7 +244,7 @@ class SessionOrchestrator:
 
     def _settled(self, session: SessionRecord, how: str, first_step: int) -> None:
         """Record a settlement at this block and its steps ``first_step``..16."""
-        session.stop_block = self.ledger.current_block.height
+        session.stop_block = self.ledger.height
         session.settled_by = how
         session.step_log += range(first_step, 17)
 

@@ -847,8 +847,8 @@ class _Runner:
             "fee_sink_wei": str(ledger.fee_sink),
             "conservation_ok": ledger.conservation_check(),
             "final_block": {
-                "height": ledger.current_block.height,
-                "timestamp": ledger.current_block.timestamp,
+                "height": ledger.height,
+                "timestamp": ledger.timestamp,
             },
             "contracts": contracts,
             "sessions": sessions,

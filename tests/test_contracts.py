@@ -516,9 +516,11 @@ def test_division_remainder_ties_break_by_listing_order():
 
 
 def test_share_validation():
-    # shares check themselves when built
-    with pytest.raises(InvalidShares):
-        IncomeShares({}, 1)
+    # shares check themselves when built; no shares or no denominator fails the first check
+    for numerators, denominator in [({}, 1), ({"a": 0}, 0)]:
+        with pytest.raises(InvalidShares) as exc:
+            IncomeShares(numerators, denominator)
+        assert str(exc.value) == "shares must be non-empty with a positive denominator"
     with pytest.raises(InvalidShares):
         IncomeShares({"a": 1, "b": 1}, 3)
     with pytest.raises(InvalidShares):

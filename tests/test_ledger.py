@@ -38,6 +38,11 @@ def zero_gas() -> GasSchedule:
     return GasSchedule(transfer_gas=0, contract_call_gas=0, contract_deploy_gas=0)
 
 
+def clock(ledger: Ledger) -> Block:
+    """The ledger's clock as a ``Block``."""
+    return Block(ledger.height, ledger.timestamp)
+
+
 # ---- units -----------------------------------------------------------------
 
 def test_unit_relations():
@@ -84,7 +89,7 @@ def test_deterministic_blocks_tick_every_15_seconds():
 
 def test_jittered_blocks_converge_to_the_mean_interval():
     ledger = Ledger({"a": eth(1)}, gas=zero_gas(), jitter_seed=7)
-    prev = ledger.current_block.timestamp
+    prev = ledger.timestamp
     intervals = []
     for _ in range(10_000):
         block = ledger.produce_block()
@@ -143,8 +148,9 @@ def test_transfer_boundary_spends_entire_balance():
 def test_transfer_insufficient_funds_changes_nothing():
     gas = GasSchedule(transfer_gas=21, gas_price_wei=gwei(1))
     ledger = Ledger({"a": gwei(1000), "b": 5}, gas=gas)
-    with pytest.raises(InsufficientFunds):
+    with pytest.raises(InsufficientFunds) as exc:
         ledger.transfer("a", "b", gwei(1000))  # 1000 + 21 GWEI > 1000 GWEI
+    assert str(exc.value) == f"a has {gwei(1000)} wei, needs {gwei(1021)}"
     assert ledger.balance_of("a") == gwei(1000)
     assert ledger.balance_of("b") == 5
     assert ledger.fee_sink == 0
@@ -481,23 +487,24 @@ def _replay(ops, interval, jitter_seed, rearm_offsets, skip):
     ledger.wakeup_handler = handler
     blocks = []
     for op, addr, offset in ops:
-        now = ledger.current_block.timestamp
+        now = ledger.timestamp
         if op == "schedule":
             ledger.schedule_wakeup(addr, now + offset)
-        elif op == "cancel":
+            continue
+        if op == "cancel":
             ledger.cancel_wakeup(addr)
-        elif op == "advance" and skip:
-            blocks.append(ledger.advance_to(now + offset))
+            continue
+        if op == "advance" and skip:
+            ledger.advance_to(now + offset)
         elif op == "advance":
-            while ledger.current_block.timestamp < now + offset:
+            while ledger.timestamp < now + offset:
                 ledger.produce_block()
-            blocks.append(ledger.current_block)
         elif skip:
-            blocks.append(ledger.drain_wakeups())
+            ledger.drain_wakeups()
         else:
             while ledger.armed_wakeup_count() > 0:
                 ledger.produce_block()
-            blocks.append(ledger.current_block)
+        blocks.append(clock(ledger))
     rng_state = ledger._rng.getstate() if ledger._rng is not None else None
     return blocks, deliveries, ledger.armed_wakeup_count(), rng_state
 
@@ -523,11 +530,11 @@ def assert_advance_to_matches_block_by_block(jitter_seed, target):
     for ledger in (skipped, reference):  # start mid-stream, at a seed-dependent word
         for _ in range(jitter_seed % 7):
             ledger.produce_block()
-    t = target(skipped.current_block.timestamp)
-    block = skipped.advance_to(t)
-    while reference.current_block.timestamp < t:
+    t = target(skipped.timestamp)
+    skipped.advance_to(t)
+    while reference.timestamp < t:
         reference.produce_block()
-    assert block == reference.current_block
+    assert clock(skipped) == clock(reference)
     assert skipped._rng.getstate() == reference._rng.getstate()
     assert skipped.produce_block() == reference.produce_block()
 
@@ -553,7 +560,7 @@ def tape_chunk_ends(jitter_seed, chunks):
     while len(ends) < chunks:
         ledger.produce_block()
         if ledger._tape_next == len(ledger._tape):
-            ends.append(ledger.current_block.timestamp)
+            ends.append(ledger.timestamp)
     return ends
 
 
@@ -570,7 +577,7 @@ def test_jittered_advance_to_matches_block_by_block_production_at_chunk_ends(
 def test_jitter_tape_holds_at_most_one_chunk():
     ledger = Ledger({"a": 1}, jitter_seed=1)
     ledger.advance_to(10**7)
-    assert ledger.current_block.height >= 10**7 // JITTER_INTERVAL_RANGE[1]
+    assert ledger.height >= 10**7 // JITTER_INTERVAL_RANGE[1]
     assert len(ledger._tape) <= 1 + _JITTER_CHUNK_WORDS  # the block before the chunk, then it
 
 
@@ -615,22 +622,45 @@ def test_advance_to_at_or_before_now_builds_nothing():
     fired = []
     ledger.wakeup_handler = lambda addr, block: fired.append(addr)
     ledger.advance_to(100)
-    block, state = ledger.current_block, ledger._rng.getstate()
+    block, state = clock(ledger), ledger._rng.getstate()
     ledger.schedule_wakeup("sc-1", fire_at=block.timestamp)  # due, not yet delivered
-    assert ledger.advance_to(block.timestamp) == block
-    assert ledger.advance_to(0) == block
+    ledger.advance_to(block.timestamp)
+    assert clock(ledger) == block
+    ledger.advance_to(0)
+    assert clock(ledger) == block
     assert ledger._rng.getstate() == state
     assert fired == []
     ledger.drain_wakeups()  # the next block delivers it
     assert fired == ["sc-1"]
-    assert ledger.current_block.height == block.height + 1
+    assert ledger.height == block.height + 1
 
 
 def test_advance_to_stops_at_the_first_block_at_or_past_t():
     ledger = Ledger({"a": eth(1)}, gas=zero_gas(), block_interval=7)
-    assert ledger.advance_to(100) == Block(height=15, timestamp=105)
-    assert ledger.advance_to(105) == Block(height=15, timestamp=105)
-    assert ledger.advance_to(106) == Block(height=16, timestamp=112)
+    for t, block in [(100, Block(15, 105)), (105, Block(15, 105)), (106, Block(16, 112))]:
+        ledger.advance_to(t)
+        assert clock(ledger) == block
+
+
+@pytest.mark.parametrize("jitter_seed", [None, 4])
+def test_height_and_timestamp_are_the_one_clock(jitter_seed):
+    ledger = Ledger({"a": eth(1)}, gas=zero_gas(), jitter_seed=jitter_seed)
+    assert clock(ledger) == Block(0, 0)
+    delivered = []
+    ledger.wakeup_handler = lambda addr, block: delivered.append((block, clock(ledger)))
+    for fire_at in (1, 40, 41, 500, 10**5):  # 40 and 41 share a block on the fixed grid
+        ledger.schedule_wakeup(f"sc-{fire_at}", fire_at)
+    for _ in range(3):
+        assert ledger.produce_block() == clock(ledger)
+    ledger.advance_to(600)
+    ledger.drain_wakeups()
+    assert len(delivered) == 5
+    assert all(block == now for block, now in delivered)
+    before = clock(ledger)
+    for t in (before.timestamp, before.timestamp - 1, 0):  # no-ops
+        ledger.advance_to(t)
+        assert clock(ledger) == before
+    assert ledger.produce_block() == clock(ledger) != before
 
 
 def counting_random(calls):
@@ -674,8 +704,8 @@ def test_idle_horizon_builds_only_blocks_that_do_work(monkeypatch, jitter_seed):
     assert report["final_block"]["timestamp"] >= 10**7
     assert report["final_block"]["height"] >= 10**7 // 25  # empty blocks still count
     assert calls["produce_block"] <= len(doc["events"]) + calls["schedule_wakeup"] + 1
-    # a skip moves only the clock: one Block per produced block, and the genesis block
-    assert calls["Block"] == calls["produce_block"] + 1
+    # a skip moves only the clock: one Block per produced block
+    assert calls["Block"] == calls["produce_block"]
     # one draw per empty block would be ~667k randint calls on the jittered grid
     assert calls["randint"] + calls["getrandbits"] <= 1_000
 

@@ -37,7 +37,7 @@ def request(orch, period=3_600, kind=ContractKind.DYNAMIC_PRICE, **kw):
 
 
 def run_until(ledger, timestamp):
-    while ledger.current_block.timestamp < timestamp:
+    while ledger.timestamp < timestamp:
         ledger.produce_block()
 
 
@@ -51,7 +51,7 @@ def test_user_stop_walks_all_sixteen_steps():
     ledger.produce_block()
     orch.countersign_and_deploy(session, "oliver")
     assert session.url_token.startswith("vc-")
-    assert session.deploy_block == ledger.current_block.height
+    assert session.deploy_block == ledger.height
     run_until(ledger, 1800)
     orch.end_session(session, "alice")
     assert session.step_log == FULL_FLOW
@@ -79,7 +79,7 @@ def test_wakeup_fires_on_first_block_at_or_after_release():
     orch.countersign_and_deploy(session, "oliver")
     contract = session.contract
     release = contract.release_time
-    seen = {ledger.current_block.height: ledger.current_block.timestamp}
+    seen = {ledger.height: ledger.timestamp}
     while session.contract.settlement is None:
         block = ledger.produce_block()
         seen[block.height] = block.timestamp
@@ -290,11 +290,11 @@ def test_quota_flow_issues_url_on_first_start():
     orch.quota_start(session, "alice")
     assert session.url_token.startswith("vc-")
     first_deploy = session.deploy_block
-    run_until(ledger, ledger.current_block.timestamp + 90)
+    run_until(ledger, ledger.timestamp + 90)
     assert orch.quota_stop(session, "alice") == 2
     orch.quota_start(session, "alice")
     assert session.deploy_block == first_deploy
-    run_until(ledger, ledger.current_block.timestamp + 150)
+    run_until(ledger, ledger.timestamp + 150)
     orch.quota_stop(session, "alice")
     assert session.contract.state is ContractState.SETTLED
     assert ledger.conservation_check()
@@ -308,6 +308,6 @@ def test_url_tokens_are_distinct_across_sessions():
         orch.user_approve_and_pay(session, session.quote.price, payer="alice")
         orch.countersign_and_deploy(session, "oliver")
         tokens.add(session.url_token)
-        run_until(ledger, ledger.current_block.timestamp + 30)
+        run_until(ledger, ledger.timestamp + 30)
         orch.end_session(session, "alice")
     assert len(tokens) == 5

@@ -164,6 +164,11 @@ def test_kind_specific_requirements():
     with pytest.raises(ValidationError, match="denominators"):
         parse_scenario(request("income_division", shares={"a": [1, 2], "b": [1, 3]}))
     parse_scenario(request("income_division", shares={"a": [1, 3], "b": [2, 3]}))
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(request("income_division", shares={"a": [0, 0]}))
+    assert str(exc.value) == (
+        "events[0].params.shares: shares must be non-empty with a positive denominator"
+    )
     # shares, ballot and standby only on the kind that reads them
     standby = {"rate_wei_per_second": "1000", "window_seconds": 60}
     for kind, extra, stray in [
@@ -580,6 +585,27 @@ def test_zero_computed_price_is_an_event_error(kind):
     assert r["contracts"] == [] and r["sessions"] == []
     assert r["final_balances"] == genesis and r["fee_sink_wei"] == "0"  # no fee charged
     assert r["conservation_ok"]
+    assert oracle_settlement(script) == report.settlements == {}
+
+
+def test_a_zero_price_multiplier_parses_and_prices_the_request_at_zero():
+    doc = {
+        "genesis": {"alice": str(eth(10)), "oliver": str(eth(10))},
+        "events": [
+            {"at_time": 0, "actor": "alice", "action": "request_session",
+             "params": {"session": "s1", "owner": "oliver", "kind": "constraint_based",
+                        "availability_target_bp": 9_000, "video_quality": "SD",
+                        "max_period_seconds": 600,
+                        "constraints": {"price_multiplier_bp": 0}}},
+        ],
+    }
+    script = parse_scenario(doc)
+    report = run_scenario(script)
+    r = report.report
+    assert [(e["event_index"], e["error"], e["detail"]) for e in r["event_errors"]] == [
+        (0, "InvalidPreferences", "computed price must be positive; check the rate card"),
+    ]
+    assert r["contracts"] == [] and r["sessions"] == []
     assert oracle_settlement(script) == report.settlements == {}
 
 

@@ -50,3 +50,18 @@ def test_mem_gives_one_row_per_stage_and_no_cyclic_garbage():
     assert [row.stage for row in rows] == ["parse", "run", "render", "oracle"]
     assert all(row.live_bytes > 0 for row in rows)
     assert [row.garbage for row in rows] == [0, 0, 0, 0]
+
+
+def test_loc_counts_docstrings_and_statements_but_not_comments_or_blanks(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""A docstring\n'         # 1: counts
+        "\n"                       # 2: inside the docstring, counts
+        'of three lines."""\n'     # 3: counts
+        "\n"                       # 4: blank
+        "# a comment\n"            # 5: comment only
+        "x = (1 +\n"               # 6: counts
+        "     2)  # trailing\n"    # 7: the statement's second line, counts
+        "    \n"                   # 8: blank
+    )
+    assert load_tool("loc").code_lines(source) == 5
