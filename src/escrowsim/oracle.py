@@ -1,8 +1,11 @@
 """Independent settlement oracle.
 
 Recomputes every contract's expected settlement directly from a parsed
-script using exact rational arithmetic (``fractions.Fraction``), without
-touching the ledger, the orchestrator, or the contract state machines.
+script in exact integer arithmetic, without touching the ledger, the
+orchestrator, or the contract state machines.  Each rational quantity (a
+price, a prorated charge, an availability in basis points, a share of a
+charge) is one floor or ceil division of Python ints, so none is rounded
+twice.
 The only shared inputs are the parsed script's configuration values and
 typed events, and the decoder of the seeded block-time draws
 (``ledger.jitter_chunks``, which the tests check against one ``randint``
@@ -23,11 +26,9 @@ request; a quota purchase has no such limit."""
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, Optional
 
@@ -61,6 +62,7 @@ class _Contract:
     address: str
     kind: ContractKind
     owner: str
+    threshold_bp: int  # the config's refund threshold
     end_user: str = ""
     price: int = 0
     per_minute: int = 0
@@ -72,7 +74,6 @@ class _Contract:
     settled: bool = False
     samples_up: int = 0
     samples_total: int = 0
-    threshold_bp: int = 7_500
     charge: int = 0
     refund: int = 0
     payouts: dict = field(default_factory=dict)
@@ -106,27 +107,28 @@ class _Oracle:
         self._wakeups: list[tuple[int, int, _Contract]] = []
         self._wakeup_seq = 0
 
-    # ---- quoting, recomputed with rationals --------------------------------
+    # ---- quoting, recomputed with one floor per price -----------------------
 
-    def _multipliers(self, quality: str, target_bp: int, constraint_bp: int) -> Fraction:
+    def _multipliers(self, quality: str, target_bp: int, constraint_bp: int) -> int:
+        """The product of the three multipliers, in units of 1 / _BP**3."""
         quality_bp = VIDEO_MULTIPLIER_BP[quality]
         if target_bp > self.card.high_availability_threshold_bp:
             avail_bp = self.card.high_availability_multiplier_bp
         else:
             avail_bp = _BP
-        return Fraction(quality_bp * avail_bp * constraint_bp, _BP**3)
+        return quality_bp * avail_bp * constraint_bp
 
     def _quote(self, ev: RequestSession, constraint_bp: int) -> tuple[int, int, int]:
         """(price, per_minute, min_charge) for one request."""
         prefs = ev.prefs
-        factor = self._multipliers(
+        product = self._multipliers(
             prefs.video_quality, prefs.availability_target_bp, constraint_bp
         )
         period = prefs.max_period_seconds
         base = self.card.base_rate_wei_per_second
         if prefs.monetization_kind is ContractKind.TIME_LIMITED_QUOTA:
-            per_minute = math.floor(base * 60 * factor)
-            return per_minute * math.ceil(Fraction(period, 60)), per_minute, 0
+            per_minute = base * 60 * product // _BP**3
+            return per_minute * -(-period // 60), per_minute, 0
         if prefs.monetization_kind is ContractKind.FLEXIBLE_PERIOD:
             if ev.standby is not None:
                 rate = ev.standby.standby_rate
@@ -135,8 +137,8 @@ class _Oracle:
                 rate = self.card.standby_rate_wei_per_second
                 window = period
             min_charge = rate * window
-            return min_charge + math.floor(base * period * factor), 0, min_charge
-        return math.floor(base * period * factor), 0, 0
+            return min_charge + base * period * product // _BP**3, 0, min_charge
+        return base * period * product // _BP**3, 0, 0
 
     # ---- event effects ------------------------------------------------------
 
@@ -314,7 +316,7 @@ class _Oracle:
             return
         elapsed = ts - c.open_start_ts
         remaining = c.minutes_purchased - c.minutes_consumed
-        minutes = min(math.ceil(Fraction(elapsed, 60)), remaining)
+        minutes = min(-(-elapsed // 60), remaining)
         c.minutes_consumed += minutes
         c.escrow -= minutes * c.per_minute
         c.open_start_ts = None
@@ -348,8 +350,7 @@ class _Oracle:
     def _availability_ok(self, c: _Contract) -> bool:
         if c.samples_total == 0:
             return True
-        bp = math.floor(Fraction(_BP * c.samples_up, c.samples_total))
-        return bp >= c.threshold_bp
+        return _BP * c.samples_up // c.samples_total >= c.threshold_bp
 
     def _settle(self, c: _Contract, used: int) -> None:
         if not self._availability_ok(c):
@@ -357,10 +358,9 @@ class _Oracle:
         elif c.kind is ContractKind.FIXED_PRICE:
             charge = c.price
         elif c.kind is ContractKind.FLEXIBLE_PERIOD:
-            prorated = math.floor(Fraction((c.price - c.min_charge) * used, c.lock))
-            charge = c.min_charge + prorated
+            charge = c.min_charge + (c.price - c.min_charge) * used // c.lock
         else:
-            charge = math.floor(Fraction(c.price * used, c.lock))
+            charge = c.price * used // c.lock
         c.charge = charge
         c.refund = c.escrow - charge
         c.escrow = 0
@@ -378,12 +378,11 @@ _ORACLE_HANDLERS = handler_table(_Oracle)
 
 def _largest_remainder(charge: int, numerators: dict, denominator: int) -> dict:
     payouts: dict[str, int] = {}
-    remainders: list[tuple[Fraction, int, str]] = []
+    remainders: list[tuple[int, int, str]] = []
     for index, (addr, num) in enumerate(numerators.items()):
-        exact = Fraction(charge * num, denominator)
-        base = math.floor(exact)
-        payouts[addr] = base
-        remainders.append((base - exact, index, addr))  # ascending = largest first
+        payouts[addr], rem = divmod(charge * num, denominator)
+        # all shares have the one denominator: ascending -rem = largest first
+        remainders.append((-rem, index, addr))
     leftover = charge - sum(payouts.values())
     remainders.sort()
     for _, _, addr in remainders[:leftover]:

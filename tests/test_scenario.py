@@ -502,6 +502,38 @@ def test_oracle_matches_engine_on_jittered_timeout():
     assert oracle == engine
 
 
+def test_division_tie_goes_to_the_first_listed_share_in_engine_and_oracle():
+    # settled by timeout, the charge is the full price, 3601 * 10**14 wei: three
+    # thirds leave one wei over, and the three remainders are equal
+    doc = {
+        "config": {},
+        "genesis": {"alice": str(eth(10)), "oliver": str(eth(10)), "carol": "0", "dave": "0"},
+        "events": [
+            {"at_time": 0, "actor": "alice", "action": "request_session",
+             "params": {"session": "s", "owner": "oliver", "kind": "income_division",
+                        "shares": {"oliver": [1, 3], "carol": [1, 3], "dave": [1, 3]},
+                        "availability_target_bp": 9_000, "video_quality": "SD",
+                        "max_period_seconds": 3_601}},
+            {"at_time": 0, "actor": "alice", "action": "approve_and_pay",
+             "params": {"session": "s", "value": "quoted"}},
+            {"at_time": 15, "actor": "oliver", "action": "countersign",
+             "params": {"session": "s"}},
+        ],
+    }
+    script = parse_scenario(doc)
+    report = run_scenario(script)
+    assert report.report["event_errors"] == []
+    assert oracle_settlement(script) == report.settlements
+    agreement = report.settlements["sc-2"]  # sc-1 is the division contract
+    assert agreement["charge"] == 360_100_000_000_000_000
+    # listing order, not address order: oliver, listed first, gets the odd wei
+    assert agreement["payouts"] == {
+        "oliver": 120_033_333_333_333_334,
+        "carol": 120_033_333_333_333_333,
+        "dave": 120_033_333_333_333_333,
+    }
+
+
 @pytest.mark.parametrize(
     "ttl, pay_at, funded",
     [(40, 600, True), (40, 615, False), (0, 0, True), (0, 15, False)],
