@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Optional
 
@@ -57,8 +57,10 @@ from .scenario import (
 _BP = 10_000
 
 
-@dataclass
+@dataclass(slots=True)
 class _Contract:
+    """One contract's state; slotted, so a misspelt field write raises ``AttributeError``."""
+
     address: str
     kind: ContractKind
     owner: str
@@ -76,7 +78,7 @@ class _Contract:
     samples_total: int = 0
     charge: int = 0
     refund: int = 0
-    payouts: dict = field(default_factory=dict)
+    payouts: Optional[dict] = None  # set by the settlement
     escrow: int = 0
     # quota
     minutes_purchased: int = 0
@@ -87,7 +89,7 @@ class _Contract:
     denominator: int = 0
     division: Optional["_Contract"] = None
     voters: Optional[frozenset] = None
-    votes: dict = field(default_factory=dict)
+    votes: Optional[dict] = None  # set by the ballot's deployment
     enacted: bool = False
 
 
@@ -109,23 +111,18 @@ class _Oracle:
 
     # ---- quoting, recomputed with one floor per price -----------------------
 
-    def _multipliers(self, quality: str, target_bp: int, constraint_bp: int) -> int:
-        """The product of the three multipliers, in units of 1 / _BP**3."""
-        quality_bp = VIDEO_MULTIPLIER_BP[quality]
-        if target_bp > self.card.high_availability_threshold_bp:
-            avail_bp = self.card.high_availability_multiplier_bp
-        else:
-            avail_bp = _BP
-        return quality_bp * avail_bp * constraint_bp
-
     def _quote(self, ev: RequestSession, constraint_bp: int) -> tuple[int, int, int]:
         """(price, per_minute, min_charge) for one request."""
         prefs = ev.prefs
-        product = self._multipliers(
-            prefs.video_quality, prefs.availability_target_bp, constraint_bp
-        )
+        card = self.card
+        if prefs.availability_target_bp > card.high_availability_threshold_bp:
+            avail_bp = card.high_availability_multiplier_bp
+        else:
+            avail_bp = _BP
+        # the product of the three multipliers, in units of 1 / _BP**3
+        product = VIDEO_MULTIPLIER_BP[prefs.video_quality] * avail_bp * constraint_bp
         period = prefs.max_period_seconds
-        base = self.card.base_rate_wei_per_second
+        base = card.base_rate_wei_per_second
         if prefs.monetization_kind is ContractKind.TIME_LIMITED_QUOTA:
             per_minute = base * 60 * product // _BP**3
             return per_minute * -(-period // 60), per_minute, 0
@@ -134,7 +131,7 @@ class _Oracle:
                 rate = ev.standby.standby_rate
                 window = ev.standby.standby_window_seconds
             else:
-                rate = self.card.standby_rate_wei_per_second
+                rate = card.standby_rate_wei_per_second
                 window = period
             min_charge = rate * window
             return min_charge + base * period * product // _BP**3, 0, min_charge
@@ -143,15 +140,17 @@ class _Oracle:
     # ---- event effects ------------------------------------------------------
 
     def run(self) -> dict[str, dict]:
+        wakeups = self._wakeups
         for event, height, ts in self._event_blocks():
-            self._fire_due_wakeups(ts)
+            if wakeups and wakeups[0][0] <= ts:  # a due wakeup goes first
+                self._fire_due_wakeups(ts)
             _ORACLE_HANDLERS[type(event)](self, event, height, ts)
         self._fire_due_wakeups(None)  # horizon: everything armed settles
         return {
             c.address: {
                 "charge": c.charge,
                 "refund": c.refund,
-                "payouts": dict(c.payouts),
+                "payouts": c.payouts or {},
                 "escrow": c.escrow,
             }
             for c in self.contracts
@@ -207,9 +206,7 @@ class _Oracle:
 
     def _new_contract(self, kind: ContractKind, owner: str) -> _Contract:
         self._seq += 1
-        contract = _Contract(
-            address=f"sc-{self._seq}", kind=kind, owner=owner, threshold_bp=self.threshold
-        )
+        contract = _Contract(f"sc-{self._seq}", kind, owner, self.threshold)
         self.contracts.append(contract)
         return contract
 
@@ -328,6 +325,7 @@ class _Oracle:
     def _deploy_ballot(self, ev: DeployBallot, height: int, ts: int) -> None:
         ballot = self._new_contract(ContractKind.CONSENSUS_DECISION, ev.actor)
         ballot.voters = ev.voters
+        ballot.votes = {}
         self.ballots[ev.ballot] = ballot
 
     def _cast_vote(self, ev: CastVote, height: int, ts: int) -> None:

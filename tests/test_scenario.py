@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -552,6 +553,70 @@ def test_oracle_matches_engine_on_quote_expiry(ttl, pay_at, funded):
     assert (settled["charge"] > 0) is funded
     assert report.report["conservation_ok"]
     assert oracle_settlement(script) == report.settlements
+
+
+def expiring_session_with_one_sample(at_time, jitter_seed=None):
+    """A 600 s dynamic-price session paid at 0 and countersigned at 15 that
+    settles by expiry, with one unavailable QoS sample at ``at_time``."""
+    config = {"gas": {"gas_price_gwei": 1}}
+    if jitter_seed is not None:
+        config["jitter_seed"] = jitter_seed
+    doc = canonical_document(config=config)
+    doc["events"] = doc["events"][:3]  # no stop
+    doc["events"][0]["params"]["max_period_seconds"] = 600
+    doc["events"].append(
+        {"at_time": at_time, "actor": "oliver", "action": "qos_sample",
+         "params": {"session": "s1", "available": False}}
+    )
+    return doc
+
+
+@pytest.mark.parametrize(
+    "at_time, counted", [(585, True), (586, False), (600, False)],
+    ids=["block-before-release", "release-block", "release-time"],
+)
+def test_due_wakeup_settles_before_an_event_in_its_block(at_time, counted):
+    # fixed 15 s grid: the release time 600 is block 40's timestamp, so a
+    # sample at 586..600 lands in the block whose wakeup settles the session
+    script = parse_scenario(expiring_session_with_one_sample(at_time))
+    report = run_scenario(script)
+    assert report.report["conservation_ok"]
+    assert oracle_settlement(script) == report.settlements
+    [settled] = report.settlements.values()
+    price = 60_000_000_000_000_000
+    errors = [e["error"] for e in report.report["event_errors"]]
+    if counted:  # 0 of 1 samples up: below the threshold, full refund
+        assert (settled["charge"], settled["refund"], errors) == (0, price, [])
+    else:
+        assert (settled["charge"], settled["refund"]) == (price, 0)
+        assert errors == ["SessionNotActive"]
+
+
+@pytest.mark.parametrize("jitter_seed", [1, 2])
+def test_oracle_matches_engine_on_a_sample_near_expiry_on_a_jittered_grid(jitter_seed):
+    for at_time in range(560, 661):
+        script = parse_scenario(expiring_session_with_one_sample(at_time, jitter_seed))
+        report = run_scenario(script)
+        assert report.report["conservation_ok"]
+        assert oracle_settlement(script) == report.settlements, at_time
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@pytest.mark.parametrize("jitter_seed", [None, 5], ids=["fixed-grid", "jittered"])
+def test_oracle_matches_engine_with_many_sessions_open_at_once(monkeypatch, jitter_seed):
+    # the benchmark's merge of generator scripts, 30 s apart, as the bulk workload does
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is only read
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = workloads.merge_scripts(list(range(200)), 30, jitter_seed=jitter_seed)
+    script = parse_scenario(doc)
+    report = run_scenario(script)
+    assert report.report["conservation_ok"]
+    assert len(report.settlements) > 500
+    assert report.settlements == oracle_settlement(script)
 
 
 def test_quote_ttl_does_not_apply_to_quota_purchases():

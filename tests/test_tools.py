@@ -49,6 +49,7 @@ def test_mem_gives_one_row_per_stage_and_no_cyclic_garbage():
     rows = mem.stage_rows(texts)
     assert [row.stage for row in rows] == ["parse", "run", "render", "oracle"]
     assert all(row.live_bytes > 0 for row in rows)
+    assert all(row.peak_bytes >= row.live_bytes for row in rows)
     assert [row.garbage for row in rows] == [0, 0, 0, 0]
 
 

@@ -1,4 +1,4 @@
-"""Print, per stage of a verified pass, the memory its product holds and the cyclic garbage it leaves.
+"""Print, per stage of a verified pass, the memory its product holds, its peak and the cyclic garbage it leaves.
 
 Builds the benchmark's inputs for seed 0 of each workload
 (``bench/workloads.build_inputs``) and runs the engine and oracle stages on
@@ -9,6 +9,10 @@ each stage it prints:
 
 - the live bytes the stage's products add (``tracemalloc``'s traced memory
   after a full collection, against the reading after the previous stage);
+- the stage's peak: the highest traced memory while it runs
+  (``tracemalloc.reset_peak()`` before it), against the same reading.  It
+  shows what the stage holds on the way that its products do not keep,
+  such as a run's ledger next to its report;
 - the unreachable objects the stage leaves, counted by ``gc.collect()``
   with the collector off while the stage runs.  A finished run that keeps
   a reference cycle shows here as thousands of objects that only the
@@ -32,6 +36,7 @@ class StageRow(NamedTuple):
     stage: str
     product: str
     live_bytes: int  # what the stage's products hold, after a full collection
+    peak_bytes: int  # the most the stage held at once, products included
     garbage: int  # objects the stage left for the cyclic collector
 
 
@@ -48,12 +53,14 @@ def stage_rows(texts: list[str]) -> list[StageRow]:
     try:
         rows: list[StageRow] = []
         live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
 
         def record(stage: str, product: str) -> None:
             nonlocal live
             garbage = gc.collect()
-            before, live = live, tracemalloc.get_traced_memory()[0]
-            rows.append(StageRow(stage, product, live - before, garbage))
+            before, (live, peak) = live, tracemalloc.get_traced_memory()
+            rows.append(StageRow(stage, product, live - before, peak - before, garbage))
+            tracemalloc.reset_peak()
 
         scripts = [scenario.parse_scenario(text) for text in texts]
         record("parse", "script")
@@ -79,10 +86,11 @@ def main() -> int:
     for workload in workloads.WORKLOADS:
         texts = workloads.build_inputs(workload, 0)
         print(f"{workload} (seed 0, {len(texts)} scripts)")
-        print(f"  {'stage':<8}{'product':<9}{'live MB':>9}{'cyclic garbage':>16}")
+        print(f"  {'stage':<8}{'product':<9}{'live MB':>9}{'peak MB':>9}{'cyclic garbage':>16}")
         for row in stage_rows(texts):
             print(
-                f"  {row.stage:<8}{row.product:<9}{row.live_bytes / 1e6:>9.1f}{row.garbage:>16}"
+                f"  {row.stage:<8}{row.product:<9}{row.live_bytes / 1e6:>9.1f}"
+                f"{row.peak_bytes / 1e6:>9.1f}{row.garbage:>16}"
             )
     return 0
 
