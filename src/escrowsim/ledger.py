@@ -15,6 +15,7 @@ import hashlib
 import heapq
 import json
 import random
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
@@ -37,13 +38,22 @@ GAS_PRICE_BOUNDS_GWEI = (1, 40)
 # the next ``n`` words, the first one least significant, so ``jitter_chunks``
 # draws the intervals of many blocks in one call: the top byte of each word,
 # translated through this table with the bytes of rejected words deleted,
-# leaves one interval byte per block.
+# leaves one interval byte per block.  A skip needs only a chunk's total: the
+# low 16 bits of ``zlib.adler32`` are ``(1 + sum of the bytes) mod 65521``, so
+# a piece of at most ``_JITTER_PIECE`` bytes, each at most the largest
+# interval, totals below the modulus and its sum is read off in C.
 _JITTER_SPAN = JITTER_INTERVAL_RANGE[1] - JITTER_INTERVAL_RANGE[0] + 1
 _JITTER_BITS = _JITTER_SPAN.bit_length()
 if not 1 <= JITTER_INTERVAL_RANGE[0] <= JITTER_INTERVAL_RANGE[1] <= 255:
     raise ValueError(
         "JITTER_INTERVAL_RANGE must lie within [1, 255]: every block advances "
         "time, and each interval is one byte"
+    )
+_JITTER_PIECE = 65519 // JITTER_INTERVAL_RANGE[1]
+if _JITTER_PIECE * JITTER_INTERVAL_RANGE[1] > 65519:
+    raise ValueError(
+        "a jitter piece must total at most 65519, or its Adler-32 sum wraps the "
+        "modulus 65521"
     )
 _JITTER_TABLE = bytes(
     JITTER_INTERVAL_RANGE[0] + r if r < _JITTER_SPAN else 0
@@ -57,8 +67,17 @@ _JITTER_FIRST_CHUNK_WORDS = 64
 _JITTER_CHUNK_WORDS = 4096
 
 
-def jitter_chunks(rng: random.Random) -> Iterator[bytes]:
-    """The block intervals drawn from ``rng``, one ``bytes`` per chunk of words.
+def _interval_total(intervals: bytes) -> int:
+    """``sum(intervals)`` for interval bytes, one Adler-32 per piece."""
+    total = (zlib.adler32(intervals[:_JITTER_PIECE]) & 0xFFFF) - 1
+    for k in range(_JITTER_PIECE, len(intervals), _JITTER_PIECE):
+        total += (zlib.adler32(intervals[k:k + _JITTER_PIECE]) & 0xFFFF) - 1
+    return total
+
+
+def jitter_chunks(rng: random.Random) -> Iterator[tuple[bytes, int]]:
+    """The block intervals drawn from ``rng``, one ``bytes`` per chunk of words,
+    each with its total: a skip over the chunk needs nothing else.
 
     Joined, the chunks are the intervals of one ``rng.randint(*JITTER_INTERVAL_RANGE)``
     per block, and a chunk is drawn only when it is asked for, so ``rng`` is
@@ -67,11 +86,13 @@ def jitter_chunks(rng: random.Random) -> Iterator[bytes]:
     words = _JITTER_FIRST_CHUNK_WORDS
     while True:
         raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        yield raw[3::4].translate(_JITTER_TABLE, _JITTER_REJECTED)
+        intervals = raw[3::4].translate(_JITTER_TABLE, _JITTER_REJECTED)
+        yield intervals, _interval_total(intervals)
         words = min(2 * words, _JITTER_CHUNK_WORDS)
 
 
 CONTRACT_ADDRESS_PREFIX = "sc-"
+_DIGEST_SLICE_LINES = 1024  # tx log lines per update of the digest
 
 
 @dataclass(frozen=True)
@@ -131,7 +152,7 @@ class Ledger:
     ``advance_to`` moves only them over the empty blocks it skips;
     ``produce_block`` builds the one ``Block`` of each block that can hold a
     transaction or a wakeup and hands it to the wakeup handler.  The tx log is
-    a list of JSON lines, hashed once when ``tx_log_digest`` is asked.
+    a list of JSON lines, hashed in slices when ``tx_log_digest`` is asked.
     """
 
     def __init__(
@@ -181,7 +202,7 @@ class Ledger:
             self.timestamp += self.block_interval
         else:
             while self._tape_next == len(self._tape):
-                self._tape = list(accumulate(next(self._chunks), initial=self.timestamp))
+                self._tape = list(accumulate(next(self._chunks)[0], initial=self.timestamp))
                 self._tape_next = 1
             self.timestamp = self._tape[self._tape_next]
             self._tape_next += 1
@@ -200,8 +221,8 @@ class Ledger:
         deliver nothing, so they are skipped without being built: only the
         clock moves over them, and they still count in heights.  The
         deterministic grid skips in closed form.  The jittered grid skips
-        along its tape: a chunk that ends before the target is summed and
-        dropped, and only the chunk that crosses it becomes the tape.  A
+        along its tape: a chunk that ends before the target is stepped over
+        by its total, and only the chunk that crosses it becomes the tape.  A
         ``t`` at or before the current timestamp is a no-op.
         """
         while self.timestamp < t:
@@ -218,11 +239,11 @@ class Ledger:
                 if tape[-1] < target:  # every block left on the tape is empty
                     height += len(tape) - i
                     ts = tape[-1]
-                    draws = next(self._chunks)
-                    while (end := ts + sum(draws)) < target:
+                    draws, total = next(self._chunks)
+                    while (end := ts + total) < target:
                         height += len(draws)
                         ts = end
-                        draws = next(self._chunks)
+                        draws, total = next(self._chunks)
                     self._tape = tape = list(accumulate(draws, initial=ts))
                     i = 1
                 crossing = bisect_left(tape, target, i)  # the first block at or past target
@@ -376,12 +397,18 @@ class Ledger:
         self.tx_log.append(line)
 
     def tx_log_digest(self) -> str:
-        r"""SHA-256 of ``"\n".join(tx_log)``, hashed in one pass when asked.
+        r"""SHA-256 of ``"\n".join(tx_log)``, computed when asked.
 
         A run asks once, when its report is built, so the log is not hashed
-        line by line as it grows.
+        line by line as it grows.  The lines are joined and fed a slice of
+        ``_DIGEST_SLICE_LINES`` at a time, so no copy of the whole log is made.
         """
-        return hashlib.sha256("\n".join(self.tx_log).encode()).hexdigest()
+        log, n = self.tx_log, _DIGEST_SLICE_LINES
+        digest = hashlib.sha256("\n".join(log[:n]).encode())
+        for k in range(n, len(log), n):
+            digest.update(b"\n")
+            digest.update("\n".join(log[k:k + n]).encode())
+        return digest.hexdigest()
 
 
 def replay_balances(

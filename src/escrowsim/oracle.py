@@ -162,7 +162,7 @@ class _Oracle:
         Event times never decrease, so the block only moves forward.  The
         fixed grid is closed form.  The jittered grid keeps the timestamps of
         one chunk of draws, the block before the chunk first: a chunk that
-        ends before the next event is summed and dropped, and the event's
+        ends before the next event is stepped over by its total, and the event's
         block is looked up in the chunk that reaches it.
         """
         cfg = self.script.config
@@ -181,11 +181,11 @@ class _Oracle:
             if chunk[-1] < t:
                 base += len(chunk) - 1
                 ts = chunk[-1]
-                draws = next(chunks)
-                while (end := ts + sum(draws)) < t:
+                draws, total = next(chunks)
+                while (end := ts + total) < t:
                     base += len(draws)
                     ts = end
-                    draws = next(chunks)
+                    draws, total = next(chunks)
                 chunk = list(accumulate(draws, initial=ts))
                 i = 0
             i = bisect_left(chunk, t, i)

@@ -5,16 +5,19 @@ in ``json`` types that ``scenario._Runner._build_report`` builds, and each
 contract's settlement.  ``export_contract`` builds a contract's row.
 
 ``write_report`` writes the bytes of ``json.dumps(report, indent=2)`` for that
-one shape: each top-level key and each contract, session, ballot and event
-error row is one f-string with its line breaks and indentation written out
-(row keys sit 6 spaces deep, terms and settlement keys 8), and a contract's
-terms one f-string per section it carries.  Strings go through ``json``'s C
-escaper and ints through ``int.__repr__``; both raise ``TypeError`` on any
-other type (a bool, being an int, would be written as 0 or 1).
+one shape: each contract, session, ballot and event error row is one f-string
+with its line breaks and indentation written out (row keys sit 6 spaces deep,
+terms and settlement keys 8), and a contract's terms one f-string per section
+it carries.  The top-level keys, the rows and the separators between them go
+into one list that is joined once, so the text is not copied section by
+section.  Strings go through ``json``'s C escaper and ints through
+``int.__repr__``; both raise ``TypeError`` on any other type (a bool, being
+an int, would be written as 0 or 1).
 """
 
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from .contracts import TIME_SETTLED_KINDS, AgreementContract
 
@@ -232,23 +235,40 @@ def _error_row(row: dict) -> str:
     )
 
 
+def _rows(parts: list[str], rows: list[dict], write: Callable[[dict], str]) -> None:
+    """Append a top-level list of ``rows`` to ``parts``, each written by ``write``.
+
+    The pieces are those of ``_items`` at the top level: the opening bracket,
+    each row with the separator after it, and the last separator swapped for
+    the closing bracket.
+    """
+    if not rows:
+        parts.append("[]")
+        return
+    parts.append("[\n    ")
+    for row in rows:
+        parts.append(write(row))
+        parts.append(",\n    ")
+    parts[-1] = "\n  ]"
+
+
 def write_report(report: dict) -> str:
     """``json.dumps(report, indent=2) + "\\n"`` for a report of ``_build_report``'s shape."""
     block = report["final_block"]
-    contracts = list(map(_contract_row, report["contracts"]))
-    sessions = list(map(_session_row, report["sessions"]))
-    ballots = list(map(_ballot_row, report["ballots"]))
-    errors = list(map(_error_row, report["event_errors"]))
-    return (
+    parts = [
         f'{{\n  "final_balances": {_str_map(report["final_balances"], _N2)},'
         f'\n  "fee_sink_wei": {_esc(report["fee_sink_wei"])},'
         f'\n  "conservation_ok": {_bool(report["conservation_ok"])},'
         f'\n  "final_block": {{\n    "height": {_int(block["height"])},'
         f'\n    "timestamp": {_int(block["timestamp"])}\n  }},'
-        f'\n  "contracts": {_items(contracts, _N2, "[]")},'
-        f'\n  "sessions": {_items(sessions, _N2, "[]")},'
-        f'\n  "ballots": {_items(ballots, _N2, "[]")},'
-        f'\n  "events_applied": {_int(report["events_applied"])},'
-        f'\n  "event_errors": {_items(errors, _N2, "[]")},'
-        f'\n  "tx_digest": {_esc(report["tx_digest"])}\n}}\n'
-    )
+        f'\n  "contracts": '
+    ]
+    _rows(parts, report["contracts"], _contract_row)
+    parts.append(',\n  "sessions": ')
+    _rows(parts, report["sessions"], _session_row)
+    parts.append(',\n  "ballots": ')
+    _rows(parts, report["ballots"], _ballot_row)
+    parts.append(f',\n  "events_applied": {_int(report["events_applied"])},\n  "event_errors": ')
+    _rows(parts, report["event_errors"], _error_row)
+    parts.append(f',\n  "tx_digest": {_esc(report["tx_digest"])}\n}}\n')
+    return "".join(parts)

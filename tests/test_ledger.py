@@ -27,6 +27,8 @@ from escrowsim.ledger import (
     Block,
     GasSchedule,
     Ledger,
+    _interval_total,
+    jitter_chunks,
     replay_balances,
 )
 from escrowsim.oracle import oracle_settlement
@@ -615,6 +617,40 @@ def test_randint_takes_the_top_bits_of_one_mersenne_twister_word_per_try():
     )
     assert derived == expected, message
     assert replayed.getstate() == drawn.getstate(), message
+
+
+# the longest run of intervals one Adler-32 can total without wrapping its modulus
+ADLER_PIECE = 65519 // JITTER_INTERVAL_RANGE[1]
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [b""]
+    + [bytes([JITTER_INTERVAL_RANGE[1]]) * n for n in (ADLER_PIECE - 1, ADLER_PIECE, ADLER_PIECE + 1)],
+    ids=lambda intervals: f"{len(intervals)}-bytes",
+)
+def test_interval_total_is_the_sum_of_the_intervals(intervals):
+    assert _interval_total(intervals) == sum(intervals)
+
+
+class AllAcceptedAtTheLargestInterval(random.Random):
+    """Every word's top byte, 0xA7, draws ``JITTER_INTERVAL_RANGE[1]`` on the first try."""
+
+    def getrandbits(self, k):
+        return int.from_bytes(b"\0\0\0\xa7" * (k // 32), "little")
+
+
+def test_a_full_chunk_at_the_largest_interval_totals_across_pieces():
+    assert JITTER_INTERVAL_RANGE == (5, 25)  # 0xA7 >> 3 == 20 draws 5 + 20
+    chunks = jitter_chunks(AllAcceptedAtTheLargestInterval())
+    words = _JITTER_FIRST_CHUNK_WORDS
+    while words < _JITTER_CHUNK_WORDS:
+        intervals, total = next(chunks)
+        assert (len(intervals), total) == (words, 25 * words)
+        words *= 2
+    intervals, total = next(chunks)
+    assert intervals == bytes([25]) * _JITTER_CHUNK_WORDS
+    assert total == sum(intervals) == 102_400  # two pieces of at most ADLER_PIECE bytes
 
 
 def test_advance_to_at_or_before_now_builds_nothing():
