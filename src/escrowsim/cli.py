@@ -268,24 +268,22 @@ def _demo_script(timeout: bool, seed) -> dict:
 def cmd_demo(args) -> int:
     script = parse_scenario(_demo_script(args.timeout, args.seed))
     report = run_scenario(script)
-    session = report.report["sessions"][0]
-    contract = report.report["contracts"][0]
-    price = int(contract["terms"]["price_wei"])
+    _, session = report.report["sessions"][0]
+    contract = session.contract
+    price = contract.price
     print("canonical dynamic-price session (1 hour, HD, availability target 99.80%)")
-    print(f"  end user alice, owner oliver, contract {session['contract']}")
+    print(f"  end user alice, owner oliver, contract {contract.address}")
     print(f"  quoted price: {price} wei ({format_eth(price)})")
-    print(f"  service URL token: {session['url_token'] or '(never deployed)'}")
+    print(f"  service URL token: {session.url_token or '(never deployed)'}")
     print("workflow steps:")
-    for step in session["step_log"]:
+    for step in session.step_log:
         print(f"  step {step:2d}: {STEP_DESCRIPTIONS[step]}")
-    settlement = contract["settlement"]
-    how = "end-user stop" if session["settled_by"] == "stop" else "timeout wakeup"
-    print(f"settlement (by {how}, block {session['stop_block']}):")
-    charge = int(settlement["charge_wei"])
-    refund = int(settlement["refund_wei"])
-    print(f"  charge: {charge} wei ({format_eth(charge)})")
-    print(f"  refund: {refund} wei ({format_eth(refund)})")
-    print(f"  availability: {session['availability_bp']} bp")
+    settlement = contract.settlement
+    how = "end-user stop" if session.settled_by == "stop" else "timeout wakeup"
+    print(f"settlement (by {how}, block {session.stop_block}):")
+    print(f"  charge: {settlement.charge} wei ({format_eth(settlement.charge)})")
+    print(f"  refund: {settlement.refund} wei ({format_eth(settlement.refund)})")
+    print(f"  availability: {contract.availability_bp()} bp")
     verdict = "ok" if report.report["conservation_ok"] else "VIOLATED"
     print(f"conservation: {verdict}")
     print(f"tx digest: {report.report['tx_digest']}")

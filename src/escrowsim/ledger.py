@@ -38,11 +38,15 @@ GAS_PRICE_BOUNDS_GWEI = (1, 40)
 # the next ``n`` words, the first one least significant, so ``jitter_chunks``
 # draws the intervals of many blocks in one call: the top byte of each word,
 # translated through this table with the bytes of rejected words deleted,
-# leaves one interval byte per block.  A skip needs only a chunk's total: the
-# low 16 bits of ``zlib.adler32`` are ``(1 + sum of the bytes) mod 65521``, so
-# a piece of at most ``_JITTER_PIECE`` bytes, each at most the largest
-# interval, totals below the modulus and its sum is read off in C.
-_JITTER_SPAN = JITTER_INTERVAL_RANGE[1] - JITTER_INTERVAL_RANGE[0] + 1
+# leaves one interval byte per block.  A skip needs only a chunk's total,
+# ``interval_total``: the low 16 bits of ``zlib.adler32`` are ``(1 + sum of the
+# bytes) mod 65521``, so a piece of at most ``_JITTER_PIECE`` bytes, each at
+# most the largest interval, totals below the modulus and its sum is read off
+# in C.  A chunk of ``n`` intervals spans at least ``n`` times the smallest
+# one, so a skip totals only a chunk that this bound does not carry past its
+# target.
+_JITTER_LOW = JITTER_INTERVAL_RANGE[0]
+_JITTER_SPAN = JITTER_INTERVAL_RANGE[1] - _JITTER_LOW + 1
 _JITTER_BITS = _JITTER_SPAN.bit_length()
 if not 1 <= JITTER_INTERVAL_RANGE[0] <= JITTER_INTERVAL_RANGE[1] <= 255:
     raise ValueError(
@@ -67,7 +71,7 @@ _JITTER_FIRST_CHUNK_WORDS = 64
 _JITTER_CHUNK_WORDS = 4096
 
 
-def _interval_total(intervals: bytes) -> int:
+def interval_total(intervals: bytes) -> int:
     """``sum(intervals)`` for interval bytes, one Adler-32 per piece."""
     total = (zlib.adler32(intervals[:_JITTER_PIECE]) & 0xFFFF) - 1
     for k in range(_JITTER_PIECE, len(intervals), _JITTER_PIECE):
@@ -75,9 +79,8 @@ def _interval_total(intervals: bytes) -> int:
     return total
 
 
-def jitter_chunks(rng: random.Random) -> Iterator[tuple[bytes, int]]:
-    """The block intervals drawn from ``rng``, one ``bytes`` per chunk of words,
-    each with its total: a skip over the chunk needs nothing else.
+def jitter_chunks(rng: random.Random) -> Iterator[bytes]:
+    """The block intervals drawn from ``rng``, one ``bytes`` per chunk of words.
 
     Joined, the chunks are the intervals of one ``rng.randint(*JITTER_INTERVAL_RANGE)``
     per block, and a chunk is drawn only when it is asked for, so ``rng`` is
@@ -87,7 +90,7 @@ def jitter_chunks(rng: random.Random) -> Iterator[tuple[bytes, int]]:
     while True:
         raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
         intervals = raw[3::4].translate(_JITTER_TABLE, _JITTER_REJECTED)
-        yield intervals, _interval_total(intervals)
+        yield intervals
         words = min(2 * words, _JITTER_CHUNK_WORDS)
 
 
@@ -202,7 +205,7 @@ class Ledger:
             self.timestamp += self.block_interval
         else:
             while self._tape_next == len(self._tape):
-                self._tape = list(accumulate(next(self._chunks)[0], initial=self.timestamp))
+                self._tape = list(accumulate(next(self._chunks), initial=self.timestamp))
                 self._tape_next = 1
             self.timestamp = self._tape[self._tape_next]
             self._tape_next += 1
@@ -222,7 +225,8 @@ class Ledger:
         clock moves over them, and they still count in heights.  The
         deterministic grid skips in closed form.  The jittered grid skips
         along its tape: a chunk that ends before the target is stepped over
-        by its total, and only the chunk that crosses it becomes the tape.  A
+        by its total, and only the chunk that crosses it becomes the tape; a
+        chunk whose smallest span reaches the target is not totalled.  A
         ``t`` at or before the current timestamp is a no-op.
         """
         while self.timestamp < t:
@@ -239,11 +243,14 @@ class Ledger:
                 if tape[-1] < target:  # every block left on the tape is empty
                     height += len(tape) - i
                     ts = tape[-1]
-                    draws, total = next(self._chunks)
-                    while (end := ts + total) < target:
+                    draws = next(self._chunks)
+                    while (
+                        ts + len(draws) * _JITTER_LOW < target
+                        and (end := ts + interval_total(draws)) < target
+                    ):
                         height += len(draws)
                         ts = end
-                        draws, total = next(self._chunks)
+                        draws = next(self._chunks)
                     self._tape = tape = list(accumulate(draws, initial=ts))
                     i = 1
                 crossing = bisect_left(tape, target, i)  # the first block at or past target

@@ -9,9 +9,10 @@ twice.
 The only shared inputs are the parsed script's configuration values and
 typed events, and the decoder of the seeded block-time draws
 (``ledger.jitter_chunks``, which the tests check against one ``randint``
-per block); quotes, minimum charges and settlements are computed here
-anew.  Used by the test suite to cross-check the engine on large randomized
-sweeps.
+per block, with its ``JITTER_INTERVAL_RANGE`` and its chunk total
+``interval_total``); quotes, minimum charges and settlements are computed
+here anew.  Used by the test suite to cross-check the engine on large
+randomized sweeps.
 
 The oracle re-derives the blocks of its events from the script config:
 deterministic runs tick at exact multiples of the interval, in closed form;
@@ -33,7 +34,7 @@ from itertools import accumulate
 from typing import Iterator, Optional
 
 from .contracts import ContractKind
-from .ledger import jitter_chunks
+from .ledger import JITTER_INTERVAL_RANGE, interval_total, jitter_chunks
 from .pricing import VIDEO_MULTIPLIER_BP
 from .scenario import (
     ApproveAndPay,
@@ -163,7 +164,9 @@ class _Oracle:
         fixed grid is closed form.  The jittered grid keeps the timestamps of
         one chunk of draws, the block before the chunk first: a chunk that
         ends before the next event is stepped over by its total, and the event's
-        block is looked up in the chunk that reaches it.
+        block is looked up in the chunk that reaches it.  As in
+        ``Ledger.advance_to``, a chunk whose smallest span reaches the event is
+        not totalled.
         """
         cfg = self.script.config
         if cfg.jitter_seed is None:
@@ -173,6 +176,7 @@ class _Oracle:
                 yield event, height, height * interval
             return
         chunks = jitter_chunks(random.Random(cfg.jitter_seed))
+        low = JITTER_INTERVAL_RANGE[0]  # no chunk spans less than this per draw
         chunk = [0]  # genesis
         base = 0  # the height of chunk[0]
         i = 0  # chunk[i] is the latest event's block
@@ -181,11 +185,11 @@ class _Oracle:
             if chunk[-1] < t:
                 base += len(chunk) - 1
                 ts = chunk[-1]
-                draws, total = next(chunks)
-                while (end := ts + total) < t:
+                draws = next(chunks)
+                while ts + len(draws) * low < t and (end := ts + interval_total(draws)) < t:
                     base += len(draws)
                     ts = end
-                    draws, total = next(chunks)
+                    draws = next(chunks)
                 chunk = list(accumulate(draws, initial=ts))
                 i = 0
             i = bisect_left(chunk, t, i)

@@ -1,18 +1,27 @@
-"""The settlement report: its record, its contract rows and its writer.
+"""The settlement report: its record and its writer.
 
-``SettlementReport`` holds what a run ends with: the report, an ordered dict
-in ``json`` types that ``scenario._Runner._build_report`` builds, and each
-contract's settlement.  ``export_contract`` builds a contract's row.
+``SettlementReport`` holds what a run ends with.  Its ``report`` is an
+ordered dict whose top-level values are what the CLI's summary, ``escrowsim
+run`` and the benchmark's checks read: the final balances, the fee sink, the
+conservation verdict, the final block, the event count, the event error rows
+and the tx digest.  Its ``contracts``, ``sessions`` and ``ballots`` lists hold
+the run's own records (each ``AgreementContract``, and ``(label, record)``
+pairs), so no row is copied out of them until the report is written.
+``settlements`` holds each contract's settlement, which the checks compare.
 
-``write_report`` writes the bytes of ``json.dumps(report, indent=2)`` for that
-one shape: each contract, session, ballot and event error row is one f-string
-with its line breaks and indentation written out (row keys sit 6 spaces deep,
-terms and settlement keys 8), and a contract's terms one f-string per section
-it carries.  The top-level keys, the rows and the separators between them go
-into one list that is joined once, so the text is not copied section by
-section.  Strings go through ``json``'s C escaper and ints through
-``int.__repr__``; both raise ``TypeError`` on any other type (a bool, being
-an int, would be written as 0 or 1).
+``write_report`` writes the bytes of ``json.dumps`` with ``indent=2`` of the
+report's JSON form, reading each row straight from its record: each contract,
+session, ballot and event error row is one f-string with its line breaks and
+indentation written out (row keys sit 6 spaces deep, terms and settlement
+keys 8), and a contract's terms one f-string per section it carries.  The
+top-level keys, the rows and the separators between them go into one list
+that is joined once, so the text is not copied section by section.  Strings
+go through ``json``'s C escaper and ints through ``int.__repr__`` (wei
+amounts are written as decimal strings); both raise ``TypeError`` on any
+other type (a bool, being an int, would be written as 0 or 1).
+
+``export_contract`` builds one contract's row as a dict in that JSON form;
+the run and the writer do not call it.
 """
 
 from dataclasses import dataclass
@@ -24,10 +33,11 @@ from .contracts import TIME_SETTLED_KINDS, AgreementContract
 
 @dataclass
 class SettlementReport:
-    """Run output: final state snapshot plus per-contract settlements."""
+    """Run output: the final state and the run's own records, plus per-contract settlements."""
 
-    # ordered, JSON-ready, built in full by the run; ``to_json_text`` writes
-    # it, and the CLI's summary, the benchmark's checks and the tests read it
+    # ordered; ``contracts`` holds the run's AgreementContracts in sc-1, sc-2, ...
+    # order, ``sessions`` and ``ballots`` (label, SessionRecord or ballot) pairs,
+    # and every other value is in ``json`` types.  ``to_json_text`` writes it.
     report: dict
     settlements: dict[str, dict]  # address -> {charge, refund, payouts, escrow}
 
@@ -48,8 +58,10 @@ class SettlementReport:
         return "\n".join(lines) + "\n"
 
 
+# Off the engine path; kept because bench/tracing.py wraps scenario.export_contract by name.
 def export_contract(contract: AgreementContract) -> dict:
-    """Stable-keyed contract snapshot embedded in scenario reports."""
+    """A contract's report row as a dict in ``json`` types: what ``json.loads``
+    reads back from the row ``write_report`` writes for it."""
     terms: dict = {}
     if contract.kind in TIME_SETTLED_KINDS:
         terms["price_wei"] = str(contract.price)
@@ -122,6 +134,10 @@ def _str_map(value: dict[str, str], newline: str) -> str:
     return _items([f"{_esc(k)}: {_esc(v)}" for k, v in value.items()], newline, "{}")
 
 
+def _wei_map(value: dict[str, int], newline: str) -> str:
+    return _items([f'{_esc(k)}: "{_int(v)}"' for k, v in value.items()], newline, "{}")
+
+
 def _quota_session(row: dict) -> str:
     stop = row["stop"]
     return (
@@ -132,95 +148,102 @@ def _quota_session(row: dict) -> str:
     )
 
 
-def _share(to: str, fraction: list[int]) -> str:
-    num, den = fraction
-    return f"{_esc(to)}: [\n            {_int(num)},\n            {_int(den)}\n          ]"
+def _share(to: str, num: int, den: str) -> str:
+    return f"{_esc(to)}: [\n            {_int(num)},\n            {den}\n          ]"
 
 
-def _terms(terms: dict) -> str:
+def _terms(c: AgreementContract) -> str:
     """A contract's terms: the sections it carries, in ``export_contract``'s order."""
     sections = []
-    if "price_wei" in terms:
+    if c.kind in TIME_SETTLED_KINDS:
         sections.append(
-            f'"price_wei": {_esc(terms["price_wei"])},'
-            f'\n        "lock_time_seconds": {_int(terms["lock_time_seconds"])},'
-            f'\n        "refund_threshold_bp": {_int(terms["refund_threshold_bp"])}'
+            f'"price_wei": "{_int(c.price)}",'
+            f'\n        "lock_time_seconds": {_int(c.lock_time_seconds)},'
+            f'\n        "refund_threshold_bp": {_int(c.refund_threshold_bp)}'
         )
-    if "per_minute_price_wei" in terms:
-        sessions = list(map(_quota_session, terms["sessions"]))
+    quota = c.quota
+    if quota is not None:
+        sessions = list(map(_quota_session, quota.sessions))
         sections.append(
-            f'"per_minute_price_wei": {_esc(terms["per_minute_price_wei"])},'
-            f'\n        "minutes_purchased": {_int(terms["minutes_purchased"])},'
-            f'\n        "minutes_consumed": {_int(terms["minutes_consumed"])},'
+            f'"per_minute_price_wei": "{_int(quota.per_minute_price)}",'
+            f'\n        "minutes_purchased": {_int(quota.minutes_purchased)},'
+            f'\n        "minutes_consumed": {_int(quota.minutes_consumed)},'
             f'\n        "sessions": {_items(sessions, _N8, "[]")}'
         )
-    if "shares" in terms:
-        shares = [_share(to, fraction) for to, fraction in terms["shares"].items()]
+    if c.shares is not None:
+        den = _int(c.shares.denominator)
+        shares = [_share(to, num, den) for to, num in c.shares.numerators.items()]
         sections.append(f'"shares": {_items(shares, _N8, "{}")}')
-    if "voters" in terms:
-        voters = list(map(_esc, terms["voters"]))
+    voting = c.voting
+    if voting is not None:
+        voters = list(map(_esc, sorted(voting.voters)))
+        votes = [f"{_esc(v)}: {_esc(voting.votes[v])}" for v in sorted(voting.votes)]
         sections.append(
             f'"voters": {_items(voters, _N8, "[]")},'
-            f'\n        "votes": {_str_map(terms["votes"], _N8)},'
-            f'\n        "enacted": {_bool(terms["enacted"])}'
+            f'\n        "votes": {_items(votes, _N8, "{}")},'
+            f'\n        "enacted": {_bool(voting.enacted)}'
         )
-    if "gdpr_required" in terms:
-        regions = list(map(_esc, terms["allowed_regions"]))
+    constraints = c.constraints
+    if constraints is not None:
+        regions = list(map(_esc, sorted(constraints.allowed_regions)))
         sections.append(
-            f'"gdpr_required": {_bool(terms["gdpr_required"])},'
+            f'"gdpr_required": {_bool(constraints.gdpr_required)},'
             f'\n        "allowed_regions": {_items(regions, _N8, "[]")},'
-            f'\n        "price_multiplier_bp": {_int(terms["price_multiplier_bp"])}'
+            f'\n        "price_multiplier_bp": {_int(constraints.price_multiplier_bp)}'
         )
-    if "standby_rate_wei_per_second" in terms:
+    flexible = c.flexible
+    if flexible is not None:
         sections.append(
-            f'"standby_rate_wei_per_second": {_esc(terms["standby_rate_wei_per_second"])},'
-            f'\n        "standby_window_seconds": {_int(terms["standby_window_seconds"])},'
-            f'\n        "min_charge_wei": {_esc(terms["min_charge_wei"])}'
+            f'"standby_rate_wei_per_second": "{_int(flexible.standby_rate)}",'
+            f'\n        "standby_window_seconds": {_int(flexible.standby_window_seconds)},'
+            f'\n        "min_charge_wei": "{_int(flexible.min_charge)}"'
         )
-    if "division_address" in terms:
-        sections.append(f'"division_address": {_esc(terms["division_address"])}')
+    if c.division is not None:
+        sections.append(f'"division_address": {_esc(c.division.address)}')
     return _items(sections, _N6, "{}")
 
 
-def _contract_row(row: dict) -> str:
+def _contract_row(c: AgreementContract) -> str:
     text = (
-        f'{{\n      "address": {_esc(row["address"])},'
-        f'\n      "kind": {_esc(row["kind"])},'
-        f'\n      "state": {_esc(row["state"])},'
-        f'\n      "escrow_wei": {_esc(row["escrow_wei"])},'
-        f'\n      "owner": {_esc(row["owner"])},'
-        f'\n      "end_user": {_esc(row["end_user"])},'
-        f'\n      "terms": {_terms(row["terms"])}'
+        f'{{\n      "address": {_esc(c.address)},'
+        f'\n      "kind": {_esc(c.kind.value)},'
+        f'\n      "state": {_esc(c.state.value)},'
+        f'\n      "escrow_wei": "{_int(c.escrow)}",'
+        f'\n      "owner": {_esc(c.owner)},'
+        f'\n      "end_user": {_esc(c.end_user)},'
+        f'\n      "terms": {_terms(c)}'
     )
-    if "settlement" not in row:
+    done = c.settlement
+    if done is None:
         return text + "\n    }"
-    done = row["settlement"]
     return (
         f'{text},\n      "settlement": {{'
-        f'\n        "charge_wei": {_esc(done["charge_wei"])},'
-        f'\n        "refund_wei": {_esc(done["refund_wei"])},'
-        f'\n        "payouts": {_str_map(done["payouts"], _N8)}\n      }}\n    }}'
+        f'\n        "charge_wei": "{_int(done.charge)}",'
+        f'\n        "refund_wei": "{_int(done.refund)}",'
+        f'\n        "payouts": {_wei_map(done.payouts, _N8)}\n      }}\n    }}'
     )
 
 
-def _session_row(row: dict) -> str:
-    deploy, stop = row["deploy_block"], row["stop_block"]
+def _session_row(labelled: tuple) -> str:
+    label, record = labelled
+    deploy, stop = record.deploy_block, record.stop_block
     return (
-        f'{{\n      "label": {_esc(row["label"])},'
-        f'\n      "contract": {_esc(row["contract"])},'
-        f'\n      "url_token": {_esc(row["url_token"])},'
+        f'{{\n      "label": {_esc(label)},'
+        f'\n      "contract": {_esc(record.contract.address)},'
+        f'\n      "url_token": {_esc(record.url_token)},'
         f'\n      "deploy_block": {"null" if deploy is None else _int(deploy)},'
         f'\n      "stop_block": {"null" if stop is None else _int(stop)},'
-        f'\n      "availability_bp": {_int(row["availability_bp"])},'
-        f'\n      "settled_by": {_esc(row["settled_by"])},'
-        f'\n      "step_log": {_items(list(map(_int, row["step_log"])), _N6, "[]")}\n    }}'
+        f'\n      "availability_bp": {_int(record.contract.availability_bp())},'
+        f'\n      "settled_by": {_esc(record.settled_by)},'
+        f'\n      "step_log": {_items(list(map(_int, record.step_log)), _N6, "[]")}\n    }}'
     )
 
 
-def _ballot_row(row: dict) -> str:
+def _ballot_row(labelled: tuple) -> str:
+    label, ballot = labelled
     return (
-        f'{{\n      "label": {_esc(row["label"])},'
-        f'\n      "contract": {_esc(row["contract"])}\n    }}'
+        f'{{\n      "label": {_esc(label)},'
+        f'\n      "contract": {_esc(ballot.address)}\n    }}'
     )
 
 
@@ -235,7 +258,7 @@ def _error_row(row: dict) -> str:
     )
 
 
-def _rows(parts: list[str], rows: list[dict], write: Callable[[dict], str]) -> None:
+def _rows(parts: list[str], rows: list, write: Callable[..., str]) -> None:
     """Append a top-level list of ``rows`` to ``parts``, each written by ``write``.
 
     The pieces are those of ``_items`` at the top level: the opening bracket,
@@ -253,7 +276,7 @@ def _rows(parts: list[str], rows: list[dict], write: Callable[[dict], str]) -> N
 
 
 def write_report(report: dict) -> str:
-    """``json.dumps(report, indent=2) + "\\n"`` for a report of ``_build_report``'s shape."""
+    """The report's JSON text, ``json.dumps(..., indent=2) + "\\n"`` of its JSON form."""
     block = report["final_block"]
     parts = [
         f'{{\n  "final_balances": {_str_map(report["final_balances"], _N2)},'

@@ -11,8 +11,8 @@ Amounts travel as decimal strings end to end; 10^18-scale integers do not
 fit common numeric text ranges.  An event at time t executes in the first
 block whose timestamp is >= t; events sharing a block run in script order.
 Every run is deterministic for a fixed (script, seed) pair, including the
-rendered report bytes.  The runner builds the report; ``report`` holds its
-contract rows, its record type and its writer.
+rendered report bytes.  The runner hands its finished records to a
+``report.SettlementReport``, whose writer renders them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .errors import ECHO_CHARS, ParseError, SimulationError, ValidationError, ec
 from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
 from .orchestrator import SessionOrchestrator, SessionRecord
 from .pricing import QosPreferences, RateCard
-from .report import SettlementReport, export_contract
+from .report import SettlementReport
+from .report import export_contract  # unused here; bench/tracing.py wraps it by this name
 from .units import gwei, parse_wei
 
 KIND_NAMES = {kind.value: kind for kind in ContractKind}
@@ -808,12 +809,13 @@ class _Runner:
     # ---- report ------------------------------------------------------------
 
     def _build_report(self) -> SettlementReport:
+        """The report of the finished run: its top-level values, and its own
+        contracts, session records and ballots, which ``to_json_text`` writes
+        row by row; no row is copied out of them here."""
         ledger = self.ledger
-        contracts = []
         settlements: dict[str, dict] = {}
         # in sc-1, sc-2, ... order: register_contract adds them so and none is removed
         for address, contract in ledger.contracts.items():
-            contracts.append(export_contract(contract))
             done = contract.settlement
             settlements[address] = {
                 "charge": done.charge if done else 0,
@@ -821,25 +823,8 @@ class _Runner:
                 "payouts": dict(done.payouts) if done else {},
                 "escrow": contract.escrow,
             }
-        sessions = []
+        # a label used again names only its latest session; the earlier one's is ""
         labels = {record.contract.address: label for label, record in self.sessions.items()}
-        for address, record in self.orch.sessions.items():
-            sessions.append(
-                {
-                    "label": labels.get(address, ""),
-                    "contract": address,
-                    "url_token": record.url_token,
-                    "deploy_block": record.deploy_block,
-                    "stop_block": record.stop_block,
-                    "availability_bp": record.contract.availability_bp(),
-                    "settled_by": record.settled_by,
-                    "step_log": list(record.step_log),
-                }
-            )
-        ballots = [
-            {"label": label, "contract": ballot.address}
-            for label, ballot in self.ballots.items()
-        ]
         report = {
             "final_balances": {
                 name: str(ledger.accounts[name]) for name in sorted(ledger.accounts)
@@ -850,9 +835,12 @@ class _Runner:
                 "height": ledger.height,
                 "timestamp": ledger.timestamp,
             },
-            "contracts": contracts,
-            "sessions": sessions,
-            "ballots": ballots,
+            "contracts": list(ledger.contracts.values()),
+            "sessions": [
+                (labels.get(address, ""), record)
+                for address, record in self.orch.sessions.items()
+            ],
+            "ballots": list(self.ballots.items()),
             "events_applied": len(self.script.events) - len(self.errors),
             "event_errors": self.errors,
             "tx_digest": ledger.tx_log_digest(),

@@ -19,6 +19,8 @@ from escrowsim.oracle import oracle_settlement
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 from escrowsim.units import eth
 
+from report_tree import report_tree
+
 SWEEP_SEEDS = 1000
 
 
@@ -131,11 +133,11 @@ def test_c06_contract_counts_per_monetization_pattern():
         quota_events.append({"at_time": clock + 60, "actor": "alice",
                              "action": "quota_stop", "params": {"session": "q"}})
         clock += 120
-    quota = run_scenario(parse_scenario({
+    quota = report_tree(run_scenario(parse_scenario({
         "config": {},
         "genesis": {"alice": str(eth(10)), "oliver": str(eth(10))},
         "events": quota_events,
-    })).report
+    })))
     assert len(quota["contracts"]) == 1
     assert len(quota["contracts"][0]["terms"]["sessions"]) == 4
 
@@ -257,7 +259,7 @@ def test_c09_block_quantization_of_stops_and_wakeups():
         script = parse_scenario({**base, "events": events})
         result = run_scenario(script)
         assert oracle_settlement(script) == result.settlements
-        report = result.report
+        report = report_tree(result)
         [session] = report["sessions"]
         executed = session["stop_block"] * 15  # deterministic 15 s blocks
         delay = executed - requested
@@ -287,7 +289,7 @@ def test_c09_block_quantization_of_stops_and_wakeups():
         ]
         script = parse_scenario({**base, "config": config, "events": request + late})
         result = run_scenario(script)
-        [session] = result.report["sessions"]
+        [session] = report_tree(result)["sessions"]
         assert [e["error"] for e in result.report["event_errors"]] == [
             "SessionNotActive", "WrongState"], config
         assert (session["settled_by"], session["stop_block"]) == ("expiry", release_block)

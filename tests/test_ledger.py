@@ -1,10 +1,13 @@
 """Ledger: blocks, transfers, fees, escrow plumbing, wakeups, conservation."""
 
 import hashlib
+import importlib.util
 import json
 import random
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -27,7 +30,7 @@ from escrowsim.ledger import (
     Block,
     GasSchedule,
     Ledger,
-    _interval_total,
+    interval_total,
     jitter_chunks,
     replay_balances,
 )
@@ -630,7 +633,7 @@ ADLER_PIECE = 65519 // JITTER_INTERVAL_RANGE[1]
     ids=lambda intervals: f"{len(intervals)}-bytes",
 )
 def test_interval_total_is_the_sum_of_the_intervals(intervals):
-    assert _interval_total(intervals) == sum(intervals)
+    assert interval_total(intervals) == sum(intervals)
 
 
 class AllAcceptedAtTheLargestInterval(random.Random):
@@ -645,12 +648,12 @@ def test_a_full_chunk_at_the_largest_interval_totals_across_pieces():
     chunks = jitter_chunks(AllAcceptedAtTheLargestInterval())
     words = _JITTER_FIRST_CHUNK_WORDS
     while words < _JITTER_CHUNK_WORDS:
-        intervals, total = next(chunks)
-        assert (len(intervals), total) == (words, 25 * words)
+        intervals = next(chunks)
+        assert (len(intervals), interval_total(intervals)) == (words, 25 * words)
         words *= 2
-    intervals, total = next(chunks)
+    intervals = next(chunks)
     assert intervals == bytes([25]) * _JITTER_CHUNK_WORDS
-    assert total == sum(intervals) == 102_400  # two pieces of at most ADLER_PIECE bytes
+    assert interval_total(intervals) == 102_400  # two pieces of at most ADLER_PIECE bytes
 
 
 def test_advance_to_at_or_before_now_builds_nothing():
@@ -760,6 +763,79 @@ def test_oracle_reads_a_jittered_gap_a_chunk_at_a_time(monkeypatch):
     # one randint per block would be ~667k calls
     assert calls["randint"] == 0
     assert 0 < calls["getrandbits"] <= 300
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def counting_totals(monkeypatch):
+    """The chunks the ledger and the oracle draw, and those they total, in order."""
+    drawn, totalled = [], []
+
+    def chunks(rng):
+        for intervals in jitter_chunks(rng):
+            drawn.append(intervals)
+            yield intervals
+
+    def total(intervals):
+        totalled.append(intervals)
+        return interval_total(intervals)
+
+    for module in (ledger_module, oracle_module):
+        monkeypatch.setattr(module, "jitter_chunks", chunks)
+        monkeypatch.setattr(module, "interval_total", total)
+    return drawn, totalled
+
+
+def test_a_run_whose_events_never_skip_a_chunk_totals_none(monkeypatch):
+    drawn, totalled = counting_totals(monkeypatch)
+    # 30 s apart: less than any chunk spans, which is at least 5 s a draw
+    script = parse_scenario({
+        "config": {"jitter_seed": 5},
+        "genesis": {"alice": "10", "bob": "10"},
+        "events": [{"at_time": t, "actor": "alice", "action": "transfer",
+                    "params": {"to": "bob", "value": "1"}} for t in range(0, 3_001, 30)],
+    })
+    run_scenario(script)
+    oracle_settlement(script)
+    assert len(drawn) >= 6  # three chunks each, read as tapes
+    assert totalled == []
+
+
+def test_the_idle_jittered_script_totals_each_chunk_it_tests_once(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is only read
+    spec.loader.exec_module(workloads)
+    [_, jittered] = workloads.build_documents("idle", 0)
+    script = parse_scenario(jittered)
+    drawn, totalled = counting_totals(monkeypatch)
+    built = []  # the timestamps of the blocks the ledger builds
+    produce_block = Ledger.produce_block
+
+    def record(ledger):
+        block = produce_block(ledger)
+        built.append(block.timestamp)
+        return block
+
+    monkeypatch.setattr(Ledger, "produce_block", record)
+    run_scenario(script)
+    engine_drawn, engine_totalled = len(drawn), len(totalled)
+    oracle_settlement(script)
+    # one total per chunk: no chunk is totalled twice
+    assert len({id(intervals) for intervals in totalled}) == len(totalled)
+    # every chunk the ledger stepped over, holding no built block, was totalled;
+    # some that the tape took without a skip were not
+    stepped, start = set(), 0
+    for intervals in drawn[:engine_drawn]:
+        end = start + sum(intervals)
+        first = bisect_right(built, start)  # the first built block after the chunk starts
+        if first == len(built) or built[first] > end:
+            stepped.add(id(intervals))
+        start = end
+    assert stepped <= {id(intervals) for intervals in totalled[:engine_totalled]}
+    assert 200 <= len(stepped) <= engine_totalled < engine_drawn
+    assert len(totalled) > engine_totalled  # the oracle skips the gaps between its scripts
 
 
 # ---- the jitter stream against one randint per block ---------------------------

@@ -6,7 +6,9 @@ orchestrator holds the ledger, so a run that left the hook in place would
 stay in memory until the cyclic collector found it.  Each check of that runs
 with the collector off, so that only reference counting can free anything.
 The report and the tx digest are made when the run's state is at its
-largest, so what they allocate on top of it is pinned with ``tracemalloc``.
+largest, so what they allocate on top of it is pinned with ``tracemalloc``,
+and so is the run stage's own peak: the report holds the run's records, not a
+copy of them.
 """
 
 import gc
@@ -24,6 +26,8 @@ from escrowsim import scenario
 from escrowsim.ledger import GasSchedule, Ledger
 from escrowsim.oracle import oracle_settlement
 from escrowsim.scenario import generate_random_script, parse_scenario
+
+from report_tree import report_tree
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -61,7 +65,7 @@ def test_the_ledger_dies_with_its_runner(seed):
         report = runner.run()
         del runner
         assert ledger() is None
-    sessions = report.report["sessions"]
+    sessions = report_tree(report)["sessions"]
     assert bool(report.report["event_errors"]) == (seed == EVENT_ERRORS_SEED)
     assert any(s["settled_by"] == "expiry" for s in sessions) == (seed == TIMEOUT_SEED)
 
@@ -88,15 +92,28 @@ def traced_peak(make):
         tracemalloc.stop()
 
 
-def test_rendering_a_large_report_holds_little_more_than_its_text():
+def merged_200_scripts():
+    """Generator seeds 0..199 merged 30 s apart, as ``bench/workloads.py`` merges bulk."""
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    script = parse_scenario(json.dumps(workloads.merge_scripts(list(range(200)), 30)))
-    report = scenario.run_scenario(script)
+    return parse_scenario(json.dumps(workloads.merge_scripts(list(range(200)), 30)))
+
+
+def test_rendering_a_large_report_holds_little_more_than_its_text():
+    report = scenario.run_scenario(merged_200_scripts())
     text, peak = traced_peak(report.to_json_text)
-    assert json.loads(text) == report.report
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert peak <= 2.5 * len(text)
+
+
+def test_a_large_run_peaks_at_a_small_multiple_of_its_report_text():
+    # The run's state and its report are alive together when the run ends.
+    # A report that copied every row into a dict tree peaked at 5.0 times the
+    # text here; one that keeps the run's records peaks at 3.5 times.
+    script = merged_200_scripts()
+    report, peak = traced_peak(lambda: scenario.run_scenario(script))
+    assert peak <= 4.25 * len(report.to_json_text())
 
 
 def test_the_tx_digest_hashes_a_long_log_without_copying_it():

@@ -17,6 +17,8 @@ import pytest
 from escrowsim.oracle import oracle_settlement
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 
+from report_tree import report_tree
+
 DOCUMENTS_0_TO_299 = {seed: generate_random_script(seed) for seed in range(300)}
 DOCUMENTS = {seed: DOCUMENTS_0_TO_299[seed] for seed in range(100)}
 FIXED_GRID = [seed for seed, doc in DOCUMENTS.items() if "jitter_seed" not in doc["config"]]
@@ -48,7 +50,7 @@ def _invariant(report, oracle):
 
 def _heights(report):
     """The final height, and the deploy and stop block of every session."""
-    r = report.report
+    r = report_tree(report)
     rows = [(s["deploy_block"], s["stop_block"]) for s in r["sessions"]]
     return r["final_block"]["height"], rows
 
@@ -100,9 +102,9 @@ def test_renaming_every_actor_in_sorted_order_renames_the_report():
         names = {name: PREFIX + name for name in doc["genesis"]}
         base_report, base_oracle = _run(doc)
         report, oracle = _run(_renamed(doc, names))
-        expected = _renamed(dict(base_report.report, tx_digest=None), names)
+        expected = _renamed(dict(report_tree(base_report), tx_digest=None), names)
         # as text, so that the order of every key counts too
-        assert json.dumps(dict(report.report, tx_digest=None)) == json.dumps(expected), seed
+        assert json.dumps(dict(report_tree(report), tx_digest=None)) == json.dumps(expected), seed
         assert report.settlements == _renamed(base_report.settlements, names), seed
         assert oracle == _renamed(base_oracle, names), seed
 
@@ -134,8 +136,8 @@ def test_renaming_every_actor_against_sorted_order_renames_and_resorts_the_repor
         names = _reversing(doc["genesis"])
         base_report, base_oracle = _run(doc)
         report, oracle = _run(_renamed(doc, names))
-        expected = _sorted_by_name(_renamed(dict(base_report.report, tx_digest=None), names))
-        assert json.dumps(dict(report.report, tx_digest=None)) == json.dumps(expected), seed
+        expected = _sorted_by_name(_renamed(dict(report_tree(base_report), tx_digest=None), names))
+        assert json.dumps(dict(report_tree(report), tx_digest=None)) == json.dumps(expected), seed
         assert report.settlements == _renamed(base_report.settlements, names), seed
         assert oracle == _renamed(base_oracle, names), seed
 
@@ -179,7 +181,7 @@ def test_an_event_on_an_unknown_label_adds_one_event_error_and_nothing_else(wher
             row,
             *(dict(e, event_index=e["event_index"] + 1) for e in errors if e["event_index"] > k),
         ]
-        assert report.report == dict(base_report.report, event_errors=expected), seed
+        assert report_tree(report) == dict(report_tree(base_report), event_errors=expected), seed
         assert report.settlements == base_report.settlements, seed
         assert oracle == base_oracle, seed
 
@@ -190,7 +192,7 @@ RICHER_BY = 10**18
 def test_a_richer_genesis_raises_every_final_balance_and_nothing_else():
     for seed, doc in DOCUMENTS.items():
         base_report, base_oracle = _run(doc)
-        base = base_report.report
+        base = report_tree(base_report)
         # a richer account may pay where a poorer one could not
         assert all(e["error"] != "InsufficientFunds" for e in base["event_errors"]), seed
         richer = copy.deepcopy(doc)
@@ -198,7 +200,7 @@ def test_a_richer_genesis_raises_every_final_balance_and_nothing_else():
             richer["genesis"][name] = str(int(wei) + RICHER_BY)
         report, oracle = _run(richer)
         raised = {name: str(int(wei) + RICHER_BY) for name, wei in base["final_balances"].items()}
-        assert report.report == dict(base, final_balances=raised), seed
+        assert report_tree(report) == dict(base, final_balances=raised), seed
         assert report.settlements == base_report.settlements, seed
         assert oracle == base_oracle, seed
 
@@ -219,7 +221,7 @@ def test_a_later_horizon_once_no_escrow_is_held_moves_only_the_final_block():
         report, oracle = _run(later)
         final_block = report.report["final_block"]
         assert final_block["timestamp"] >= horizon, seed
-        assert report.report == dict(base_report.report, final_block=final_block), seed
+        assert report_tree(report) == dict(report_tree(base_report), final_block=final_block), seed
         assert report.settlements == base_report.settlements, seed
         assert oracle == base_oracle, seed
     assert qualified >= 250
@@ -248,7 +250,7 @@ def _contracts_by_owner(report):
     """Each owner's contracts in address order, as (address, kind, state,
     charge, refund, payouts)."""
     owned = {}
-    for row in report.report["contracts"]:
+    for row in report_tree(report)["contracts"]:
         settled = report.settlements[row["address"]]
         owned.setdefault(row["owner"], []).append((
             row["address"], row["kind"], row["state"],

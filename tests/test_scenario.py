@@ -1,6 +1,5 @@
 """Scenario scripts: parsing, execution, the report, oracle agreement, random generation."""
 
-import copy
 import importlib.util
 import json
 import sys
@@ -8,8 +7,6 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from escrowsim.cli import main
 from escrowsim.errors import ParseError, ValidationError
@@ -18,12 +15,15 @@ from escrowsim.report import write_report
 from escrowsim.scenario import (
     ACTOR_POOL,
     EVENT_TYPES,
+    KIND_NAMES,
     MAX_EVENTS,
     generate_random_script,
     parse_scenario,
     run_scenario,
 )
 from escrowsim.units import eth
+
+from report_tree import report_tree
 
 
 def canonical_document(extra_events=(), config=None, genesis=None):
@@ -229,7 +229,7 @@ def test_payment_value_tokens():
 
 def test_canonical_run_settles_half_and_conserves():
     report = run_scenario(parse_scenario(canonical_document()))
-    r = report.report
+    r = report_tree(report)
     assert r["conservation_ok"]
     assert r["events_applied"] == 4
     assert r["event_errors"] == []
@@ -242,6 +242,24 @@ def test_canonical_run_settles_half_and_conserves():
     assert session["settled_by"] == "stop"
     assert session["step_log"] == list(range(1, 17))
     assert int(r["fee_sink_wei"]) > 0  # gas was charged at 1 GWEI
+
+
+def test_a_reused_session_label_names_only_its_latest_session():
+    request = canonical_document()["events"][0]
+    doc = canonical_document(extra_events=[dict(request, at_time=1_800)])
+    rows = report_tree(run_scenario(parse_scenario(doc)))["sessions"]
+    assert [(row["label"], row["contract"]) for row in rows] == [("", "sc-1"), ("s1", "sc-2")]
+
+
+def test_a_report_is_run_and_written_without_building_a_row_dict(monkeypatch):
+    def no_row_dicts(contract):
+        raise AssertionError(f"{contract.address}'s report row was built as a dict")
+
+    monkeypatch.setattr("escrowsim.report.export_contract", no_row_dicts)
+    monkeypatch.setattr("escrowsim.scenario.export_contract", no_row_dicts)
+    for doc in (generate_random_script(0), canonical_document()):
+        text = run_scenario(parse_scenario(json.dumps(doc))).to_json_text()
+        assert json.loads(text)["contracts"]
 
 
 def test_rejected_payment_is_an_event_error_and_retry_works():
@@ -273,7 +291,7 @@ def test_errors_do_not_abort_the_run():
     doc["events"].insert(3, strangers_stop)
     report = run_scenario(parse_scenario(doc))
     assert [e["error"] for e in report.report["event_errors"]] == ["NotEndUser"]
-    [session] = report.report["sessions"]
+    [session] = report_tree(report)["sessions"]
     assert session["settled_by"] == "stop"  # alice's later stop still landed
 
 
@@ -362,7 +380,7 @@ def test_end_session_on_a_quota_session_is_an_event_error(minutes, stop_at, coun
          "params": {"session": "q"}}
     )
     report = run_scenario(parse_scenario(doc))
-    r = report.report
+    r = report_tree(report)
     errors = [(e["event_index"], e["error"], e["detail"]) for e in r["event_errors"]]
     detail = "time_limited_quota contracts are not settled by a stop"
     assert errors[-1] == (len(doc["events"]) - 1, "WrongState", detail)
@@ -384,7 +402,7 @@ def test_session_timeout_settles_via_wakeup():
     [settled] = report.settlements.values()
     assert settled["charge"] == 360_000_000_000_000_000
     assert settled["refund"] == 0
-    [session] = report.report["sessions"]
+    [session] = report_tree(report)["sessions"]
     assert session["settled_by"] == "expiry"
     assert report.report["final_block"]["timestamp"] >= 3_600
 
@@ -416,8 +434,7 @@ def test_quota_script_uses_one_contract_with_session_pairs():
              "params": {"session": "q"}},
         ],
     }
-    report = run_scenario(parse_scenario(doc))
-    r = report.report
+    r = report_tree(run_scenario(parse_scenario(doc)))
     assert len(r["contracts"]) == 1
     [contract] = r["contracts"]
     assert contract["kind"] == "time_limited_quota"
@@ -642,7 +659,7 @@ def test_quote_ttl_does_not_apply_to_quota_purchases():
     }
     script = parse_scenario(doc)
     report = run_scenario(script)
-    r = report.report
+    r = report_tree(report)
     assert r["final_block"]["height"] == 40
     assert [(e["event_index"], e["error"]) for e in r["event_errors"]] == [(3, "QuoteExpired")]
     quota, dynamic = r["contracts"]
@@ -791,122 +808,16 @@ def test_generator_is_deterministic():
 
 
 # ---- the report writer --------------------------------------------------------
-# write_report knows the report's shape; these trees have that shape, with
-# every terms section on or off and every list possibly empty.
+# write_report writes a run's records straight to text; json reads that text
+# back and writes the same bytes, on every shape the checked runs reach.
 
 _TRICKY_STRINGS = [
     '"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "é", "\u2028", "\ud800", "\udfff", "\U0001f600",
 ]
-_json_strings = st.text(st.characters(exclude_categories=())) | st.sampled_from(_TRICKY_STRINGS)
-_ints = st.integers() | st.sampled_from([2**256 - 1, 10**300])
 
 
-def _rows(row):
-    return st.lists(row, max_size=3)
-
-
-def _record(optional=None, **fields):
-    """Dicts with these keys in this order, then any optional key drawn."""
-    order = [*fields, *(optional or ())]
-    return st.fixed_dictionaries(fields, optional=optional).map(
-        lambda row: {key: row[key] for key in order if key in row}
-    )
-
-
-_TERM_SECTIONS = (
-    _record(price_wei=_json_strings, lock_time_seconds=_ints, refund_threshold_bp=_ints),
-    _record(
-        per_minute_price_wei=_json_strings,
-        minutes_purchased=_ints,
-        minutes_consumed=_ints,
-        sessions=_rows(
-            _record(token=_json_strings, start=_ints, stop=st.none() | _ints, minutes=_ints)
-        ),
-    ),
-    _record(shares=st.dictionaries(_json_strings, st.lists(_ints, min_size=2, max_size=2))),
-    _record(
-        voters=st.lists(_json_strings),
-        votes=st.dictionaries(_json_strings, _json_strings),
-        enacted=st.booleans(),
-    ),
-    _record(
-        gdpr_required=st.booleans(),
-        allowed_regions=st.lists(_json_strings),
-        price_multiplier_bp=_ints,
-    ),
-    _record(
-        standby_rate_wei_per_second=_json_strings,
-        standby_window_seconds=_ints,
-        min_charge_wei=_json_strings,
-    ),
-    _record(division_address=_json_strings),
-)
-_terms = st.tuples(*(st.none() | section for section in _TERM_SECTIONS)).map(
-    lambda sections: {k: v for section in sections if section for k, v in section.items()}
-)
-_text_map = st.dictionaries(_json_strings, _json_strings, max_size=3)
-_contract_rows = _record(
-    optional={
-        "settlement": _record(
-            charge_wei=_json_strings, refund_wei=_json_strings, payouts=_text_map
-        )
-    },
-    address=_json_strings,
-    kind=_json_strings,
-    state=_json_strings,
-    escrow_wei=_json_strings,
-    owner=_json_strings,
-    end_user=_json_strings,
-    terms=_terms,
-)
-_session_rows = _record(
-    label=_json_strings,
-    contract=_json_strings,
-    url_token=_json_strings,
-    deploy_block=st.none() | _ints,
-    stop_block=st.none() | _ints,
-    availability_bp=_ints,
-    settled_by=_json_strings,
-    step_log=st.lists(_ints),
-)
-_error_rows = _record(
-    event_index=_ints,
-    at_time=_ints,
-    actor=_json_strings,
-    action=_json_strings,
-    error=_json_strings,
-    detail=_json_strings,
-)
-_reports = _record(
-    final_balances=_text_map,
-    fee_sink_wei=_json_strings,
-    conservation_ok=st.booleans(),
-    final_block=_record(height=_ints, timestamp=_ints),
-    contracts=_rows(_contract_rows),
-    sessions=_rows(_session_rows),
-    ballots=_rows(_record(label=_json_strings, contract=_json_strings)),
-    events_applied=_ints,
-    event_errors=_rows(_error_rows),
-    tx_digest=_json_strings,
-)
-_EMPTY_REPORT = {
-    "final_balances": {},
-    "fee_sink_wei": "0",
-    "conservation_ok": True,
-    "final_block": {"height": 0, "timestamp": 0},
-    "contracts": [],
-    "sessions": [],
-    "ballots": [],
-    "events_applied": 0,
-    "event_errors": [],
-    "tx_digest": "",
-}
-
-
-@given(_reports)
-@example(_EMPTY_REPORT)
-def test_report_writer_matches_json_dumps_indent_2(report):
-    assert write_report(report) == json.dumps(report, indent=2) + "\n"
+def _rewritten_by_json(text):
+    return json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def _merged_generator_scripts(seeds):
@@ -922,8 +833,87 @@ def test_report_writer_matches_json_dumps_on_real_runs():
     documents = [generate_random_script(seed) for seed in range(300)]
     documents += [canonical_document(), _merged_generator_scripts(range(50))]
     for index, doc in enumerate(documents):
-        report = run_scenario(parse_scenario(doc))
-        assert report.to_json_text() == json.dumps(report.report, indent=2) + "\n", index
+        text = run_scenario(parse_scenario(doc)).to_json_text()
+        assert text == _rewritten_by_json(text), index
+
+
+def _tricky_document():
+    """Every contract kind, a ballot, a quota session pair and an event error,
+    with each name, label and region one of ``_TRICKY_STRINGS``.
+
+    Every string the report holds comes from these, but for the contract
+    addresses, kinds, states, url tokens, actions, error names and amounts.
+    """
+    owner, user, voter, other, stranger, *rest = _TRICKY_STRINGS
+    names = [owner, user, voter, other, stranger]
+    events = [
+        (0, owner, "deploy_ballot", {"ballot": rest[0], "voters": [voter, other]}),
+        (0, voter, "cast_vote", {"ballot": rest[0], "choice": "yes"}),
+        (0, other, "cast_vote", {"ballot": rest[0], "choice": "yes"}),
+        (0, owner, "tally", {"ballot": rest[0]}),
+    ]
+    extra = {
+        "consensus_decision": {"ballot": rest[0]},
+        "income_division": {"shares": {owner: [2, 3], other: [1, 3]}},
+        "constraint_based": {
+            "constraints": {"gdpr_required": True, "allowed_regions": _TRICKY_STRINGS}
+        },
+        "flexible_period": {"standby": {"rate_wei_per_second": "1000", "window_seconds": 60}},
+    }
+    kinds = ["dynamic_price", "fixed_price", *extra]
+    for k, kind in enumerate(kinds):
+        label = _TRICKY_STRINGS[k]
+        events += [
+            (15 * k, user, "request_session", {
+                "session": label, "owner": owner, "kind": kind,
+                "availability_target_bp": 9_000, "video_quality": "SD",
+                "max_period_seconds": 600, **extra.get(kind, {}),
+            }),
+            (15 * k, user, "approve_and_pay", {"session": label, "value": "quoted"}),
+            (15 * k + 15, owner, "countersign", {"session": label}),
+            (15 * k + 15, owner, "qos_sample", {"session": label, "available": k % 2 == 0}),
+            (300, stranger, "end_session", {"session": label}),  # NotEndUser
+            (300, user, "end_session", {"session": label}),
+        ]
+    quota = rest[1]
+    events += [
+        (0, user, "request_session", {
+            "session": quota, "owner": owner, "kind": "time_limited_quota",
+            "availability_target_bp": 9_000, "video_quality": "SD", "max_period_seconds": 600,
+        }),
+        (0, user, "quota_purchase", {"session": quota, "minutes": 5, "value": "quoted"}),
+        (30, user, "quota_start", {"session": quota}),
+        (90, user, "quota_stop", {"session": quota}),
+        (120, user, "quota_start", {"session": quota}),  # still open at the end
+    ]
+    events.sort(key=lambda event: event[0])
+    return {
+        "config": {"provider": {"region": rest[2], "gdpr_compliant": True}},
+        "genesis": {name: str(eth(100)) for name in names},
+        "events": [
+            {"at_time": t, "actor": actor, "action": action, "params": params}
+            for t, actor, action, params in events
+        ],
+    }
+
+
+def test_report_writer_escapes_every_string_field_on_a_real_run():
+    doc = _tricky_document()
+    text = run_scenario(parse_scenario(doc)).to_json_text()
+    assert text == _rewritten_by_json(text)
+    tree = json.loads(text)
+    assert tree["final_balances"].keys() == set(doc["genesis"])
+    assert {row["kind"] for row in tree["contracts"]} == set(KIND_NAMES)
+    terms = {key for row in tree["contracts"] for key in row["terms"]}
+    assert {"sessions", "shares", "votes", "allowed_regions", "division_address"} <= terms
+    assert {row["label"] for row in tree["sessions"]} == set(_TRICKY_STRINGS[:7])
+    assert [row["label"] for row in tree["ballots"]] == [_TRICKY_STRINGS[5]]
+    assert {(e["actor"], e["error"]) for e in tree["event_errors"]} == {
+        (_TRICKY_STRINGS[4], "NotEndUser")
+    }
+    empty = run_scenario(parse_scenario({"genesis": dict.fromkeys(_TRICKY_STRINGS, "1")}))
+    text = empty.to_json_text()
+    assert text == _rewritten_by_json(text)
 
 
 def test_oracle_out_file_matches_stdout_and_json_dumps(tmp_path, capsys):
@@ -950,19 +940,22 @@ def test_oracle_out_file_matches_stdout_and_json_dumps(tmp_path, capsys):
 @pytest.mark.parametrize(
     "path",
     [
-        ("contracts", 0, "terms", "lock_time_seconds"),
-        ("sessions", 0, "availability_bp"),
-        ("sessions", 0, "step_log", 0),
+        ("contracts", 0, "lock_time_seconds"),
+        ("sessions", 0, 1, "contract", "samples"),  # availability_bp's divisor
+        ("sessions", 0, 1, "step_log", 0),
         ("event_errors", 0, "at_time"),
     ],
 )
 def test_report_writer_rejects_a_float_in_an_int_field(path):
     # seed 0: a dynamic-price contract first, a session and an event error
-    report = copy.deepcopy(run_scenario(parse_scenario(generate_random_script(0))).report)
+    report = run_scenario(parse_scenario(generate_random_script(0))).report
     *parents, key = path
     node = report
-    for step in parents:
-        node = node[step]
-    node[key] = float(node[key])
+    for step in parents:  # into rows and lists by key or index, into records by attribute
+        node = node[step] if isinstance(node, (dict, list, tuple)) else getattr(node, step)
+    if isinstance(node, (dict, list)):
+        node[key] += 0.5
+    else:
+        setattr(node, key, getattr(node, key) + 0.5)
     with pytest.raises(TypeError):
         write_report(report)
