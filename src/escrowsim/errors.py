@@ -1,5 +1,9 @@
-"""Exception hierarchy shared by all simulator components, and how an error
-message quotes the input it rejects."""
+"""Exception hierarchy shared by all simulator components, how an error
+message quotes the input it rejects, and the collector pause of the entry
+points."""
+
+import functools
+import gc
 
 ECHO_CHARS = 32
 
@@ -14,6 +18,32 @@ def echo(value: object, quote=repr) -> str:
     if len(value) <= ECHO_CHARS:
         return quote(value)
     return f"{quote(value[:ECHO_CHARS])}... ({len(value)} characters)"
+
+
+def collector_paused(function):
+    """``function`` with CPython's cyclic collector off while it runs.
+
+    Nothing a parse, run, render or oracle call builds forms a reference
+    cycle, so everything it drops is freed by reference counting, while each
+    automatic collection would walk all it still holds: on a large script,
+    the parsed events and the run's records again and again.  The collector
+    is turned off only if it was on, and turned back on when ``function``
+    returns or raises; a caller that had turned it off keeps it off.  The
+    simulator is single-writer: a thread that switches the collector while
+    ``function`` runs has its setting overridden when ``function`` returns.
+    """
+
+    @functools.wraps(function)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return function(*args, **kwargs)
+        gc.disable()
+        try:
+            return function(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class SimulationError(Exception):

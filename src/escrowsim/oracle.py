@@ -34,6 +34,7 @@ from itertools import accumulate
 from typing import Iterator, Optional
 
 from .contracts import ContractKind
+from .errors import collector_paused
 from .ledger import JITTER_INTERVAL_RANGE, interval_total, jitter_chunks
 from .pricing import VIDEO_MULTIPLIER_BP
 from .scenario import (
@@ -392,6 +393,7 @@ def _largest_remainder(charge: int, numerators: dict, denominator: int) -> dict:
     return payouts
 
 
+@collector_paused
 def oracle_settlement(script: ScenarioScript) -> dict[str, dict]:
     """Expected {address: {charge, refund, payouts, escrow}} for a script."""
     return _Oracle(script).run()

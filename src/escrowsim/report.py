@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable
 
-from .contracts import TIME_SETTLED_KINDS, AgreementContract
+from .contracts import TIME_SETTLED_KINDS, AgreementContract, ContractKind, ContractState
+from .errors import collector_paused
 
 
 @dataclass
@@ -41,6 +42,7 @@ class SettlementReport:
     report: dict
     settlements: dict[str, dict]  # address -> {charge, refund, payouts, escrow}
 
+    @collector_paused
     def to_json_text(self) -> str:
         return write_report(self.report)
 
@@ -112,6 +114,10 @@ def export_contract(contract: AgreementContract) -> dict:
 _esc = encode_basestring_ascii
 _int = int.__repr__
 _N2, _N6, _N8 = "\n  ", "\n      ", "\n        "  # a line break plus 2, 6 or 8 spaces
+# Each kind and state as the row writes it; a table lookup skips the Python-level
+# ``Enum.value`` descriptor and an escape per contract.
+_KIND_TEXT = {kind: _esc(kind.value) for kind in ContractKind}
+_STATE_TEXT = {state: _esc(state.value) for state in ContractState}
 
 
 def _bool(value: bool) -> str:
@@ -206,8 +212,8 @@ def _terms(c: AgreementContract) -> str:
 def _contract_row(c: AgreementContract) -> str:
     text = (
         f'{{\n      "address": {_esc(c.address)},'
-        f'\n      "kind": {_esc(c.kind.value)},'
-        f'\n      "state": {_esc(c.state.value)},'
+        f'\n      "kind": {_KIND_TEXT[c.kind]},'
+        f'\n      "state": {_STATE_TEXT[c.state]},'
         f'\n      "escrow_wei": "{_int(c.escrow)}",'
         f'\n      "owner": {_esc(c.owner)},'
         f'\n      "end_user": {_esc(c.end_user)},'

@@ -31,7 +31,14 @@ from .contracts import (
     FlexibleTerms,
     IncomeShares,
 )
-from .errors import ECHO_CHARS, ParseError, SimulationError, ValidationError, echo
+from .errors import (
+    ECHO_CHARS,
+    ParseError,
+    SimulationError,
+    ValidationError,
+    collector_paused,
+    echo,
+)
 from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule, Ledger
 from .orchestrator import SessionOrchestrator, SessionRecord
 from .pricing import QosPreferences, RateCard
@@ -629,6 +636,7 @@ def _parse_events(raw_events: list, genesis: dict[str, int]) -> list[ScriptEvent
 _TOP_LEVEL_KEYS = frozenset({"config", "genesis", "events"})
 
 
+@collector_paused
 def parse_scenario(document) -> ScenarioScript:
     """Parse and validate a scenario from JSON text, UTF-8 bytes, or a dict."""
     if isinstance(document, bytes):
@@ -851,6 +859,7 @@ class _Runner:
 _RUNNER_HANDLERS = handler_table(_Runner)
 
 
+@collector_paused
 def run_scenario(script: ScenarioScript, corrupt_wei: int = 0) -> SettlementReport:
     """Execute a parsed script to its horizon and build the report."""
     return _Runner(script).run(corrupt_wei)

@@ -1,10 +1,13 @@
-"""A finished run frees its state by reference counting, and the products
-it writes at the end hold few copies of themselves while they are built.
+"""A finished run frees its state by reference counting, the entry points
+keep the cyclic collector off while they run, and the products a run writes
+at the end hold few copies of themselves while they are built.
 
 The ledger reaches the orchestrator through its wakeup hook, and the
 orchestrator holds the ledger, so a run that left the hook in place would
 stay in memory until the cyclic collector found it.  Each check of that runs
 with the collector off, so that only reference counting can free anything.
+Since nothing they build needs the cyclic collector, parse, run, render and
+the oracle pause it, and hand back the caller's setting however they end.
 The report and the tx digest are made when the run's state is at its
 largest, so what they allocate on top of it is pinned with ``tracemalloc``,
 and so is the run stage's own peak: the report holds the run's records, not a
@@ -22,9 +25,11 @@ from pathlib import Path
 
 import pytest
 
-from escrowsim import scenario
+from escrowsim import oracle, scenario
+from escrowsim.errors import ParseError, ValidationError
 from escrowsim.ledger import GasSchedule, Ledger
 from escrowsim.oracle import oracle_settlement
+from escrowsim.report import SettlementReport
 from escrowsim.scenario import generate_random_script, parse_scenario
 
 from report_tree import report_tree
@@ -44,6 +49,119 @@ def collector_off():
         yield
     finally:
         gc.enable()
+
+
+@contextmanager
+def collector(enabled):
+    """The collector on or off, as a caller set it; on again afterwards."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+ENTRY_POINTS = ("parse_scenario", "run_scenario", "to_json_text", "oracle_settlement")
+
+
+def entry_point_calls(text, unpaused=False):
+    """Each entry point as a call on ``text``, its input made beforehand; with
+    ``unpaused``, a call of the function it wraps, which leaves the collector on."""
+    script = parse_scenario(text)
+    report = scenario.run_scenario(script)
+
+    def pick(entry_point):
+        return entry_point.__wrapped__ if unpaused else entry_point
+
+    return {
+        "parse_scenario": lambda: pick(parse_scenario)(text),
+        "run_scenario": lambda: pick(scenario.run_scenario)(script),
+        "to_json_text": lambda: pick(SettlementReport.to_json_text)(report),
+        "oracle_settlement": lambda: pick(oracle_settlement)(script),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+def test_an_entry_point_returns_with_the_collector_as_its_caller_set_it(entry_point, enabled):
+    call = entry_point_calls(json.dumps(generate_random_script(TIMEOUT_SEED)))[entry_point]
+    with collector(enabled):
+        call()
+        assert gc.isenabled() is enabled
+
+
+def raising_calls(monkeypatch, seen):
+    """A call per entry point that raises; a run or oracle handler records the
+    collector's state in ``seen`` before it raises."""
+
+    def boom(*args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    script = parse_scenario(generate_random_script(TIMEOUT_SEED))
+    report = scenario.run_scenario(script)
+    report.report["fee_sink_wei"] = 0  # an int where the writer wants a str
+    monkeypatch.setitem(scenario._RUNNER_HANDLERS, scenario.RequestSession, boom)
+    monkeypatch.setitem(oracle._ORACLE_HANDLERS, scenario.RequestSession, boom)
+    return {
+        "parse_scenario: ParseError": (ParseError, lambda: parse_scenario("{")),
+        "parse_scenario: ValidationError": (ValidationError, lambda: parse_scenario("[]")),
+        "run_scenario": (RuntimeError, lambda: scenario.run_scenario(script)),
+        "to_json_text": (TypeError, report.to_json_text),
+        "oracle_settlement": (RuntimeError, lambda: oracle_settlement(script)),
+    }
+
+
+RAISING = (
+    "parse_scenario: ParseError",
+    "parse_scenario: ValidationError",
+    "run_scenario",
+    "to_json_text",
+    "oracle_settlement",
+)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", RAISING)
+def test_an_entry_point_that_raises_leaves_the_collector_as_its_caller_set_it(
+    monkeypatch, case, enabled
+):
+    seen = []
+    error, call = raising_calls(monkeypatch, seen)[case]
+    with collector(enabled):
+        with pytest.raises(error):
+            call()
+        assert gc.isenabled() is enabled
+    assert seen == ([False] if case in ("run_scenario", "oracle_settlement") else [])
+
+
+def test_no_automatic_collection_runs_inside_an_entry_point():
+    # 300 merged scripts: without the pause, parse and run each collect many
+    # times over what they hold
+    text = merged_text(300)
+
+    def collections(call):
+        starts = []
+
+        def probe(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.collect(0)  # so a collection due before the call cannot start in it
+        gc.callbacks.append(probe)
+        try:
+            call()
+        finally:
+            gc.callbacks.remove(probe)
+        return starts
+
+    assert gc.isenabled()
+    paused = {name: collections(call) for name, call in entry_point_calls(text).items()}
+    assert paused == dict.fromkeys(ENTRY_POINTS, [])
+    unpaused = {
+        name: collections(call) for name, call in entry_point_calls(text, unpaused=True).items()
+    }
+    assert unpaused["parse_scenario"] and unpaused["run_scenario"]
 
 
 def test_parse_run_render_and_oracle_leave_no_cyclic_garbage():
@@ -92,12 +210,16 @@ def traced_peak(make):
         tracemalloc.stop()
 
 
-def merged_200_scripts():
-    """Generator seeds 0..199 merged 30 s apart, as ``bench/workloads.py`` merges bulk."""
+def merged_text(count):
+    """Generator seeds 0..count-1 merged 30 s apart, as ``bench/workloads.py`` merges bulk."""
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return parse_scenario(json.dumps(workloads.merge_scripts(list(range(200)), 30)))
+    return json.dumps(workloads.merge_scripts(list(range(count)), 30))
+
+
+def merged_200_scripts():
+    return parse_scenario(merged_text(200))
 
 
 def test_rendering_a_large_report_holds_little_more_than_its_text():

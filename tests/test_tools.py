@@ -1,6 +1,7 @@
 """The repository tools under tools/: what they report about the package."""
 
 import ast
+import gc
 import importlib.util
 import inspect
 import json
@@ -10,13 +11,18 @@ from pathlib import Path
 from escrowsim import contracts, scenario
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+WORKLOADS = TOOLS.parent / "bench" / "workloads.py"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tool(name):
+    return load_module(f"tools_{name}", TOOLS / f"{name}.py")
 
 
 def first_statement_line(module, function_name):
@@ -51,6 +57,23 @@ def test_mem_gives_one_row_per_stage_and_no_cyclic_garbage():
     assert all(row.live_bytes > 0 for row in rows)
     assert all(row.peak_bytes >= row.live_bytes for row in rows)
     assert [row.garbage for row in rows] == [0, 0, 0, 0]
+
+
+def test_gcstat_files_no_collection_in_the_four_stages_and_the_deferred_ones_after_them():
+    gcstat = load_tool("gcstat")
+    merged = load_module("bench_workloads", WORKLOADS).merge_scripts(list(range(300)), 30)
+    callbacks = list(gc.callbacks)
+    rows = gcstat.segment_rows([json.dumps(merged)], passes=1)
+    assert gc.callbacks == callbacks and gc.isenabled()
+    assert [row.segment for row in rows] == [
+        "parse", "after parse", "run", "after run", "render", "after render",
+        "oracle", "after oracle", "check", "after check",
+    ]
+    by_segment = {row.segment: row for row in rows}
+    for stage in ("parse", "run", "render", "oracle"):
+        assert by_segment[stage].collections == (0, 0, 0)
+        assert by_segment[stage].ms > 0
+    assert sum(sum(row.collections) for row in rows) > 0
 
 
 def test_loc_counts_docstrings_and_statements_but_not_comments_or_blanks(tmp_path):
