@@ -24,9 +24,11 @@ def collector_paused(function):
     """``function`` with CPython's cyclic collector off while it runs.
 
     Nothing a parse, run, render or oracle call builds forms a reference
-    cycle, so everything it drops is freed by reference counting, while each
-    automatic collection would walk all it still holds: on a large script,
-    the parsed events and the run's records again and again.  The collector
+    cycle (a run's ledger holds nothing above it: the runner hands each clock
+    call the orchestrator's ``deliver_wakeup``), so everything it drops is
+    freed by reference counting, while each automatic collection would walk
+    all it still holds: on a large script, the parsed events and the run's
+    records again and again.  The collector
     is turned off only if it was on, and turned back on when ``function``
     returns or raises; a caller that had turned it off keeps it off.  The
     simulator is single-writer: a thread that switches the collector while

@@ -106,6 +106,9 @@ class Block:
     timestamp: int
 
 
+Deliver = Callable[[str, Block], None]  # takes a due wakeup: (contract address, block)
+
+
 @dataclass
 class GasSchedule:
     """Flat gas costs per transaction kind and the wei price per gas unit.
@@ -154,8 +157,11 @@ class Ledger:
     The clock is two ints, ``height`` and ``timestamp`` of the latest block.
     ``advance_to`` moves only them over the empty blocks it skips;
     ``produce_block`` builds the one ``Block`` of each block that can hold a
-    transaction or a wakeup and hands it to the wakeup handler.  The tx log is
-    a list of JSON lines, hashed in slices when ``tx_log_digest`` is asked.
+    transaction or a wakeup.  Each call that moves the clock hands every
+    wakeup it makes due, with its block, to the ``deliver`` callable it is
+    given, or drops it without one; the ledger keeps no reference to it.  The
+    tx log is a list of JSON lines, hashed in slices when ``tx_log_digest``
+    is asked.
     """
 
     def __init__(
@@ -187,20 +193,14 @@ class Ledger:
         self._tape = [0]
         self._tape_next = 1
         self.tx_log: list[str] = []  # one JSON line per tx
-        # Called as (contract address, block) for each wakeup as it falls due.
-        # SessionOrchestrator.__init__ installs its _handle_wakeup here, and the
-        # owner of both (scenario._Runner.run) sets it back to None when the run
-        # ends: the bound method holds the orchestrator, which holds this
-        # ledger, and only the cyclic collector would free a cycle left in place.
-        self.wakeup_handler: Optional[Callable[[str, Block], None]] = None
         self._wakeup_heap: list[tuple[int, int, str]] = []
         self._wakeup_armed: dict[str, int] = {}  # contract address -> fire_at
         self._wakeup_seq = 0
 
     # ---- block production -----------------------------------------------
 
-    def produce_block(self) -> Block:
-        """Append one block and deliver every wakeup now due, in order."""
+    def produce_block(self, deliver: Optional[Deliver] = None) -> Block:
+        """Append one block and hand each wakeup now due to ``deliver``, in order."""
         if self._rng is None:
             self.timestamp += self.block_interval
         else:
@@ -212,22 +212,22 @@ class Ledger:
         self.height += 1
         block = Block(self.height, self.timestamp)
         if self._wakeup_heap and self._wakeup_heap[0][0] <= self.timestamp:
-            self._deliver_due_wakeups(block)
+            self._deliver_due_wakeups(block, deliver)
         return block
 
-    def advance_to(self, t: int) -> None:
+    def advance_to(self, t: int, deliver: Optional[Deliver] = None) -> None:
         """Produce blocks until the latest block's timestamp is >= ``t``.
 
-        The result equals calling ``produce_block`` while the timestamp is
-        below ``t``: the same heights, timestamps, wakeup deliveries and RNG
-        draws.  Blocks before the next armed wakeup hold no transaction and
-        deliver nothing, so they are skipped without being built: only the
-        clock moves over them, and they still count in heights.  The
-        deterministic grid skips in closed form.  The jittered grid skips
-        along its tape: a chunk that ends before the target is stepped over
-        by its total, and only the chunk that crosses it becomes the tape; a
-        chunk whose smallest span reaches the target is not totalled.  A
-        ``t`` at or before the current timestamp is a no-op.
+        The result equals calling ``produce_block(deliver)`` while the
+        timestamp is below ``t``: the same heights, timestamps, wakeup
+        deliveries and RNG draws.  Blocks before the next armed wakeup hold no
+        transaction and deliver nothing, so they are skipped without being
+        built: only the clock moves over them, and they still count in
+        heights.  The deterministic grid skips in closed form.  The jittered
+        grid skips along its tape: a chunk that ends before the target is
+        stepped over by its total, and only the chunk that crosses it becomes
+        the tape; a chunk whose smallest span reaches the target is not
+        totalled.  A ``t`` at or before the current timestamp is a no-op.
         """
         while self.timestamp < t:
             due = self._next_wakeup_at()
@@ -257,16 +257,17 @@ class Ledger:
                 self.height = height + crossing - i
                 self.timestamp = tape[crossing - 1]
                 self._tape_next = crossing
-            self.produce_block()  # the first block at or past target
+            self.produce_block(deliver)  # the first block at or past target
 
-    def drain_wakeups(self) -> None:
+    def drain_wakeups(self, deliver: Optional[Deliver] = None) -> None:
         """Produce blocks until no wakeup is armed, skipping empty ones.
 
-        Equals calling ``produce_block`` while ``armed_wakeup_count() > 0``;
-        a wakeup already due is delivered by the next block.
+        Equals calling ``produce_block(deliver)`` while
+        ``armed_wakeup_count() > 0``; a wakeup already due is handed to
+        ``deliver`` by the next block.
         """
         while (due := self._next_wakeup_at()) is not None:
-            self.advance_to(max(due, self.timestamp + 1))
+            self.advance_to(max(due, self.timestamp + 1), deliver)
 
     def _next_wakeup_at(self) -> Optional[int]:
         """Fire time of the earliest armed wakeup, or None.
@@ -281,12 +282,12 @@ class Ledger:
             heapq.heappop(heap)
         return None
 
-    def _deliver_due_wakeups(self, block: Block) -> None:
+    def _deliver_due_wakeups(self, block: Block, deliver: Optional[Deliver]) -> None:
         while (due := self._next_wakeup_at()) is not None and due <= block.timestamp:
             addr = heapq.heappop(self._wakeup_heap)[2]
             del self._wakeup_armed[addr]
-            if self.wakeup_handler is not None:
-                self.wakeup_handler(addr, block)
+            if deliver is not None:
+                deliver(addr, block)
 
     def schedule_wakeup(self, contract_address: str, fire_at: int) -> None:
         """Arm the alarm-clock timer for a contract (one per contract)."""

@@ -78,15 +78,6 @@ class SessionOrchestrator:
         provider_gdpr_compliant: bool = True,
         refund_threshold_bp: int = sc.DEFAULT_REFUND_THRESHOLD_BP,
     ) -> None:
-        """Drive sessions on ``ledger`` and install ``_handle_wakeup`` as its wakeup handler.
-
-        The hook makes the ledger settle timed-out sessions through this
-        orchestrator.  It also closes a reference cycle (ledger -> bound method
-        -> orchestrator -> ledger), so whoever owns the pair removes it by
-        setting ``ledger.wakeup_handler = None`` once the last wakeup is
-        delivered, as ``scenario._Runner.run`` does; then reference counting
-        frees the run's state as soon as its owner lets go.
-        """
         self.ledger = ledger
         self.rate_card = rate_card or RateCard()
         self.provider_region = provider_region
@@ -94,7 +85,6 @@ class SessionOrchestrator:
         self.refund_threshold_bp = refund_threshold_bp
         self.sessions: dict[str, SessionRecord] = {}  # contract address -> record
         self._token_seq = 0
-        ledger.wakeup_handler = self._handle_wakeup
 
     # ---- steps 1-2: quote and contract deployment -------------------------
 
@@ -248,7 +238,8 @@ class SessionOrchestrator:
         session.settled_by = how
         session.step_log += range(first_step, 17)
 
-    def _handle_wakeup(self, contract_address: str, block: Block) -> None:
+    def deliver_wakeup(self, contract_address: str, block: Block) -> None:
+        """Settle the session of a wakeup the ledger hands over: pass this to its clock calls."""
         session = self.sessions.get(contract_address)
         if session is not None:
             self.on_wakeup(session, block)

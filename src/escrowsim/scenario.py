@@ -710,22 +710,17 @@ class _Runner:
         self.errors: list[dict] = []
 
     def run(self, corrupt_wei: int = 0) -> SettlementReport:
-        ledger = self.ledger
-        try:
-            for index, event in enumerate(self.script.events):
-                ledger.advance_to(event.at_time)
-                try:
-                    _RUNNER_HANDLERS[type(event)](self, event)
-                except SimulationError as exc:
-                    self._record_error(index, event, type(exc).__name__, str(exc))
-            horizon = self.script.config.run_until_seconds
-            if horizon is not None:
-                ledger.advance_to(horizon)
-            ledger.drain_wakeups()
-        finally:
-            # the hook is the ledger's only reference back to the orchestrator;
-            # without it the run's state is freed with the runner, by refcount
-            ledger.wakeup_handler = None
+        ledger, deliver = self.ledger, self.orch.deliver_wakeup
+        for index, event in enumerate(self.script.events):
+            ledger.advance_to(event.at_time, deliver)
+            try:
+                _RUNNER_HANDLERS[type(event)](self, event)
+            except SimulationError as exc:
+                self._record_error(index, event, type(exc).__name__, str(exc))
+        horizon = self.script.config.run_until_seconds
+        if horizon is not None:
+            ledger.advance_to(horizon, deliver)
+        ledger.drain_wakeups(deliver)
         if corrupt_wei:
             # fault-injection hook: mint wei out of thin air so the
             # conservation verdict trips (CLI/CI plumbing test only)

@@ -4,25 +4,17 @@ The tracer patches functions and methods of escrowsim by name, so renaming
 one of them breaks the benchmark; this test makes the suite notice.
 """
 
-import importlib.util
-import sys
 from pathlib import Path
 
 from escrowsim import scenario
 
+from load_source import load_source
+
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tracer_installs_traces_a_run_and_uninstalls(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+def test_tracer_installs_traces_a_run_and_uninstalls():
+    tracing = load_source("bench_tracing", TRACING)
     targets = [target for group in tracing.SPANS.values() for target in group]
     targets += tracing.COUNTERS.values()
     originals = {target: target[0].__dict__[target[1]] for target in targets}

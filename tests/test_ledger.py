@@ -1,10 +1,8 @@
 """Ledger: blocks, transfers, fees, escrow plumbing, wakeups, conservation."""
 
 import hashlib
-import importlib.util
 import json
 import random
-import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from pathlib import Path
@@ -37,6 +35,8 @@ from escrowsim.ledger import (
 from escrowsim.oracle import oracle_settlement
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 from escrowsim.units import eth, format_eth, gwei, parse_wei
+
+from load_source import load_source
 
 
 def zero_gas() -> GasSchedule:
@@ -409,25 +409,41 @@ def test_tx_log_digest_is_stable():
 def test_wakeup_fires_on_first_block_at_or_after_fire_at():
     ledger = Ledger({"a": eth(1)}, gas=zero_gas())
     fired = []
-    ledger.wakeup_handler = lambda addr, block: fired.append((addr, block.timestamp))
+
+    def deliver(addr, block):
+        fired.append((addr, block.timestamp))
+
     ledger.schedule_wakeup("sc-9", fire_at=31)
-    ledger.produce_block()  # 15
-    ledger.produce_block()  # 30
+    ledger.produce_block(deliver)  # 15
+    ledger.produce_block(deliver)  # 30
     assert fired == []
-    ledger.produce_block()  # 45 >= 31
+    ledger.produce_block(deliver)  # 45 >= 31
     assert fired == [("sc-9", 45)]
-    ledger.produce_block()
+    ledger.produce_block(deliver)
     assert len(fired) == 1  # delivered once
+
+
+@pytest.mark.parametrize(
+    "move",
+    [Ledger.produce_block, lambda ledger: ledger.advance_to(31), Ledger.drain_wakeups],
+    ids=["produce_block", "advance_to", "drain_wakeups"],
+)
+def test_a_clock_call_without_deliver_drops_the_due_wakeup(move):
+    ledger = Ledger({"a": eth(1)}, gas=zero_gas())
+    ledger.schedule_wakeup("sc-1", fire_at=31)
+    ledger.advance_to(30)
+    move(ledger)
+    assert clock(ledger) == Block(3, 45)
+    assert ledger.armed_wakeup_count() == 0
 
 
 def test_cancelled_wakeup_never_fires():
     ledger = Ledger({"a": eth(1)}, gas=zero_gas())
     fired = []
-    ledger.wakeup_handler = lambda addr, block: fired.append(addr)
     ledger.schedule_wakeup("sc-1", fire_at=20)
     ledger.cancel_wakeup("sc-1")
     for _ in range(5):
-        ledger.produce_block()
+        ledger.produce_block(lambda addr, block: fired.append(addr))
     assert fired == []
     assert ledger.armed_wakeup_count() == 0
 
@@ -435,11 +451,10 @@ def test_cancelled_wakeup_never_fires():
 def test_reschedule_replaces_previous_wakeup():
     ledger = Ledger({"a": eth(1)}, gas=zero_gas())
     fired = []
-    ledger.wakeup_handler = lambda addr, block: fired.append(block.timestamp)
     ledger.schedule_wakeup("sc-1", fire_at=20)
     ledger.schedule_wakeup("sc-1", fire_at=100)
     for _ in range(10):
-        ledger.produce_block()
+        ledger.produce_block(lambda addr, block: fired.append(block.timestamp))
     assert fired == [105]
 
 
@@ -489,7 +504,6 @@ def _replay(ops, interval, jitter_seed, rearm_offsets, skip):
         if addr == WAKEUP_ADDRS[0] and rearms:  # re-arm from inside the delivery
             ledger.schedule_wakeup(addr, block.timestamp + rearms.pop())
 
-    ledger.wakeup_handler = handler
     blocks = []
     for op, addr, offset in ops:
         now = ledger.timestamp
@@ -500,15 +514,15 @@ def _replay(ops, interval, jitter_seed, rearm_offsets, skip):
             ledger.cancel_wakeup(addr)
             continue
         if op == "advance" and skip:
-            ledger.advance_to(now + offset)
+            ledger.advance_to(now + offset, handler)
         elif op == "advance":
             while ledger.timestamp < now + offset:
-                ledger.produce_block()
+                ledger.produce_block(handler)
         elif skip:
-            ledger.drain_wakeups()
+            ledger.drain_wakeups(handler)
         else:
             while ledger.armed_wakeup_count() > 0:
-                ledger.produce_block()
+                ledger.produce_block(handler)
         blocks.append(clock(ledger))
     rng_state = ledger._rng.getstate() if ledger._rng is not None else None
     return blocks, deliveries, ledger.armed_wakeup_count(), rng_state
@@ -659,17 +673,20 @@ def test_a_full_chunk_at_the_largest_interval_totals_across_pieces():
 def test_advance_to_at_or_before_now_builds_nothing():
     ledger = Ledger({"a": eth(1)}, gas=zero_gas(), jitter_seed=3)
     fired = []
-    ledger.wakeup_handler = lambda addr, block: fired.append(addr)
-    ledger.advance_to(100)
+
+    def deliver(addr, block):
+        fired.append(addr)
+
+    ledger.advance_to(100, deliver)
     block, state = clock(ledger), ledger._rng.getstate()
     ledger.schedule_wakeup("sc-1", fire_at=block.timestamp)  # due, not yet delivered
-    ledger.advance_to(block.timestamp)
+    ledger.advance_to(block.timestamp, deliver)
     assert clock(ledger) == block
-    ledger.advance_to(0)
+    ledger.advance_to(0, deliver)
     assert clock(ledger) == block
     assert ledger._rng.getstate() == state
     assert fired == []
-    ledger.drain_wakeups()  # the next block delivers it
+    ledger.drain_wakeups(deliver)  # the next block delivers it
     assert fired == ["sc-1"]
     assert ledger.height == block.height + 1
 
@@ -686,13 +703,16 @@ def test_height_and_timestamp_are_the_one_clock(jitter_seed):
     ledger = Ledger({"a": eth(1)}, gas=zero_gas(), jitter_seed=jitter_seed)
     assert clock(ledger) == Block(0, 0)
     delivered = []
-    ledger.wakeup_handler = lambda addr, block: delivered.append((block, clock(ledger)))
+
+    def deliver(addr, block):
+        delivered.append((block, clock(ledger)))
+
     for fire_at in (1, 40, 41, 500, 10**5):  # 40 and 41 share a block on the fixed grid
         ledger.schedule_wakeup(f"sc-{fire_at}", fire_at)
     for _ in range(3):
-        assert ledger.produce_block() == clock(ledger)
-    ledger.advance_to(600)
-    ledger.drain_wakeups()
+        assert ledger.produce_block(deliver) == clock(ledger)
+    ledger.advance_to(600, deliver)
+    ledger.drain_wakeups(deliver)
     assert len(delivered) == 5
     assert all(block == now for block, now in delivered)
     before = clock(ledger)
@@ -803,18 +823,15 @@ def test_a_run_whose_events_never_skip_a_chunk_totals_none(monkeypatch):
 
 
 def test_the_idle_jittered_script_totals_each_chunk_it_tests_once(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is only read
-    spec.loader.exec_module(workloads)
+    workloads = load_source("bench_workloads", WORKLOADS)
     [_, jittered] = workloads.build_documents("idle", 0)
     script = parse_scenario(jittered)
     drawn, totalled = counting_totals(monkeypatch)
     built = []  # the timestamps of the blocks the ledger builds
     produce_block = Ledger.produce_block
 
-    def record(ledger):
-        block = produce_block(ledger)
+    def record(ledger, deliver=None):
+        block = produce_block(ledger, deliver)
         built.append(block.timestamp)
         return block
 

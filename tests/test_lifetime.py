@@ -2,12 +2,14 @@
 keep the cyclic collector off while they run, and the products a run writes
 at the end hold few copies of themselves while they are built.
 
-The ledger reaches the orchestrator through its wakeup hook, and the
-orchestrator holds the ledger, so a run that left the hook in place would
-stay in memory until the cyclic collector found it.  Each check of that runs
-with the collector off, so that only reference counting can free anything.
-Since nothing they build needs the cyclic collector, parse, run, render and
-the oracle pause it, and hand back the caller's setting however they end.
+The orchestrator holds the ledger, and the ledger holds nothing above it: a
+wakeup is handed to the ``deliver`` callable passed to the clock call that
+makes it due, and the ledger keeps no reference to it.  So a run forms no
+reference cycle by construction, and is freed with its runner whether it
+returns or raises.  The checks that free anything run with the collector
+off, so that only reference counting can free it.  Since nothing they build
+needs the cyclic collector, parse, run, render and the oracle pause it, and
+hand back the caller's setting however they end.
 The report and the tx digest are made when the run's state is at its
 largest, so what they allocate on top of it is pinned with ``tracemalloc``,
 and so is the run stage's own peak: the report holds the run's records, not a
@@ -16,12 +18,13 @@ copy of them.
 
 import gc
 import hashlib
-import importlib.util
 import json
+import sys
 import tracemalloc
 import weakref
 from contextlib import contextmanager
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -29,9 +32,11 @@ from escrowsim import oracle, scenario
 from escrowsim.errors import ParseError, ValidationError
 from escrowsim.ledger import GasSchedule, Ledger
 from escrowsim.oracle import oracle_settlement
+from escrowsim.orchestrator import SessionOrchestrator
 from escrowsim.report import SettlementReport
 from escrowsim.scenario import generate_random_script, parse_scenario
 
+from load_source import load_source
 from report_tree import report_tree
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -188,16 +193,55 @@ def test_the_ledger_dies_with_its_runner(seed):
     assert any(s["settled_by"] == "expiry" for s in sessions) == (seed == TIMEOUT_SEED)
 
 
-def test_an_exception_escaping_the_run_still_removes_the_wakeup_hook(monkeypatch):
-    def boom(runner, event):
+def test_a_run_that_raises_is_freed_with_its_runner_and_the_exception(monkeypatch):
+    # raised inside a wakeup's delivery: the traceback holds the frames of the
+    # clock calls that carry the orchestrator's deliver_wakeup
+    def boom(orch, session, block):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(scenario._RUNNER_HANDLERS, scenario.RequestSession, boom)
+    monkeypatch.setattr(SessionOrchestrator, "on_wakeup", boom)
+    script = parse_scenario(generate_random_script(TIMEOUT_SEED))
+    with collector_off():
+        runner = scenario._Runner(script)
+        refs = [weakref.ref(runner.ledger), weakref.ref(runner.orch)]
+        with pytest.raises(RuntimeError, match="boom") as raised:
+            runner.run()
+        del runner
+        assert all(ref() is not None for ref in refs)  # the run's frames hold them
+        del raised
+        assert [ref() for ref in refs] == [None, None]
+
+
+def reachable_from(root):
+    """Every object that ``root`` reaches by reference, by id, not counting
+    what it reaches only through a class, a module or a module's globals."""
+    modules = [m for m in list(sys.modules.values()) if isinstance(m, ModuleType)]
+    stops = {id(m) for m in modules} | {id(vars(m)) for m in modules}
+    reached, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in reached or id(obj) in stops or isinstance(obj, type):
+            continue
+        reached[id(obj)] = obj  # kept alive, so no id is reused during the walk
+        todo.extend(gc.get_referents(obj))
+    return reached
+
+
+def test_nothing_the_ledger_reaches_is_its_orchestrator_or_runner(monkeypatch):
     runner = scenario._Runner(parse_scenario(generate_random_script(TIMEOUT_SEED)))
-    assert runner.ledger.wakeup_handler is not None
-    with pytest.raises(RuntimeError, match="boom"):
-        runner.run()
-    assert runner.ledger.wakeup_handler is None
+    ledger, above = runner.ledger, [runner, runner.orch]
+    walks = []
+    on_wakeup = SessionOrchestrator.on_wakeup
+
+    def walked(orch, session, block):  # in the middle of a delivery, mid-run
+        reached = reachable_from(ledger)
+        walks.append((id(session.contract) in reached, [id(o) in reached for o in above]))
+        return on_wakeup(orch, session, block)
+
+    monkeypatch.setattr(SessionOrchestrator, "on_wakeup", walked)
+    runner.run()
+    assert walks
+    assert all(walk == (True, [False, False]) for walk in walks)
 
 
 def traced_peak(make):
@@ -212,9 +256,7 @@ def traced_peak(make):
 
 def merged_text(count):
     """Generator seeds 0..count-1 merged 30 s apart, as ``bench/workloads.py`` merges bulk."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_source("bench_workloads", WORKLOADS)
     return json.dumps(workloads.merge_scripts(list(range(count)), 30))
 
 

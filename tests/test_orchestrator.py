@@ -36,9 +36,10 @@ def request(orch, period=3_600, kind=ContractKind.DYNAMIC_PRICE, **kw):
     return orch.request_session("alice", "oliver", prefs, **kw)
 
 
-def run_until(ledger, timestamp):
+def run_until(orch, timestamp):
+    ledger = orch.ledger
     while ledger.timestamp < timestamp:
-        ledger.produce_block()
+        ledger.produce_block(orch.deliver_wakeup)
 
 
 # ---- the sixteen steps ----------------------------------------------------------
@@ -48,11 +49,11 @@ def test_user_stop_walks_all_sixteen_steps():
     session = request(orch)
     assert session.step_log == [1, 2]
     assert orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    ledger.produce_block()
+    ledger.produce_block(orch.deliver_wakeup)
     orch.countersign_and_deploy(session, "oliver")
     assert session.url_token.startswith("vc-")
     assert session.deploy_block == ledger.height
-    run_until(ledger, 1800)
+    run_until(orch, 1800)
     orch.end_session(session, "alice")
     assert session.step_log == FULL_FLOW
     assert session.settled_by == "stop"
@@ -65,7 +66,7 @@ def test_timeout_skips_only_the_user_stop_step():
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     orch.countersign_and_deploy(session, "oliver")
-    run_until(ledger, 3_700)  # past release with margin
+    run_until(orch, 3_700)  # past release with margin
     assert session.step_log == TIMEOUT_FLOW
     assert session.settled_by == "expiry"
     assert session.contract.settlement.charge == session.quote.price
@@ -81,7 +82,8 @@ def test_wakeup_fires_on_first_block_at_or_after_release():
     release = contract.release_time
     seen = {ledger.height: ledger.timestamp}
     while session.contract.settlement is None:
-        block = ledger.produce_block()
+        assert ledger.timestamp < release + ledger.block_interval, "no settlement past release"
+        block = ledger.produce_block(orch.deliver_wakeup)
         seen[block.height] = block.timestamp
     assert seen[session.stop_block] >= release
     assert seen[session.stop_block - 1] < release
@@ -94,9 +96,9 @@ def test_settlement_happens_at_most_once():
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     orch.countersign_and_deploy(session, "oliver")
-    run_until(ledger, 600)
+    run_until(orch, 600)
     settlement = orch.end_session(session, "alice")
-    run_until(ledger, 5_000)  # well past the (cancelled) wakeup
+    run_until(orch, 5_000)  # well past the (cancelled) wakeup
     assert session.contract.settlement is settlement
     assert session.settled_by == "stop"
     assert session.contract.escrow == 0
@@ -108,7 +110,7 @@ def test_stop_after_expiry_settlement_is_rejected():
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     orch.countersign_and_deploy(session, "oliver")
-    run_until(ledger, 3_700)
+    run_until(orch, 3_700)
     assert session.settled_by == "expiry"
     with pytest.raises(WrongState):
         orch.end_session(session, "alice")
@@ -130,7 +132,7 @@ def test_quote_expires_after_its_ttl():
     session = request(orch)
     ttl = orch.rate_card.quote_ttl_blocks
     for _ in range(ttl + 1):
-        ledger.produce_block()
+        ledger.produce_block(orch.deliver_wakeup)
     with pytest.raises(QuoteExpired):
         orch.user_approve_and_pay(session, session.quote.price, payer="alice")
 
@@ -155,7 +157,7 @@ def test_sampling_requires_a_deployed_session():
         orch.record_qos_sample(session, True)  # paid but not countersigned
     orch.countersign_and_deploy(session, "oliver")
     orch.record_qos_sample(session, True)
-    run_until(ledger, 900)
+    run_until(orch, 900)
     orch.end_session(session, "alice")
     with pytest.raises(SessionNotActive):
         orch.record_qos_sample(session, True)
@@ -168,9 +170,9 @@ def test_three_of_four_samples_meets_the_default_threshold():
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     orch.countersign_and_deploy(session, "oliver")
     for ok in (True, True, True, False):
-        ledger.produce_block()
+        ledger.produce_block(orch.deliver_wakeup)
         orch.record_qos_sample(session, ok)
-    run_until(ledger, 1800)
+    run_until(orch, 1800)
     settlement = orch.end_session(session, "alice")
     assert (session.contract.samples, session.contract.samples_up) == (4, 3)
     assert session.contract.availability_bp() == 7_500
@@ -183,9 +185,9 @@ def test_degraded_availability_forces_full_refund():
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     orch.countersign_and_deploy(session, "oliver")
     for ok in (True, False, False, False):
-        ledger.produce_block()
+        ledger.produce_block(orch.deliver_wakeup)
         orch.record_qos_sample(session, ok)
-    run_until(ledger, 1800)
+    run_until(orch, 1800)
     settlement = orch.end_session(session, "alice")
     assert settlement.charge == 0
     assert settlement.refund == session.quote.price
@@ -201,7 +203,7 @@ def test_paid_but_never_countersigned_refunds_at_release_time():
     ledger, orch = build()
     session = request(orch)
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
-    run_until(ledger, 3_700)
+    run_until(orch, 3_700)
     assert session.settled_by == "expiry"
     assert session.contract.settlement.charge == 0
     assert session.contract.settlement.refund == session.quote.price
@@ -246,7 +248,7 @@ def test_income_division_deploys_two_contracts_and_splits_payout():
     assert session.contract.address == agreement
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     orch.countersign_and_deploy(session, "oliver")
-    run_until(ledger, 3_700)
+    run_until(orch, 3_700)
     charge = session.contract.settlement.charge
     assert charge == session.quote.price
     assert sum(session.contract.settlement.payouts.values()) == charge
@@ -274,7 +276,7 @@ def test_consensus_request_requires_an_enacted_ballot():
     assert len(ledger.contracts) == 2  # ballot + agreement
     orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     orch.countersign_and_deploy(session, "oliver")
-    run_until(ledger, 600)
+    run_until(orch, 600)
     orch.end_session(session, "alice")
     assert ledger.conservation_check()
 
@@ -290,11 +292,11 @@ def test_quota_flow_issues_url_on_first_start():
     orch.quota_start(session, "alice")
     assert session.url_token.startswith("vc-")
     first_deploy = session.deploy_block
-    run_until(ledger, ledger.timestamp + 90)
+    run_until(orch, ledger.timestamp + 90)
     assert orch.quota_stop(session, "alice") == 2
     orch.quota_start(session, "alice")
     assert session.deploy_block == first_deploy
-    run_until(ledger, ledger.timestamp + 150)
+    run_until(orch, ledger.timestamp + 150)
     orch.quota_stop(session, "alice")
     assert session.contract.state is ContractState.SETTLED
     assert ledger.conservation_check()
@@ -308,6 +310,6 @@ def test_url_tokens_are_distinct_across_sessions():
         orch.user_approve_and_pay(session, session.quote.price, payer="alice")
         orch.countersign_and_deploy(session, "oliver")
         tokens.add(session.url_token)
-        run_until(ledger, ledger.timestamp + 30)
+        run_until(orch, ledger.timestamp + 30)
         orch.end_session(session, "alice")
     assert len(tokens) == 5

@@ -1,8 +1,6 @@
 """Scenario scripts: parsing, execution, the report, oracle agreement, random generation."""
 
-import importlib.util
 import json
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +21,7 @@ from escrowsim.scenario import (
 )
 from escrowsim.units import eth
 
+from load_source import load_source
 from report_tree import report_tree
 
 
@@ -622,12 +621,9 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 @pytest.mark.parametrize("jitter_seed", [None, 5], ids=["fixed-grid", "jittered"])
-def test_oracle_matches_engine_with_many_sessions_open_at_once(monkeypatch, jitter_seed):
+def test_oracle_matches_engine_with_many_sessions_open_at_once(jitter_seed):
     # the benchmark's merge of generator scripts, 30 s apart, as the bulk workload does
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ is only read
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_source("bench_workloads", WORKLOADS)
     doc = workloads.merge_scripts(list(range(200)), 30, jitter_seed=jitter_seed)
     script = parse_scenario(doc)
     report = run_scenario(script)
@@ -822,10 +818,7 @@ def _rewritten_by_json(text):
 
 def _merged_generator_scripts(seeds):
     """The benchmark's merge of generator scripts into one document."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_source("bench_workloads", WORKLOADS)
     return workloads.merge_scripts(list(seeds), workloads.BULK_SPACING_SECONDS)
 
 

@@ -2,7 +2,6 @@
 
 import ast
 import gc
-import importlib.util
 import inspect
 import json
 import sys
@@ -10,19 +9,34 @@ from pathlib import Path
 
 from escrowsim import contracts, scenario
 
+from load_source import load_source
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 WORKLOADS = TOOLS.parent / "bench" / "workloads.py"
 
 
-def load_module(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def load_tool(name):
-    return load_module(f"tools_{name}", TOOLS / f"{name}.py")
+    return load_source(f"tools_{name}", TOOLS / f"{name}.py")
+
+
+def bytecode_caches():
+    """Each file under a ``__pycache__`` in bench/ or tools/, with its mtime."""
+    return {
+        path: path.stat().st_mtime_ns
+        for folder in (TOOLS, WORKLOADS.parent)
+        for path in folder.glob("**/__pycache__/*")
+    }
+
+
+def test_loading_a_bench_or_tools_script_writes_no_bytecode_beside_it(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    before = bytecode_caches()
+    scripts = [WORKLOADS, WORKLOADS.with_name("tracing.py"), *sorted(TOOLS.glob("*.py"))]
+    for path in scripts:
+        load_source(f"bytecode_probe_{path.parent.name}_{path.stem}", path)
+        assert sys.dont_write_bytecode is False
+    assert bytecode_caches() == before
+    assert not [name for name in sys.modules if name.startswith("bytecode_probe_")]
 
 
 def first_statement_line(module, function_name):
@@ -61,7 +75,7 @@ def test_mem_gives_one_row_per_stage_and_no_cyclic_garbage():
 
 def test_gcstat_files_no_collection_in_the_four_stages_and_the_deferred_ones_after_them():
     gcstat = load_tool("gcstat")
-    merged = load_module("bench_workloads", WORKLOADS).merge_scripts(list(range(300)), 30)
+    merged = load_source("bench_workloads", WORKLOADS).merge_scripts(list(range(300)), 30)
     callbacks = list(gc.callbacks)
     rows = gcstat.segment_rows([json.dumps(merged)], passes=1)
     assert gc.callbacks == callbacks and gc.isenabled()
