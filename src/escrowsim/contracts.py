@@ -27,6 +27,7 @@ from .errors import (
     NotYetReleased,
     QuotaExhausted,
     SessionAlreadyOpen,
+    ValidationError,
     WrongState,
     echo,
 )
@@ -218,8 +219,8 @@ def mark_quoted(contract: AgreementContract) -> None:
 # funding and signatures
 # ---------------------------------------------------------------------------
 
-def lock_funds(ledger: Ledger, contract: AgreementContract, sender: str, value: int) -> bool:
-    """Escrow the full agreed price; reject any other value with False.
+def lock_funds(ledger: Ledger, contract: AgreementContract, sender: str, value: int) -> None:
+    """Escrow the full agreed price; any other value raises and moves no wei.
 
     On success the sender is recorded as the funding end user, the session
     start is stamped with the current block time, and the release time is
@@ -229,14 +230,15 @@ def lock_funds(ledger: Ledger, contract: AgreementContract, sender: str, value: 
         raise WrongState(f"{contract.kind.value} contracts are not funded by lock_funds")
     contract.require_state(ContractState.QUOTED)
     if value != contract.price:
-        return False  # value does not match the agreed price; nothing changes
+        raise ValidationError(
+            f"payment of {value} wei rejected: quoted price is {contract.price} wei"
+        )
     ledger.escrow_in(sender, contract.address, value)
     now = ledger.timestamp
     contract.end_user = sender
     contract.session_start_time = now
     contract.release_time = now + contract.lock_time_seconds
     contract.state = ContractState.USER_SIGNED
-    return True
 
 
 def countersign(ledger: Ledger, contract: AgreementContract, signer: str) -> None:
@@ -334,18 +336,20 @@ def abort_and_refund(ledger: Ledger, contract: AgreementContract) -> Settlement:
 
 def quota_purchase(
     ledger: Ledger, contract: AgreementContract, sender: str, minutes: int, value: int
-) -> bool:
-    """Escrow ``minutes * per_minute_price``; any other value is rejected."""
+) -> None:
+    """Escrow ``minutes * per_minute_price``; any other value raises and moves no wei."""
     if contract.kind is not ContractKind.TIME_LIMITED_QUOTA:
         raise WrongState(f"{contract.kind.value} contracts do not sell quota minutes")
     contract.require_state(ContractState.QUOTED)
-    if value != contract.quota.per_minute_price * minutes:
-        return False
+    cost = contract.quota.per_minute_price * minutes
+    if value != cost:
+        raise ValidationError(
+            f"quota payment of {value} wei rejected: {minutes} minutes cost {cost} wei"
+        )
     ledger.escrow_in(sender, contract.address, value)
     contract.end_user = sender
     contract.quota.minutes_purchased = minutes
     contract.state = ContractState.ACTIVE
-    return True
 
 
 def quota_start(ledger: Ledger, contract: AgreementContract, caller: str) -> str:

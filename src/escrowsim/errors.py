@@ -141,4 +141,5 @@ class ParseError(SimulationError):
 
 
 class ValidationError(SimulationError):
-    """Scenario document parsed but violates schema invariants."""
+    """Scenario document violates schema invariants, or a run meets an unknown
+    label (the runner) or a payment other than its quote (``contracts``)."""

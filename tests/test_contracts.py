@@ -28,6 +28,7 @@ from escrowsim.errors import (
     NotYetReleased,
     SessionAlreadyOpen,
     SimulationError,
+    ValidationError,
     WrongState,
 )
 from escrowsim.ledger import GasSchedule, Ledger
@@ -54,7 +55,7 @@ def deploy(ledger, kind=ContractKind.DYNAMIC_PRICE, price=eth(1), lock=3600, **k
 
 def activate(ledger, contract, value=None):
     sc.mark_quoted(contract)
-    assert sc.lock_funds(ledger, contract, "user", value or contract.price)
+    sc.lock_funds(ledger, contract, "user", value or contract.price)
     sc.countersign(ledger, contract, "own")
     return contract
 
@@ -68,7 +69,7 @@ def test_happy_path_walks_the_full_state_machine():
     assert c.escrow == 0
     sc.mark_quoted(c)
     assert c.state is ContractState.QUOTED
-    assert sc.lock_funds(ledger, c, "user", eth(1))
+    sc.lock_funds(ledger, c, "user", eth(1))
     assert c.state is ContractState.USER_SIGNED
     assert c.escrow == eth(1)
     assert c.end_user == "user"
@@ -88,12 +89,15 @@ def test_lock_funds_rejects_wrong_value_without_state_change():
     ledger = make_ledger()
     c = deploy(ledger)
     sc.mark_quoted(c)
-    assert not sc.lock_funds(ledger, c, "user", eth(1) + 1)
+    detail = f"^payment of {eth(1) + 1} wei rejected: quoted price is {eth(1)} wei$"
+    with pytest.raises(ValidationError, match=detail):
+        sc.lock_funds(ledger, c, "user", eth(1) + 1)
     assert c.state is ContractState.QUOTED
     assert c.escrow == 0
     assert ledger.balance_of("user") == eth(10)
     # the exact price still goes through afterwards
-    assert sc.lock_funds(ledger, c, "user", eth(1))
+    sc.lock_funds(ledger, c, "user", eth(1))
+    assert c.state is ContractState.USER_SIGNED
 
 
 def test_cannot_skip_states():
@@ -320,9 +324,11 @@ def quota_contract(ledger, per_minute=10**15):
 def test_quota_purchase_requires_exact_value():
     ledger = make_ledger()
     c = quota_contract(ledger)
-    assert not sc.quota_purchase(ledger, c, "user", 5, 5 * 10**15 - 1)
+    detail = f"^quota payment of {5 * 10**15 - 1} wei rejected: 5 minutes cost {5 * 10**15} wei$"
+    with pytest.raises(ValidationError, match=detail):
+        sc.quota_purchase(ledger, c, "user", 5, 5 * 10**15 - 1)
     assert c.state is ContractState.QUOTED
-    assert sc.quota_purchase(ledger, c, "user", 5, 5 * 10**15)
+    sc.quota_purchase(ledger, c, "user", 5, 5 * 10**15)
     assert c.state is ContractState.ACTIVE
     assert c.escrow == 5 * 10**15
 

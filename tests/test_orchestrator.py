@@ -9,6 +9,7 @@ from escrowsim.errors import (
     NotEndUser,
     QuoteExpired,
     SessionNotActive,
+    ValidationError,
     WrongState,
 )
 from escrowsim.ledger import GasSchedule, Ledger
@@ -23,7 +24,13 @@ TIMEOUT_FLOW = list(range(1, 11)) + [12, 13, 14, 15, 16]
 def build(genesis=None, **orch_kw):
     gas = GasSchedule(transfer_gas=0, contract_call_gas=0, contract_deploy_gas=0)
     ledger = Ledger(genesis or {"alice": eth(10), "oliver": eth(10)}, gas=gas)
-    return ledger, SessionOrchestrator(ledger, **orch_kw)
+    posture = {
+        "rate_card": RateCard(),
+        "provider_region": "EU",
+        "provider_gdpr_compliant": True,
+        "refund_threshold_bp": sc.DEFAULT_REFUND_THRESHOLD_BP,
+    }
+    return ledger, SessionOrchestrator(ledger, **{**posture, **orch_kw})
 
 
 def request(orch, period=3_600, kind=ContractKind.DYNAMIC_PRICE, **kw):
@@ -48,7 +55,7 @@ def test_user_stop_walks_all_sixteen_steps():
     ledger, orch = build()
     session = request(orch)
     assert session.step_log == [1, 2]
-    assert orch.user_approve_and_pay(session, session.quote.price, payer="alice")
+    orch.user_approve_and_pay(session, session.quote.price, payer="alice")
     ledger.produce_block(orch.deliver_wakeup)
     orch.countersign_and_deploy(session, "oliver")
     assert session.url_token.startswith("vc-")
@@ -137,12 +144,47 @@ def test_quote_expires_after_its_ttl():
         orch.user_approve_and_pay(session, session.quote.price, payer="alice")
 
 
+def money(ledger):
+    return list(ledger.tx_log), dict(ledger.accounts), ledger.fee_sink
+
+
+def assert_rejected_payment_is_a_no_op(ledger, session, before):
+    assert session.contract.state is ContractState.QUOTED
+    assert session.contract.escrow == 0
+    assert session.step_log == [1, 2]
+    assert ledger.armed_wakeup_count() == 0
+    assert money(ledger) == before
+
+
 def test_wrong_payment_leaves_quote_open_for_retry():
     ledger, orch = build()
     session = request(orch)
-    assert not orch.user_approve_and_pay(session, session.quote.price - 1, payer="alice")
-    assert 3 not in session.step_log
-    assert orch.user_approve_and_pay(session, session.quote.price, payer="alice")
+    price = session.quote.price
+    before = money(ledger)
+    detail = f"^payment of {price - 1} wei rejected: quoted price is {price} wei$"
+    with pytest.raises(ValidationError, match=detail):
+        orch.user_approve_and_pay(session, price - 1, payer="alice")
+    assert_rejected_payment_is_a_no_op(ledger, session, before)
+    orch.user_approve_and_pay(session, price, payer="alice")
+    assert session.contract.state is ContractState.USER_SIGNED
+    assert session.contract.escrow == price
+    assert session.step_log == [1, 2, 3]
+    assert ledger.armed_wakeup_count() == 1
+
+
+def test_wrong_quota_payment_leaves_quote_open_for_retry():
+    ledger, orch = build()
+    session = request(orch, kind=ContractKind.TIME_LIMITED_QUOTA)
+    cost = 4 * session.quote.per_minute_price
+    before = money(ledger)
+    detail = f"^quota payment of {cost + 1} wei rejected: 4 minutes cost {cost} wei$"
+    with pytest.raises(ValidationError, match=detail):
+        orch.quota_purchase(session, 4, cost + 1, payer="alice")
+    assert_rejected_payment_is_a_no_op(ledger, session, before)
+    orch.quota_purchase(session, 4, cost, payer="alice")
+    assert session.contract.state is ContractState.ACTIVE
+    assert session.contract.escrow == cost
+    assert session.step_log == [1, 2, 3]
 
 
 # ---- monitoring -------------------------------------------------------------------
@@ -287,7 +329,7 @@ def test_quota_flow_issues_url_on_first_start():
     ledger, orch = build()
     session = request(orch, kind=ContractKind.TIME_LIMITED_QUOTA)
     per_minute = session.quote.per_minute_price
-    assert orch.quota_purchase(session, 4, 4 * per_minute, payer="alice")
+    orch.quota_purchase(session, 4, 4 * per_minute, payer="alice")
     assert session.url_token == ""
     orch.quota_start(session, "alice")
     assert session.url_token.startswith("vc-")

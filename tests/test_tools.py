@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from escrowsim import contracts, scenario
+from escrowsim import contracts, orchestrator, scenario
 
 from load_source import load_source
 
@@ -61,6 +61,23 @@ def test_reach_lists_a_raise_no_generated_script_takes_and_not_the_parse():
     ]
     assert quota_exhausted in missed["contracts.py"]
     assert first_statement_line(scenario, "parse_scenario") not in missed["scenario.py"]
+
+
+def raise_lines(module):
+    return {
+        node.lineno
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.Raise)
+    }
+
+
+def test_every_contract_or_orchestrator_line_generated_scripts_miss_is_a_raise():
+    reach = load_tool("reach")
+    texts = (json.dumps(scenario.generate_random_script(seed)) for seed in range(50))
+    missed = reach.unreached(texts)
+    for module in (contracts, orchestrator):
+        name = Path(module.__file__).name
+        assert set(missed[name]) <= raise_lines(module), name
 
 
 def test_mem_gives_one_row_per_stage_and_no_cyclic_garbage():
