@@ -26,6 +26,7 @@ from .errors import (
     NotOwner,
     NotYetReleased,
     QuotaExhausted,
+    QuoteExpired,
     SessionAlreadyOpen,
     ValidationError,
     WrongState,
@@ -169,6 +170,7 @@ class AgreementContract:
     end_user: str
     price: int = 0  # max price for time-based templates
     lock_time_seconds: int = 0
+    quote_expires_at_block: int = 0  # last block height that accepts the payment
     refund_threshold_bp: int = DEFAULT_REFUND_THRESHOLD_BP
     state: ContractState = ContractState.DEPLOYED
     session_start_time: int = 0
@@ -220,12 +222,15 @@ def mark_quoted(contract: AgreementContract) -> None:
 # ---------------------------------------------------------------------------
 
 def lock_funds(ledger: Ledger, contract: AgreementContract, sender: str, value: int) -> None:
-    """Escrow the full agreed price; any other value raises and moves no wei.
+    """Escrow the full agreed price; any other value, or a payment after the
+    quote's expiry block, raises and moves no wei.
 
     On success the sender is recorded as the funding end user, the session
     start is stamped with the current block time, and the release time is
     set to ``start + lock_time_seconds``.  A contract is fundable once.
     """
+    if ledger.height > contract.quote_expires_at_block:
+        raise QuoteExpired(f"quote expired at block {contract.quote_expires_at_block}")
     if contract.kind not in TIME_SETTLED_KINDS:
         raise WrongState(f"{contract.kind.value} contracts are not funded by lock_funds")
     contract.require_state(ContractState.QUOTED)
@@ -334,14 +339,19 @@ def abort_and_refund(ledger: Ledger, contract: AgreementContract) -> Settlement:
 # prepaid quota
 # ---------------------------------------------------------------------------
 
+def quota_cost(contract: AgreementContract, minutes: int) -> int:
+    """Wei that ``minutes`` of the contract's quota cost; other kinds sell none."""
+    if contract.kind is not ContractKind.TIME_LIMITED_QUOTA:
+        raise WrongState(f"{contract.kind.value} contracts do not sell quota minutes")
+    return contract.quota.per_minute_price * minutes
+
+
 def quota_purchase(
     ledger: Ledger, contract: AgreementContract, sender: str, minutes: int, value: int
 ) -> None:
-    """Escrow ``minutes * per_minute_price``; any other value raises and moves no wei."""
-    if contract.kind is not ContractKind.TIME_LIMITED_QUOTA:
-        raise WrongState(f"{contract.kind.value} contracts do not sell quota minutes")
+    """Escrow ``quota_cost`` of ``minutes``; any other value raises and moves no wei."""
+    cost = quota_cost(contract, minutes)
     contract.require_state(ContractState.QUOTED)
-    cost = contract.quota.per_minute_price * minutes
     if value != cost:
         raise ValidationError(
             f"quota payment of {value} wei rejected: {minutes} minutes cost {cost} wei"
@@ -382,14 +392,14 @@ def quota_stop(ledger: Ledger, contract: AgreementContract, caller: str) -> int:
     now = ledger.timestamp
     elapsed = now - terms.open_session_start
     minutes = min(-(-elapsed // 60), terms.minutes_remaining())  # ceil, then clamp
-    charge = minutes * terms.per_minute_price
+    charge = quota_cost(contract, minutes)
     ledger.escrow_out(contract.address, contract.owner, charge, kind="charge")
     terms.minutes_consumed += minutes
     record = terms.sessions[-1]
     record["stop"] = now
     record["minutes"] = minutes
     terms.open_session_start = None
-    total = terms.minutes_consumed * terms.per_minute_price
+    total = quota_cost(contract, terms.minutes_consumed)
     contract.settlement = Settlement(
         charge=total, refund=0, payouts={contract.owner: total} if total else {}
     )

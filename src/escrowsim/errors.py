@@ -25,7 +25,7 @@ def collector_paused(function):
 
     Nothing a parse, run, render or oracle call builds forms a reference
     cycle (a run's ledger holds nothing above it: the runner hands each clock
-    call the orchestrator's ``deliver_wakeup``), so everything it drops is
+    call the orchestrator's ``on_wakeup``), so everything it drops is
     freed by reference counting, while each automatic collection would walk
     all it still holds: on a large script, the parsed events and the run's
     records again and again.  The collector

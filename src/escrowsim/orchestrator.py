@@ -26,9 +26,9 @@ from .contracts import (
     QuotaTerms,
     Settlement,
 )
-from .errors import InadmissibleOffer, QuoteExpired, SessionNotActive, WrongState, echo
+from .errors import InadmissibleOffer, SessionNotActive, WrongState, echo
 from .ledger import Block, Ledger
-from .pricing import Quote, QosPreferences, RateCard, quote_price
+from .pricing import QosPreferences, RateCard, quote_price
 
 STEP_DESCRIPTIONS = {
     1: "price estimated, agreement contract deployed (quoted)",
@@ -55,7 +55,6 @@ class SessionRecord:
     """One session's workflow progress; its parties and money live on ``contract``."""
 
     contract: AgreementContract
-    quote: Quote
     url_token: str = ""
     deploy_block: Optional[int] = None
     stop_block: Optional[int] = None
@@ -112,11 +111,7 @@ class SessionOrchestrator:
 
         kind = prefs.monetization_kind
         quote = quote_price(
-            prefs,
-            self.rate_card,
-            current_height=self.ledger.height,
-            constraint_multiplier_bp=multiplier_bp,
-            flexible=flexible,
+            prefs, self.rate_card, constraint_multiplier_bp=multiplier_bp, flexible=flexible
         )
 
         division = None
@@ -138,6 +133,7 @@ class SessionOrchestrator:
             end_user=end_user,
             price=quote.price,
             lock_time_seconds=prefs.max_period_seconds,
+            quote_expires_at_block=self.ledger.height + self.rate_card.quote_ttl_blocks,
             refund_threshold_bp=self.refund_threshold_bp,
             flexible=quote.standby,
             division=division,
@@ -149,7 +145,7 @@ class SessionOrchestrator:
         self.ledger.register_contract(contract, payer=owner)
         sc.mark_quoted(contract)
 
-        session = SessionRecord(contract=contract, quote=quote)
+        session = SessionRecord(contract=contract)
         session.step_log += [1, 2]
         self.sessions[contract.address] = session
         return session
@@ -172,10 +168,6 @@ class SessionOrchestrator:
 
         Whoever funds the lock is recorded as the end user.
         """
-        if self.ledger.height > session.quote.expires_at_block:
-            raise QuoteExpired(
-                f"quote expired at block {session.quote.expires_at_block}"
-            )
         contract = session.contract
         sc.lock_funds(self.ledger, contract, payer, value)
         self.ledger.schedule_wakeup(contract.address, contract.release_time)
@@ -217,31 +209,28 @@ class SessionOrchestrator:
         self._settled(session, "stop", 11)
         return settlement
 
-    def on_wakeup(self, session: SessionRecord, block: Block) -> Settlement:
-        """Timeout settlement at ``block``, the ledger's clock on delivery.
+    def on_wakeup(self, contract_address: str, block: Block) -> None:
+        """Timeout settlement of the contract's session at ``block``, the
+        ledger's clock on delivery: pass this to the ledger's clock calls.
 
         Delivery finds the contract unsettled: payment arms its one wakeup,
         the ledger delivers it at most once, and ``end_session`` cancels it.
         """
+        session = self.sessions[contract_address]
         contract = session.contract
         if contract.state is ContractState.USER_SIGNED:
             # Locked but never countersigned: the release time frees the funds.
-            settlement = sc.abort_and_refund(self.ledger, contract)
+            sc.abort_and_refund(self.ledger, contract)
             self._settled(session, "expiry", 13)
-            return settlement
-        settlement = sc.expire_and_settle(self.ledger, contract)
-        self._settled(session, "expiry", 12)
-        return settlement
+        else:
+            sc.expire_and_settle(self.ledger, contract)
+            self._settled(session, "expiry", 12)
 
     def _settled(self, session: SessionRecord, how: str, first_step: int) -> None:
         """Record a settlement at this block and its steps ``first_step``..16."""
         session.stop_block = self.ledger.height
         session.settled_by = how
         session.step_log += range(first_step, 17)
-
-    def deliver_wakeup(self, contract_address: str, block: Block) -> None:
-        """Settle the session of a wakeup the ledger hands over: pass this to its clock calls."""
-        self.on_wakeup(self.sessions[contract_address], block)
 
     # ---- quota passthroughs ------------------------------------------------------
 

@@ -60,11 +60,11 @@ class RateCard:
 
 @dataclass(frozen=True)
 class Quote:
-    """An issued, immutable price offer."""
+    """An issued, immutable price offer; the contract it prices keeps its
+    expiry block, from the height of the request."""
 
     price: int
     per_minute_price: int = 0  # quota kind only
-    expires_at_block: int = 0
     standby: Optional[FlexibleTerms] = None  # flexible-period kind only: the terms priced
 
 
@@ -72,11 +72,13 @@ def quote_price(
     prefs: QosPreferences,
     rate_card: RateCard,
     *,
-    current_height: int = 0,
     constraint_multiplier_bp: int = IDENTITY_MULTIPLIER_BP,
     flexible: Optional[FlexibleTerms] = None,
 ) -> Quote:
-    """Deterministic quote: base rate x period x multipliers, floored once."""
+    """Deterministic quote: base rate x period x multipliers, floored once.
+
+    The quote does not depend on the chain: ``rate_card.quote_ttl_blocks``
+    counts from the height of the request, which the contract records."""
     quality_bp = VIDEO_MULTIPLIER_BP[prefs.video_quality]
     availability_bp = rate_card.availability_multiplier_bp(prefs.availability_target_bp)
     scale = BP_SCALE**3
@@ -103,12 +105,7 @@ def quote_price(
         price = scaled(rate_card.base_rate_wei_per_second, prefs.max_period_seconds)
     if price <= 0:
         raise InvalidPreferences("computed price must be positive; check the rate card")
-    return Quote(
-        price=price,
-        per_minute_price=per_minute,
-        expires_at_block=current_height + rate_card.quote_ttl_blocks,
-        standby=standby,
-    )
+    return Quote(price=price, per_minute_price=per_minute, standby=standby)
 
 
 # ---------------------------------------------------------------------------

@@ -710,7 +710,7 @@ class _Runner:
         self.errors: list[dict] = []
 
     def run(self, corrupt_wei: int = 0) -> SettlementReport:
-        ledger, deliver = self.ledger, self.orch.deliver_wakeup
+        ledger, deliver = self.ledger, self.orch.on_wakeup
         for index, event in enumerate(self.script.events):
             ledger.advance_to(event.at_time, deliver)
             try:
@@ -765,7 +765,7 @@ class _Runner:
 
     def _approve_and_pay(self, ev: ApproveAndPay) -> None:
         session = self._session(ev.session)
-        value = resolve_payment(ev.value, session.quote.price)
+        value = resolve_payment(ev.value, session.contract.price)
         self.orch.user_approve_and_pay(session, value, payer=ev.actor)
 
     def _countersign(self, ev: Countersign) -> None:
@@ -779,7 +779,7 @@ class _Runner:
 
     def _quota_purchase(self, ev: QuotaPurchase) -> None:
         session = self._session(ev.session)
-        value = resolve_payment(ev.value, session.quote.per_minute_price * ev.minutes)
+        value = resolve_payment(ev.value, sc.quota_cost(session.contract, ev.minutes))
         self.orch.quota_purchase(session, ev.minutes, value, payer=ev.actor)
 
     def _quota_start(self, ev: QuotaStart) -> None:

@@ -195,8 +195,8 @@ def test_the_ledger_dies_with_its_runner(seed):
 
 def test_a_run_that_raises_is_freed_with_its_runner_and_the_exception(monkeypatch):
     # raised inside a wakeup's delivery: the traceback holds the frames of the
-    # clock calls that carry the orchestrator's deliver_wakeup
-    def boom(orch, session, block):
+    # clock calls that carry the orchestrator's on_wakeup
+    def boom(orch, contract_address, block):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(SessionOrchestrator, "on_wakeup", boom)
@@ -233,10 +233,11 @@ def test_nothing_the_ledger_reaches_is_its_orchestrator_or_runner(monkeypatch):
     walks = []
     on_wakeup = SessionOrchestrator.on_wakeup
 
-    def walked(orch, session, block):  # in the middle of a delivery, mid-run
+    def walked(orch, contract_address, block):  # in the middle of a delivery, mid-run
         reached = reachable_from(ledger)
-        walks.append((id(session.contract) in reached, [id(o) in reached for o in above]))
-        return on_wakeup(orch, session, block)
+        contract = orch.sessions[contract_address].contract
+        walks.append((id(contract) in reached, [id(o) in reached for o in above]))
+        return on_wakeup(orch, contract_address, block)
 
     monkeypatch.setattr(SessionOrchestrator, "on_wakeup", walked)
     runner.run()

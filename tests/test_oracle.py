@@ -5,15 +5,20 @@ ints.  The specification is the same rule written with ``fractions.Fraction``:
 the exact quotient first, then one ``math.floor`` or ``math.ceil``.  Every
 test draws domain-valid values (wei up to 2**256 - 1, times up to
 ``MAX_SECONDS``, other integers up to ``MAX_INT``) and asserts that the two
-agree.
+agree.  The oracle stays independent of the engine: it imports from the
+package only names that carry no engine logic.
 """
 
+import ast
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from escrowsim import oracle as oracle_module
 from escrowsim.contracts import ContractKind, FlexibleTerms
 from escrowsim.oracle import _largest_remainder, _Oracle
 from escrowsim.pricing import VIDEO_MULTIPLIER_BP, QosPreferences
@@ -21,6 +26,7 @@ from escrowsim.scenario import (
     MAX_INT,
     MAX_SECONDS,
     MAX_WEI,
+    EVENT_TYPES,
     QuotaStop,
     RequestSession,
     parse_scenario,
@@ -200,3 +206,36 @@ def test_largest_remainder_is_the_rational_split(charge, numerators):
         fraction_largest_remainder(charge, shares, denominator).items()
     )
     assert sum(payouts.values()) == charge
+
+
+# What the oracle may take from the package, by module: an enum, the jitter
+# decoder, the video table, the event types, the payment tokens and the
+# collector pause.  Pricing rules, contracts, the ledger's state and the
+# orchestrator stay out, so the oracle prices and settles anew.
+ORACLE_IMPORTS = {
+    "contracts": {"ContractKind"},
+    "errors": {"collector_paused"},
+    "ledger": {"JITTER_INTERVAL_RANGE", "interval_total", "jitter_chunks"},
+    "pricing": {"VIDEO_MULTIPLIER_BP"},
+    "scenario": {
+        "ScenarioScript",
+        "ScriptEvent",
+        "handler_table",
+        "resolve_payment",
+        *(etype.__name__ for etype in EVENT_TYPES.values()),
+    },
+}
+
+
+def test_the_oracle_imports_no_engine_logic():
+    taken = {}
+    for node in ast.walk(ast.parse(Path(oracle_module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            assert {a.name.split(".")[0] for a in node.names} <= sys.stdlib_module_names
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            assert node.module.split(".")[0] in sys.stdlib_module_names, node.module
+        elif isinstance(node, ast.ImportFrom):
+            taken.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert taken.keys() <= ORACLE_IMPORTS.keys()
+    for module, names in taken.items():
+        assert names <= ORACLE_IMPORTS[module], module

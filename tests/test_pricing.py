@@ -57,11 +57,6 @@ def test_quote_scales_linearly_with_period():
     assert ten == 10 * one
 
 
-def test_quote_ttl_counts_from_current_height():
-    q = quote_price(prefs(), CARD, current_height=100)
-    assert q.expires_at_block == 100 + CARD.quote_ttl_blocks
-
-
 def test_quota_quote_prices_whole_minutes():
     q = quote_price(prefs(period=3_600, kind=ContractKind.TIME_LIMITED_QUOTA), CARD)
     assert q.per_minute_price == 6_000_000_000_000_000  # 10^14 * 60

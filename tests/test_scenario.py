@@ -351,6 +351,36 @@ def test_quota_calls_on_a_fixed_price_session_are_event_errors():
 
 
 @pytest.mark.parametrize(
+    "kind, value, error, detail",
+    [
+        ("dynamic_price", "quoted", "WrongState",
+         "dynamic_price contracts do not sell quota minutes"),
+        ("time_limited_quota", "wrong", "ValidationError",  # 0.006 ETH a minute
+         f"quota payment of {3 * 6 * 10**15 + 1} wei rejected: 3 minutes cost {3 * 6 * 10**15} wei"),
+    ],
+)
+def test_a_scripted_quota_payment_is_priced_by_its_contract(kind, value, error, detail):
+    doc = canonical_document()
+    doc["events"] = doc["events"][:1]
+    doc["events"][0]["params"].update(kind=kind, max_period_seconds=600)
+    plain = run_scenario(parse_scenario(doc))
+    doc["events"].append(
+        {"at_time": 15, "actor": "alice", "action": "quota_purchase",
+         "params": {"session": "s1", "minutes": 3, "value": value}}
+    )
+    report = run_scenario(parse_scenario(doc))
+    r = report_tree(report)
+    assert [(e["event_index"], e["error"], e["detail"]) for e in r["event_errors"]] == [
+        (1, error, detail)
+    ]
+    for key in ("final_balances", "fee_sink_wei", "tx_digest"):
+        assert r[key] == plain.report[key], key  # no wei moves, not even a call fee
+    [contract] = r["contracts"]
+    assert contract["state"] == "quoted"
+    assert oracle_settlement(parse_scenario(doc)) == report.settlements
+
+
+@pytest.mark.parametrize(
     "minutes, stop_at, countersigned",
     [(20, 300, False), (2, 900, False), (20, 900, False), (20, 300, True)],
 )
