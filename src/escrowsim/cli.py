@@ -67,7 +67,7 @@ def cmd_run(args) -> int:
     script = _read_script(args)
     if script is None:
         return 2
-    report = run_scenario(script, corrupt_wei=1 if args.corrupt_ledger else 0)
+    report = run_scenario(script)
     text = report.to_json_text()
     if args.out:
         if not _write_out(args.out, text):
@@ -148,10 +148,16 @@ def _positive_cents(text: str) -> int:
 
 
 def _gas(text: str) -> int:
-    """A gas flag's integer; a negative one is left for the fee table to reject."""
+    """A gas flag's integer in ASCII digits; a negative one is left for the fee table to reject.
+
+    ``int`` alone would also take spaces, underscores and other scripts' digits.
+    """
+    digits = text[1:] if text[:1] == "-" else text
     try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
         value = int(text)
-    except ValueError:
+    except ValueError:  # not digits, or past the int-to-str digit limit
         raise argparse.ArgumentTypeError(f"invalid int value: {echo(text)}")
     if value > MAX_INT:  # the fee of a larger count can be too long to print
         raise argparse.ArgumentTypeError(f"must be at most {MAX_INT}")
@@ -305,9 +311,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="path to a scenario JSON file")
     p_run.add_argument("--seed", type=_seed, default=None, help="override the jitter seed")
     p_run.add_argument("--out", default=None, help="write the report JSON here")
-    p_run.add_argument(
-        "--corrupt-ledger", action="store_true", help=argparse.SUPPRESS
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_oracle = sub.add_parser(

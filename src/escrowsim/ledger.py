@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import random
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .errors import GasPriceOutOfRange, InsufficientFunds, UnknownAddress, ValidationError, echo
 from .units import WEI_PER_GWEI, gwei, require_amount
@@ -417,23 +416,3 @@ class Ledger:
             digest.update(b"\n")
             digest.update("\n".join(log[k:k + n]).encode())
         return digest.hexdigest()
-
-
-def replay_balances(
-    genesis: dict[str, int], lines: Iterable[str]
-) -> tuple[dict[str, int], int]:
-    """Recompute final balances from genesis plus the exported tx log lines.
-
-    Each line is read back with ``json.loads``, so a replay that reproduces
-    the live state also vouches for the bytes the tx digest covers.
-    Contract addresses accumulate escrow like ordinary balances.
-    """
-    balances: dict[str, int] = dict(genesis)
-    fee_sink = 0
-    for line in lines:
-        tx = json.loads(line)
-        value, fee = int(tx["value_wei"]), int(tx["fee_wei"])
-        balances[tx["from"]] = balances.get(tx["from"], 0) - value - fee
-        balances[tx["to"]] = balances.get(tx["to"], 0) + value
-        fee_sink += fee
-    return balances, fee_sink

@@ -19,9 +19,6 @@ that is joined once, so the text is not copied section by section.  Strings
 go through ``json``'s C escaper and ints through ``int.__repr__`` (wei
 amounts are written as decimal strings); both raise ``TypeError`` on any
 other type (a bool, being an int, would be written as 0 or 1).
-
-``export_contract`` builds one contract's row as a dict in that JSON form;
-the run and the writer do not call it.
 """
 
 from dataclasses import dataclass
@@ -58,57 +55,6 @@ class SettlementReport:
             f"tx digest: {r['tx_digest']}",
         ]
         return "\n".join(lines) + "\n"
-
-
-# Off the engine path; kept because bench/tracing.py wraps scenario.export_contract by name.
-def export_contract(contract: AgreementContract) -> dict:
-    """A contract's report row as a dict in ``json`` types: what ``json.loads``
-    reads back from the row ``write_report`` writes for it."""
-    terms: dict = {}
-    if contract.kind in TIME_SETTLED_KINDS:
-        terms["price_wei"] = str(contract.price)
-        terms["lock_time_seconds"] = contract.lock_time_seconds
-        terms["refund_threshold_bp"] = contract.refund_threshold_bp
-    if contract.quota is not None:
-        terms["per_minute_price_wei"] = str(contract.quota.per_minute_price)
-        terms["minutes_purchased"] = contract.quota.minutes_purchased
-        terms["minutes_consumed"] = contract.quota.minutes_consumed
-        terms["sessions"] = [dict(s) for s in contract.quota.sessions]
-    if contract.shares is not None:
-        terms["shares"] = {
-            addr: [num, contract.shares.denominator]
-            for addr, num in contract.shares.numerators.items()
-        }
-    if contract.voting is not None:
-        terms["voters"] = sorted(contract.voting.voters)
-        terms["votes"] = {v: contract.voting.votes[v] for v in sorted(contract.voting.votes)}
-        terms["enacted"] = contract.voting.enacted
-    if contract.constraints is not None:
-        terms["gdpr_required"] = contract.constraints.gdpr_required
-        terms["allowed_regions"] = sorted(contract.constraints.allowed_regions)
-        terms["price_multiplier_bp"] = contract.constraints.price_multiplier_bp
-    if contract.flexible is not None:
-        terms["standby_rate_wei_per_second"] = str(contract.flexible.standby_rate)
-        terms["standby_window_seconds"] = contract.flexible.standby_window_seconds
-        terms["min_charge_wei"] = str(contract.flexible.min_charge)
-    if contract.division is not None:
-        terms["division_address"] = contract.division.address
-    snapshot = {
-        "address": contract.address,
-        "kind": contract.kind.value,
-        "state": contract.state.value,
-        "escrow_wei": str(contract.escrow),
-        "owner": contract.owner,
-        "end_user": contract.end_user,
-        "terms": terms,
-    }
-    if contract.settlement is not None:
-        snapshot["settlement"] = {
-            "charge_wei": str(contract.settlement.charge),
-            "refund_wei": str(contract.settlement.refund),
-            "payouts": {a: str(v) for a, v in contract.settlement.payouts.items()},
-        }
-    return snapshot
 
 
 _esc = encode_basestring_ascii
@@ -159,7 +105,7 @@ def _share(to: str, num: int, den: str) -> str:
 
 
 def _terms(c: AgreementContract) -> str:
-    """A contract's terms: the sections it carries, in ``export_contract``'s order."""
+    """A contract's terms: the sections it carries, in a fixed order."""
     sections = []
     if c.kind in TIME_SETTLED_KINDS:
         sections.append(
@@ -209,7 +155,8 @@ def _terms(c: AgreementContract) -> str:
     return _items(sections, _N6, "{}")
 
 
-def _contract_row(c: AgreementContract) -> str:
+def export_contract(c: AgreementContract) -> str:
+    """A contract's row as the report writes it."""
     text = (
         f'{{\n      "address": {_esc(c.address)},'
         f'\n      "kind": {_KIND_TEXT[c.kind]},'
@@ -292,7 +239,7 @@ def write_report(report: dict) -> str:
         f'\n    "timestamp": {_int(block["timestamp"])}\n  }},'
         f'\n  "contracts": '
     ]
-    _rows(parts, report["contracts"], _contract_row)
+    _rows(parts, report["contracts"], export_contract)
     parts.append(',\n  "sessions": ')
     _rows(parts, report["sessions"], _session_row)
     parts.append(',\n  "ballots": ')

@@ -43,7 +43,9 @@ from .ledger import CONTRACT_ADDRESS_PREFIX, DEFAULT_BLOCK_INTERVAL, GasSchedule
 from .orchestrator import SessionOrchestrator, SessionRecord
 from .pricing import QosPreferences, RateCard
 from .report import SettlementReport
-from .report import export_contract  # unused here; bench/tracing.py wraps it by this name
+# Unused here; bench/tracing.py wraps it by this name.  write_report looks the
+# function up in ``report``, not here, so the wrapper records nothing.
+from .report import export_contract
 from .units import gwei, parse_wei
 
 KIND_NAMES = {kind.value: kind for kind in ContractKind}
@@ -723,7 +725,7 @@ class _Runner:
         ledger.drain_wakeups(deliver)
         if corrupt_wei:
             # fault-injection hook: mint wei out of thin air so the
-            # conservation verdict trips (CLI/CI plumbing test only)
+            # conservation verdict trips (the benchmark's --corrupt-script and tests)
             first = next(iter(ledger.accounts))
             ledger.accounts[first] += corrupt_wei
         return self._build_report()

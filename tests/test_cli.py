@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import copy
+import functools
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from escrowsim.cli import main
-from escrowsim.scenario import MAX_INT, MAX_SECONDS, MAX_WEI
+from escrowsim.scenario import MAX_INT, MAX_SECONDS, MAX_WEI, run_scenario
 
 GOOD_SCENARIO = {
     "config": {"gas": {"gas_price_gwei": 1}},
@@ -323,8 +324,9 @@ def test_unwritable_out_path_exits_two(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-def test_run_corrupt_ledger_hook_exits_one(tmp_path, capsys):
-    code = main(["run", write_scenario(tmp_path, GOOD_SCENARIO), "--corrupt-ledger"])
+def test_run_corrupt_ledger_hook_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("escrowsim.cli.run_scenario", functools.partial(run_scenario, corrupt_wei=1))
+    code = main(["run", write_scenario(tmp_path, GOOD_SCENARIO)])
     out, err = capsys.readouterr()
     assert code == 1
     assert "conservation violated" in err
@@ -572,6 +574,17 @@ def test_fees_gas_price_bounds(capsys):
     assert "GasPriceOutOfRange" in capsys.readouterr()[1]
     assert main(["fees", "--amount-usd", "100", "--gas-price-gwei", "50",
                  "--allow-any-gas-price"]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--gas-units", "--gas-price-gwei"])
+@pytest.mark.parametrize("value", [" 2_1000 ", " 20", "+20", "\u0662\u0660", "2_0", "-", ""])
+def test_fees_gas_flags_take_only_ascii_digits(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["fees", "--amount-usd", "10", "--allow-any-gas-price", flag, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"argument {flag}: invalid int value" in err
 
 
 @pytest.mark.parametrize(

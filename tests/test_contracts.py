@@ -1,5 +1,6 @@
 """Contract templates: state machine, settlement math, quota, shares, voting."""
 
+import json
 import random
 import subprocess
 import sys
@@ -616,7 +617,7 @@ def test_export_contract_snapshot_shape():
     c = activate(ledger, deploy(ledger))
     ledger.advance_to(1800)
     sc.stop_and_settle(ledger, c, "user")
-    snap = export_contract(c)
+    snap = json.loads(export_contract(c))
     assert snap["address"] == c.address
     assert snap["kind"] == "dynamic_price"
     assert snap["state"] == "settled"

@@ -30,13 +30,13 @@ from escrowsim.ledger import (
     Ledger,
     interval_total,
     jitter_chunks,
-    replay_balances,
 )
 from escrowsim.oracle import oracle_settlement
 from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
 from escrowsim.units import eth, format_eth, gwei, parse_wei
 
 from load_source import load_source
+from tx_log_view import tx_log_view
 
 
 def zero_gas() -> GasSchedule:
@@ -312,11 +312,14 @@ def test_tx_log_replay_reproduces_balances():
     assert [json.loads(line)["kind"] for line in ledger.tx_log] == [
         "deploy", "call", "transfer", "lock", "refund"
     ]
-    balances, fee_sink = replay_balances({"a": eth(1), "b": eth(1)}, ledger.tx_log)
+    balances, fee_sink, settlements = tx_log_view(
+        {"a": eth(1), "b": eth(1)}, ledger.tx_log, ledger.contracts.values()
+    )
     assert fee_sink == ledger.fee_sink
     for name in ("a", "b"):
         assert balances[name] == ledger.balance_of(name)
     assert balances[addr] == ledger.balance_of(addr)
+    assert settlements == {addr: {"charge": 0, "refund": 500, "payouts": {}, "escrow": 277}}
 
 
 def test_tx_log_lines_have_fixed_key_order_and_string_amounts():

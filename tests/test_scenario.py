@@ -15,6 +15,7 @@ from escrowsim.scenario import (
     EVENT_TYPES,
     KIND_NAMES,
     MAX_EVENTS,
+    _Runner,
     generate_random_script,
     parse_scenario,
     run_scenario,
@@ -23,6 +24,7 @@ from escrowsim.units import eth
 
 from load_source import load_source
 from report_tree import report_tree
+from tx_log_view import tx_log_view
 
 
 def canonical_document(extra_events=(), config=None, genesis=None):
@@ -248,17 +250,6 @@ def test_a_reused_session_label_names_only_its_latest_session():
     doc = canonical_document(extra_events=[dict(request, at_time=1_800)])
     rows = report_tree(run_scenario(parse_scenario(doc)))["sessions"]
     assert [(row["label"], row["contract"]) for row in rows] == [("", "sc-1"), ("s1", "sc-2")]
-
-
-def test_a_report_is_run_and_written_without_building_a_row_dict(monkeypatch):
-    def no_row_dicts(contract):
-        raise AssertionError(f"{contract.address}'s report row was built as a dict")
-
-    monkeypatch.setattr("escrowsim.report.export_contract", no_row_dicts)
-    monkeypatch.setattr("escrowsim.scenario.export_contract", no_row_dicts)
-    for doc in (generate_random_script(0), canonical_document()):
-        text = run_scenario(parse_scenario(json.dumps(doc))).to_json_text()
-        assert json.loads(text)["contracts"]
 
 
 def test_rejected_payment_is_an_event_error_and_retry_works():
@@ -660,6 +651,28 @@ def test_oracle_matches_engine_with_many_sessions_open_at_once(jitter_seed):
     assert report.report["conservation_ok"]
     assert len(report.settlements) > 500
     assert report.settlements == oracle_settlement(script)
+
+
+def test_every_settlement_is_a_view_of_the_tx_log():
+    # the log is read through the runner, since run_scenario frees the ledger
+    documents = [generate_random_script(seed) for seed in range(300)]
+    documents.append(load_source("bench_workloads", WORKLOADS).merge_scripts(list(range(1600)), 30))
+    checked = zero_charge_rows = 0
+    for index, doc in enumerate(documents):
+        runner = _Runner(parse_scenario(doc))
+        report = runner.run()
+        ledger = runner.ledger
+        balances, fee_sink, settlements = tx_log_view(
+            runner.script.genesis, ledger.tx_log, report.report["contracts"]
+        )
+        assert settlements == report.settlements, index
+        assert fee_sink == ledger.fee_sink, index
+        assert {name: balances[name] for name in ledger.accounts} == ledger.accounts, index
+        checked += len(settlements)
+        zero_charge_rows += sum(
+            1 for row in settlements.values() if row["charge"] == 0 and row["payouts"]
+        )
+    assert checked > 5000 and zero_charge_rows > 0
 
 
 def test_quote_ttl_does_not_apply_to_quota_purchases():

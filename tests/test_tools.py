@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from escrowsim import contracts, orchestrator, scenario
+from escrowsim import contracts, orchestrator, report, scenario
 
 from load_source import load_source
 
@@ -71,6 +71,14 @@ def raise_lines(module):
     }
 
 
+def method_lines(module, class_name, method_name):
+    """The lines of ``class_name.method_name`` in ``module``."""
+    tree = ast.parse(inspect.getsource(module))
+    [cls] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == class_name]
+    [method] = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == method_name]
+    return set(range(method.lineno, method.end_lineno + 1))
+
+
 def test_every_contract_or_orchestrator_line_generated_scripts_miss_is_a_raise():
     reach = load_tool("reach")
     texts = (json.dumps(scenario.generate_random_script(seed)) for seed in range(50))
@@ -78,6 +86,9 @@ def test_every_contract_or_orchestrator_line_generated_scripts_miss_is_a_raise()
     for module in (contracts, orchestrator):
         name = Path(module.__file__).name
         assert set(missed[name]) <= raise_lines(module), name
+    # only ``escrowsim run --out`` prints the summary; tests/test_cli.py runs it
+    summary = method_lines(report, "SettlementReport", "summary_text")
+    assert set(missed["report.py"]) <= raise_lines(report) | summary
 
 
 def test_mem_gives_one_row_per_stage_and_no_cyclic_garbage():
