@@ -124,7 +124,13 @@ _CENT = Decimal("0.01")
 
 
 def _usd_cents(text: str) -> int:
+    """A dollar amount in cents, written in ASCII.
+
+    ``Decimal`` alone would also take spaces, underscores and other scripts' digits.
+    """
     try:
+        if not text.isascii() or "_" in text or any(c.isspace() for c in text):
+            raise InvalidOperation
         amount = Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a decimal amount: {echo(text)}")

@@ -862,6 +862,37 @@ MAX_ACTORS = 5
 MAX_EVENTS = 100
 
 
+def _draws(rng: random.Random):
+    """``randint`` and ``choice`` for ``rng``, drawn straight from ``rng.getrandbits``.
+
+    Each inlines CPython's ``Random._randbelow_with_getrandbits`` (the same
+    for every width >= 1 from 3.10 to 3.13): draw ``n.bit_length()`` bits,
+    again while the draw is ``>= n``.  So they return and consume what
+    ``rng.randint`` and ``rng.choice`` would, and a seed gives the same
+    document, without the Python frames of ``randint -> randrange ->
+    _randbelow``, where the generator spent most of its time.
+    """
+    getrandbits = rng.getrandbits
+
+    def randint(a: int, b: int) -> int:
+        n = b - a + 1
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return a + r
+
+    def choice(seq):
+        n = len(seq)
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return seq[r]
+
+    return randint, choice
+
+
 def generate_random_script(seed: int) -> dict:
     """One bounded random scenario document.
 
@@ -874,20 +905,21 @@ def generate_random_script(seed: int) -> dict:
     of which the settlement oracle models.
     """
     rng = random.Random(seed)
-    n_actors = rng.randint(2, MAX_ACTORS)
+    randint, choice = _draws(rng)
+    n_actors = randint(2, MAX_ACTORS)
     actors = list(ACTOR_POOL[:n_actors])
-    genesis = {name: str((50 + rng.randint(0, 150)) * 10**18) for name in actors}
+    genesis = {name: str((50 + randint(0, 150)) * 10**18) for name in actors}
     config: dict[str, Any] = {
         "block_interval_seconds": 15,
         "refund_threshold_bp": 7_500,
-        "gas": {"gas_price_gwei": rng.choice([1, 5, 20, 40])},
+        "gas": {"gas_price_gwei": choice([1, 5, 20, 40])},
         "provider": {"region": "EU", "gdpr_compliant": rng.random() < 0.9},
     }
     if rng.random() < 0.5:
-        config["jitter_seed"] = rng.randrange(2**31)
+        config["jitter_seed"] = randint(0, 2**31 - 1)
 
     events: list[dict] = []
-    clock = rng.randint(0, 300)
+    clock = randint(0, 300)
     label_seq = 0
 
     def emit(at_time: int, actor: str, action: str, **params) -> None:
@@ -895,12 +927,12 @@ def generate_random_script(seed: int) -> dict:
             {"at_time": at_time, "actor": actor, "action": action, "params": params}
         )
 
-    for _ in range(rng.randint(1, 4)):
+    for _ in range(randint(1, 4)):
         label_seq += 1
         label = f"s{label_seq}"
-        owner = rng.choice(actors)
-        user = rng.choice([a for a in actors if a != owner] or actors)
-        kind = rng.choice(
+        owner = choice(actors)
+        user = choice([a for a in actors if a != owner] or actors)
+        kind = choice(
             [
                 "fixed_price",
                 "dynamic_price",
@@ -912,56 +944,56 @@ def generate_random_script(seed: int) -> dict:
                 "constraint_based",
             ]
         )
-        clock += rng.randint(20, 400)
+        clock += randint(20, 400)
         start = clock
 
         request: dict[str, Any] = {
             "session": label,
             "owner": owner,
             "kind": kind,
-            "availability_target_bp": rng.choice([9_000, 9_500, 9_900, 9_980]),
-            "video_quality": rng.choice(["SD", "HD"]),
-            "max_period_seconds": rng.choice([600, 900, 1_800, 3_600]),
+            "availability_target_bp": choice([9_000, 9_500, 9_900, 9_980]),
+            "video_quality": choice(["SD", "HD"]),
+            "max_period_seconds": choice([600, 900, 1_800, 3_600]),
         }
         if kind == "constraint_based":
             inadmissible = rng.random() < 0.2
             request["constraints"] = {
                 "gdpr_required": rng.random() < 0.5,
                 "allowed_regions": ["US"] if inadmissible else ["EU", "US"],
-                "price_multiplier_bp": rng.choice([8_000, 10_000, 11_000, 12_500]),
+                "price_multiplier_bp": choice([8_000, 10_000, 11_000, 12_500]),
             }
         if kind == "income_division":
-            beneficiaries = rng.sample(actors, k=min(len(actors), rng.randint(2, 3)))
-            cuts = [rng.randint(1, 5) for _ in beneficiaries]
+            beneficiaries = rng.sample(actors, k=min(len(actors), randint(2, 3)))
+            cuts = [randint(1, 5) for _ in beneficiaries]
             denominator = sum(cuts)
             request["shares"] = {
                 name: [cut, denominator] for name, cut in zip(beneficiaries, cuts)
             }
         if kind == "consensus_decision":
             ballot = f"b{label_seq}"
-            voters = rng.sample(actors, k=rng.randint(1, min(4, len(actors))))
+            voters = rng.sample(actors, k=randint(1, min(4, len(actors))))
             emit(start, owner, "deploy_ballot", ballot=ballot, voters=voters)
             for voter in voters:
-                clock += rng.randint(5, 40)
-                choice = "yes" if rng.random() < 0.75 else "no"
-                emit(clock, voter, "cast_vote", ballot=ballot, choice=choice)
-            clock += rng.randint(5, 30)
+                clock += randint(5, 40)
+                vote = "yes" if rng.random() < 0.75 else "no"
+                emit(clock, voter, "cast_vote", ballot=ballot, choice=vote)
+            clock += randint(5, 30)
             emit(clock, owner, "tally", ballot=ballot)
             request["ballot"] = ballot
-            clock += rng.randint(5, 30)
+            clock += randint(5, 30)
         if kind == "flexible_period" and rng.random() < 0.5:
             request["standby"] = {
-                "rate_wei_per_second": str(rng.choice([10**12, 5 * 10**12])),
+                "rate_wei_per_second": str(choice([10**12, 5 * 10**12])),
                 "window_seconds": request["max_period_seconds"],
             }
 
         emit(clock, user, "request_session", **request)
 
         if kind == "time_limited_quota":
-            clock = _plan_quota(rng, emit, clock, label, user)
+            clock = _plan_quota(rng, randint, emit, clock, label, user)
             continue
 
-        clock += rng.randint(10, 120)
+        clock += randint(10, 120)
         pay_wrong = rng.random() < 0.1
         emit(
             clock,
@@ -971,7 +1003,7 @@ def generate_random_script(seed: int) -> dict:
             value=PAY_WRONG if pay_wrong else PAY_QUOTED,
         )
         if pay_wrong and rng.random() < 0.5:
-            clock += rng.randint(10, 60)
+            clock += randint(10, 60)
             emit(clock, user, "approve_and_pay", session=label, value=PAY_QUOTED)
             pay_wrong = False
         if pay_wrong:
@@ -979,14 +1011,14 @@ def generate_random_script(seed: int) -> dict:
 
         if rng.random() < 0.1:
             continue  # never countersigned; release-time wakeup refunds in full
-        clock += rng.randint(10, 90)
+        clock += randint(10, 90)
         emit(clock, owner, "countersign", session=label)
         active_from = clock
 
         degraded = rng.random() < 0.15
         sample_at = active_from
-        for _ in range(rng.randint(0, 4)):
-            sample_at += rng.randint(30, max(31, request["max_period_seconds"] // 5))
+        for _ in range(randint(0, 4)):
+            sample_at += randint(30, max(31, request["max_period_seconds"] // 5))
             emit(
                 sample_at,
                 owner,
@@ -998,52 +1030,52 @@ def generate_random_script(seed: int) -> dict:
 
         roll = rng.random()
         if roll < 0.55:
-            stop_at = active_from + rng.randint(1, request["max_period_seconds"] - 1)
+            stop_at = active_from + randint(1, request["max_period_seconds"] - 1)
             emit(stop_at, user, "end_session", session=label)
             clock = max(clock, stop_at)
         elif roll < 0.7:
-            stale = active_from + request["max_period_seconds"] + rng.randint(40, 200)
+            stale = active_from + request["max_period_seconds"] + randint(40, 200)
             emit(stale, user, "end_session", session=label)  # after expiry: rejected
             clock = max(clock, stale)
         # otherwise: no stop event; the timeout wakeup settles it
 
-    for _ in range(rng.randint(0, 3)):
-        clock += rng.randint(10, 200)
-        sender = rng.choice(actors)
-        recipient = rng.choice([a for a in actors if a != sender] or actors)
+    for _ in range(randint(0, 3)):
+        clock += randint(10, 200)
+        sender = choice(actors)
+        recipient = choice([a for a in actors if a != sender] or actors)
         emit(
             clock,
             sender,
             "transfer",
             to=recipient,
-            value=str(rng.randint(1, 2 * 10**18)),
+            value=str(randint(1, 2 * 10**18)),
         )
 
     events.sort(key=lambda e: e["at_time"])
     return {"config": config, "genesis": genesis, "events": events}
 
 
-def _plan_quota(rng: random.Random, emit, clock: int, label: str, user: str) -> int:
-    minutes = rng.randint(2, 8)
-    clock += rng.randint(10, 120)
+def _plan_quota(rng: random.Random, randint, emit, clock: int, label: str, user: str) -> int:
+    minutes = randint(2, 8)
+    clock += randint(10, 120)
     if rng.random() < 0.1:
         emit(clock, user, "quota_purchase", session=label, minutes=minutes, value=PAY_WRONG)
-        clock += rng.randint(10, 60)
+        clock += randint(10, 60)
     emit(clock, user, "quota_purchase", session=label, minutes=minutes, value=PAY_QUOTED)
     remaining = minutes
-    for _ in range(rng.randint(1, 3)):
-        clock += rng.randint(20, 200)
+    for _ in range(randint(1, 3)):
+        clock += randint(20, 200)
         emit(clock, user, "quota_start", session=label)
-        talk = rng.randint(30, max(60, remaining * 60 + 90))
+        talk = randint(30, max(60, remaining * 60 + 90))
         clock += talk
         emit(clock, user, "quota_stop", session=label)
         remaining -= min(-(-talk // 60), remaining)
         if remaining <= 0:
             if rng.random() < 0.5:
-                clock += rng.randint(20, 90)
+                clock += randint(20, 90)
                 emit(clock, user, "quota_start", session=label)  # exhausted: rejected
             break
     if remaining > 0 and rng.random() < 0.2:
-        clock += rng.randint(20, 90)
+        clock += randint(20, 90)
         emit(clock, user, "quota_start", session=label)  # left open at the horizon
     return clock

@@ -637,6 +637,9 @@ REJECTED_AMOUNTS = {
     "1e9999999": "must be at most",  # the * 100 overflowed the decimal context
     "1e5000": "must be at most",  # the table printed a 5000-digit int
     "1e999997": "must be at most",  # never finished
+    " 10 ": "not a decimal amount",  # Decimal strips the spaces
+    "1_0": "not a decimal amount",  # Decimal reads it as 10
+    "١٠": "not a decimal amount",  # Arabic-Indic digits; Decimal reads them as 10
 }
 
 

@@ -1,10 +1,17 @@
 """Scenario scripts: parsing, execution, the report, oracle agreement, random generation."""
 
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from escrowsim.cli import main
 from escrowsim.errors import ParseError, ValidationError
@@ -15,6 +22,7 @@ from escrowsim.scenario import (
     EVENT_TYPES,
     KIND_NAMES,
     MAX_EVENTS,
+    _draws,
     _Runner,
     generate_random_script,
     parse_scenario,
@@ -844,6 +852,94 @@ def test_generator_output_is_valid_and_bounded():
 def test_generator_is_deterministic():
     assert generate_random_script(7) == generate_random_script(7)
     assert generate_random_script(7) != generate_random_script(8)
+
+
+# sha256 over json.dumps(generate_random_script(seed)) plus a newline, for
+# seeds 0..n-1.  Without sort_keys, so key order counts as well as content.
+GENERATOR_SHA256 = {
+    200: "05e66adcf0f7be1628f8336de549559db171e398ecb0145692d8473c05a48e3b",
+    2000: "06e9ed849f0e2d4ea596bd44120b1323b30cea6a2d7f432ed426daafe816b582",
+}
+
+GENERATOR_DIGEST_SCRIPT = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from escrowsim.scenario import generate_random_script
+digest = hashlib.sha256()
+for seed in range(int(sys.argv[2])):
+    digest.update(json.dumps(generate_random_script(seed)).encode() + b"\\n")
+print(digest.hexdigest())
+"""
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_generator_documents_are_pinned_key_order_included():
+    digest = hashlib.sha256()
+    for seed in range(2000):
+        digest.update(json.dumps(generate_random_script(seed)).encode() + b"\n")
+    assert digest.hexdigest() == GENERATOR_SHA256[2000]
+
+
+def installed_interpreters():
+    """``bin/python3`` of each CPython >= 3.10 that pyenv has installed."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = []
+    for home in sorted(versions.glob("3.*")):
+        minor = home.name.split(".")[1]
+        if minor.isdigit() and int(minor) >= 10 and (home / "bin" / "python3").is_file():
+            found.append(home / "bin" / "python3")
+    return found
+
+
+def test_generator_documents_are_the_same_under_every_installed_interpreter():
+    interpreters = installed_interpreters()
+    if not interpreters:
+        pytest.skip("no pyenv CPython >= 3.10 installed")
+    for python in interpreters:
+        done = subprocess.run(
+            [python, "-B", "-I", "-c", GENERATOR_DIGEST_SCRIPT, str(SRC), "200"],
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.strip() == GENERATOR_SHA256[200], python
+
+
+def _widths(bits):
+    """Draw widths up to 2**bits + 1: 1, powers of two and their neighbours, and any other."""
+    return st.one_of(
+        st.just(1),
+        st.integers(0, bits).map(lambda k: 2**k),
+        st.integers(1, bits).map(lambda k: 2**k - 1),
+        st.integers(1, bits).map(lambda k: 2**k + 1),
+        st.integers(1, 2**bits),
+    )
+
+
+_DRAWS = st.lists(
+    st.one_of(
+        st.tuples(st.just("randint"), st.integers(-(2**40), 2**40), _widths(70)),
+        st.tuples(st.just("choice"), _widths(62)),  # a range's length must fit an index
+        st.tuples(st.just("randrange"), st.just(2**31)),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(seed=st.integers(0, 2**64), draws=_DRAWS)
+def test_generator_draws_match_random_draw_for_draw(seed, draws):
+    own, mine = random.Random(seed), random.Random(seed)
+    randint, choice = _draws(mine)
+    for draw in draws:
+        if draw[0] == "randint":
+            _, a, width = draw
+            assert randint(a, a + width - 1) == own.randint(a, a + width - 1)
+        elif draw[0] == "choice":
+            seq = range(draw[1])
+            assert choice(seq) == own.choice(seq)
+        else:
+            assert randint(0, draw[1] - 1) == own.randrange(draw[1])
+        assert mine.getstate() == own.getstate()
 
 
 # ---- the report writer --------------------------------------------------------

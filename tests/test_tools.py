@@ -131,3 +131,13 @@ def test_loc_counts_docstrings_and_statements_but_not_comments_or_blanks(tmp_pat
         "    \n"                   # 8: blank
     )
     assert load_tool("loc").code_lines(source) == 5
+
+
+def test_importtime_lists_the_scenario_layer_and_not_the_oracle_for_the_scenario_import():
+    importtime = load_tool("importtime")
+    for mode in importtime.MODES:
+        rows = importtime.import_rows("escrowsim.scenario", mode, runs=1)
+        modules = [row.module for row in rows]
+        assert "escrowsim.scenario" in modules and "escrowsim.contracts" in modules
+        assert "escrowsim.oracle" not in modules and "escrowsim.cli" not in modules
+        assert all(0 <= row.self_ms <= row.cumulative_ms for row in rows)
