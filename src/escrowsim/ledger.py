@@ -35,34 +35,41 @@ GAS_PRICE_BOUNDS_GWEI = (1, 40)
 # Mersenne Twister word, ``k = (hi - lo + 1).bit_length()``, and takes the
 # next word while they are ``>= hi - lo + 1``.  ``getrandbits(32 * n)`` holds
 # the next ``n`` words, the first one least significant, so ``jitter_chunks``
-# draws the intervals of many blocks in one call: the top byte of each word,
-# translated through this table with the bytes of rejected words deleted,
-# leaves one interval byte per block.  A skip needs only a chunk's total,
-# ``interval_total``: the low 16 bits of ``zlib.adler32`` are ``(1 + sum of the
-# bytes) mod 65521``, so a piece of at most ``_JITTER_PIECE`` bytes, each at
-# most the largest interval, totals below the modulus and its sum is read off
-# in C.  A chunk of ``n`` intervals spans at least ``n`` times the smallest
-# one, so a skip totals only a chunk that this bound does not carry past its
-# target.
-_JITTER_LOW = JITTER_INTERVAL_RANGE[0]
-_JITTER_SPAN = JITTER_INTERVAL_RANGE[1] - _JITTER_LOW + 1
+# draws the words of many blocks in one call and yields the top byte of each.
+# ``chunk_intervals`` compacts a chunk: its bytes, translated through this
+# table with the bytes of rejected words deleted, leave one interval byte per
+# block.  A skip needs only a chunk's block count and total, and a chunk of
+# ``n`` words spans at most ``n`` times the largest interval, so a chunk that
+# this bound ends before the target is stepped over uncompacted by
+# ``chunk_span``: two translates that delete nothing, to 1 or 0 per word and
+# to the interval or 0, each summed in C.  The low 16 bits of ``zlib.adler32``
+# are ``(1 + sum of the bytes) mod 65521``, so a piece of at most
+# ``_JITTER_PIECE`` bytes, each at most the largest interval, totals below the
+# modulus and its sum is read off; ``interval_total`` totals a compacted chunk
+# so.  A chunk that may cross the target is compacted, and it is totalled only
+# when its ``n`` intervals, at least the smallest one each, do not carry past
+# the target.
+_JITTER_LOW, _JITTER_HIGH = JITTER_INTERVAL_RANGE
+_JITTER_SPAN = _JITTER_HIGH - _JITTER_LOW + 1
 _JITTER_BITS = _JITTER_SPAN.bit_length()
-if not 1 <= JITTER_INTERVAL_RANGE[0] <= JITTER_INTERVAL_RANGE[1] <= 255:
+if not 1 <= _JITTER_LOW <= _JITTER_HIGH <= 255:
     raise ValueError(
         "JITTER_INTERVAL_RANGE must lie within [1, 255]: every block advances "
         "time, and each interval is one byte"
     )
-_JITTER_PIECE = 65519 // JITTER_INTERVAL_RANGE[1]
-if _JITTER_PIECE * JITTER_INTERVAL_RANGE[1] > 65519:
+_JITTER_PIECE = 65519 // _JITTER_HIGH
+if _JITTER_PIECE * _JITTER_HIGH > 65519:
     raise ValueError(
         "a jitter piece must total at most 65519, or its Adler-32 sum wraps the "
         "modulus 65521"
     )
 _JITTER_TABLE = bytes(
-    JITTER_INTERVAL_RANGE[0] + r if r < _JITTER_SPAN else 0
+    _JITTER_LOW + r if r < _JITTER_SPAN else 0
     for r in (b >> (8 - _JITTER_BITS) for b in range(256))
 )
-_JITTER_REJECTED = bytes(b for b in range(256) if b >> (8 - _JITTER_BITS) >= _JITTER_SPAN)
+_JITTER_REJECTED = bytes(b for b in range(256) if not _JITTER_TABLE[b])
+_JITTER_ACCEPTED = bytes(1 if interval else 0 for interval in _JITTER_TABLE)
+_COUNT_PIECE = 65519  # bytes of 0 or 1 one Adler-32 sums without wrapping
 # Words per chunk of the jitter tape: the first chunk, doubling up to the
 # largest.  Sizes depend only on how many chunks were drawn, so the RNG state
 # after a block does not depend on how the run reached it.
@@ -70,27 +77,47 @@ _JITTER_FIRST_CHUNK_WORDS = 64
 _JITTER_CHUNK_WORDS = 4096
 
 
-def interval_total(intervals: bytes) -> int:
-    """``sum(intervals)`` for interval bytes, one Adler-32 per piece."""
-    total = (zlib.adler32(intervals[:_JITTER_PIECE]) & 0xFFFF) - 1
-    for k in range(_JITTER_PIECE, len(intervals), _JITTER_PIECE):
-        total += (zlib.adler32(intervals[k:k + _JITTER_PIECE]) & 0xFFFF) - 1
+def _byte_sum(data: bytes, piece: int) -> int:
+    """``sum(data)`` for bytes that no ``piece`` of them totals past 65519."""
+    total = (zlib.adler32(data[:piece]) & 0xFFFF) - 1
+    for k in range(piece, len(data), piece):
+        total += (zlib.adler32(data[k:k + piece]) & 0xFFFF) - 1
     return total
 
 
-def jitter_chunks(rng: random.Random) -> Iterator[bytes]:
-    """The block intervals drawn from ``rng``, one ``bytes`` per chunk of words.
+def interval_total(intervals: bytes) -> int:
+    """``sum(intervals)`` for interval bytes, one Adler-32 per piece."""
+    return _byte_sum(intervals, _JITTER_PIECE)
 
-    Joined, the chunks are the intervals of one ``rng.randint(*JITTER_INTERVAL_RANGE)``
-    per block, and a chunk is drawn only when it is asked for, so ``rng`` is
-    never ahead of the blocks read so far by more than one chunk.
+
+def jitter_chunks(rng: random.Random) -> Iterator[bytes]:
+    """The top bytes of the words drawn from ``rng``, one ``bytes`` per chunk.
+
+    ``chunk_intervals`` of the chunks, joined, are the intervals of one
+    ``rng.randint(*JITTER_INTERVAL_RANGE)`` per block, and a chunk is drawn
+    only when it is asked for, so ``rng`` is never ahead of the blocks read
+    so far by more than one chunk.
     """
     words = _JITTER_FIRST_CHUNK_WORDS
     while True:
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        intervals = raw[3::4].translate(_JITTER_TABLE, _JITTER_REJECTED)
-        yield intervals
+        yield rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
         words = min(2 * words, _JITTER_CHUNK_WORDS)
+
+
+def chunk_intervals(top: bytes) -> bytes:
+    """The intervals that a chunk's top bytes draw, one byte per block."""
+    return top.translate(_JITTER_TABLE, _JITTER_REJECTED)
+
+
+def chunk_span(top: bytes) -> tuple[int, int]:
+    """The blocks and seconds that a chunk's top bytes draw, without compacting it.
+
+    ``(len(intervals), sum(intervals))`` of ``intervals = chunk_intervals(top)``.
+    """
+    return (
+        _byte_sum(top.translate(_JITTER_ACCEPTED), _COUNT_PIECE),
+        _byte_sum(top.translate(_JITTER_TABLE), _JITTER_PIECE),
+    )
 
 
 CONTRACT_ADDRESS_PREFIX = "sc-"
@@ -148,10 +175,12 @@ class Ledger:
     ``block_interval`` spacing); an integer seed draws each block's interval
     uniformly from ``JITTER_INTERVAL_RANGE`` (5..25 s, mean 15 s) and ignores
     ``block_interval``.  The intervals are those of one
-    ``random.Random(jitter_seed).randint`` per block, read off a tape of
-    ``jitter_chunks``: the ledger keeps the block timestamps of at most the
-    current chunk.  Built and skipped blocks read the same tape, so heights
-    and timestamps follow that one stream.
+    ``random.Random(jitter_seed).randint`` per block, drawn a chunk of words
+    at a time by ``jitter_chunks``: the ledger keeps the block timestamps of
+    at most the current chunk, its tape.  A skip counts the blocks and
+    seconds of a chunk that ends before its target without compacting it
+    into intervals.  Built and skipped blocks read the same chunks, so
+    heights and timestamps follow that one stream.
 
     The clock is two ints, ``height`` and ``timestamp`` of the latest block.
     ``advance_to`` moves only them over the empty blocks it skips;
@@ -175,7 +204,8 @@ class Ledger:
                 raise ValidationError(
                     f"genesis account {echo(name)} uses the reserved contract prefix"
                 )
-            require_amount(balance, f"genesis balance of {echo(name, str)}")
+            if type(balance) is not int or balance < 0:  # the text only on failure
+                require_amount(balance, f"genesis balance of {echo(name, str)}")
         self.accounts: dict[str, int] = dict(genesis)
         self.contracts: dict[str, AgreementContract] = {}
         self.fee_sink: int = 0
@@ -204,7 +234,8 @@ class Ledger:
             self.timestamp += self.block_interval
         else:
             while self._tape_next == len(self._tape):
-                self._tape = list(accumulate(next(self._chunks), initial=self.timestamp))
+                draws = chunk_intervals(next(self._chunks))
+                self._tape = list(accumulate(draws, initial=self.timestamp))
                 self._tape_next = 1
             self.timestamp = self._tape[self._tape_next]
             self._tape_next += 1
@@ -223,10 +254,12 @@ class Ledger:
         transaction and deliver nothing, so they are skipped without being
         built: only the clock moves over them, and they still count in
         heights.  The deterministic grid skips in closed form.  The jittered
-        grid skips along its tape: a chunk that ends before the target is
-        stepped over by its total, and only the chunk that crosses it becomes
-        the tape; a chunk whose smallest span reaches the target is not
-        totalled.  A ``t`` at or before the current timestamp is a no-op.
+        grid skips along its chunks: one that ends before the target even at
+        the largest interval per word is stepped over by ``chunk_span``,
+        uncompacted; any other is compacted, stepped over by its total if that
+        ends before the target, and otherwise becomes the tape, the chunk that
+        crosses it.  A compacted chunk whose smallest span reaches the target
+        is not totalled.  A ``t`` at or before the current timestamp is a no-op.
         """
         while self.timestamp < t:
             due = self._next_wakeup_at()
@@ -242,14 +275,20 @@ class Ledger:
                 if tape[-1] < target:  # every block left on the tape is empty
                     height += len(tape) - i
                     ts = tape[-1]
-                    draws = next(self._chunks)
-                    while (
-                        ts + len(draws) * _JITTER_LOW < target
-                        and (end := ts + interval_total(draws)) < target
-                    ):
-                        height += len(draws)
-                        ts = end
-                        draws = next(self._chunks)
+                    while True:
+                        top = next(self._chunks)
+                        if ts + _JITTER_HIGH * len(top) < target:  # ends before target
+                            blocks, seconds = chunk_span(top)
+                        else:
+                            draws = chunk_intervals(top)
+                            if (
+                                ts + len(draws) * _JITTER_LOW >= target
+                                or ts + (seconds := interval_total(draws)) >= target
+                            ):
+                                break
+                            blocks = len(draws)
+                        height += blocks
+                        ts += seconds
                     self._tape = tape = list(accumulate(draws, initial=ts))
                     i = 1
                 crossing = bisect_left(tape, target, i)  # the first block at or past target
@@ -313,6 +352,16 @@ class Ledger:
     def _require_account(self, addr: str) -> None:
         if addr not in self.accounts:
             raise UnknownAddress(echo(addr, str))
+
+    def require_fees(self, payer: str, fees: int, what: str) -> None:
+        """Raise ``InsufficientFunds`` unless the user account ``payer`` holds
+        ``fees``, the sum of the fees of ``what``: check it before the first
+        of several calls, so that none commits when a later one cannot."""
+        self._require_account(payer)
+        if self.accounts[payer] < fees:
+            raise InsufficientFunds(
+                f"{echo(payer, str)} cannot pay the fees of {what}, {fees} wei in all"
+            )
 
     def _debit(self, payer: str, to: str, value: int, fee: int, kind: str) -> None:
         """Take ``value + fee`` from the user account ``payer``, add the fee to

@@ -9,7 +9,8 @@ twice.
 The only shared inputs are the parsed script's configuration values and
 typed events, and the decoder of the seeded block-time draws
 (``ledger.jitter_chunks``, which the tests check against one ``randint``
-per block, with its ``JITTER_INTERVAL_RANGE`` and its chunk total
+per block, with its ``JITTER_INTERVAL_RANGE``, its compaction
+``chunk_intervals`` and its chunk counts ``chunk_span`` and
 ``interval_total``); quotes, minimum charges and settlements are computed
 here anew.  Used by the test suite to cross-check the engine on large
 randomized sweeps.
@@ -35,7 +36,13 @@ from typing import Iterator, Optional
 
 from .contracts import ContractKind
 from .errors import collector_paused
-from .ledger import JITTER_INTERVAL_RANGE, interval_total, jitter_chunks
+from .ledger import (
+    JITTER_INTERVAL_RANGE,
+    chunk_intervals,
+    chunk_span,
+    interval_total,
+    jitter_chunks,
+)
 from .pricing import VIDEO_MULTIPLIER_BP
 from .scenario import (
     ApproveAndPay,
@@ -164,10 +171,11 @@ class _Oracle:
         Event times never decrease, so the block only moves forward.  The
         fixed grid is closed form.  The jittered grid keeps the timestamps of
         one chunk of draws, the block before the chunk first: a chunk that
-        ends before the next event is stepped over by its total, and the event's
-        block is looked up in the chunk that reaches it.  As in
-        ``Ledger.advance_to``, a chunk whose smallest span reaches the event is
-        not totalled.
+        ends before the next event is stepped over by its counts, and the
+        event's block is looked up in the chunk that reaches it.  As in
+        ``Ledger.advance_to``, a chunk that ends before the event even at the
+        largest interval per word is counted uncompacted, and a compacted
+        chunk whose smallest span reaches the event is not totalled.
         """
         cfg = self.script.config
         if cfg.jitter_seed is None:
@@ -177,7 +185,7 @@ class _Oracle:
                 yield event, height, height * interval
             return
         chunks = jitter_chunks(random.Random(cfg.jitter_seed))
-        low = JITTER_INTERVAL_RANGE[0]  # no chunk spans less than this per draw
+        low, high = JITTER_INTERVAL_RANGE  # no word spans less or more than these
         chunk = [0]  # genesis
         base = 0  # the height of chunk[0]
         i = 0  # chunk[i] is the latest event's block
@@ -186,11 +194,17 @@ class _Oracle:
             if chunk[-1] < t:
                 base += len(chunk) - 1
                 ts = chunk[-1]
-                draws = next(chunks)
-                while ts + len(draws) * low < t and (end := ts + interval_total(draws)) < t:
-                    base += len(draws)
-                    ts = end
-                    draws = next(chunks)
+                while True:
+                    top = next(chunks)
+                    if ts + high * len(top) < t:
+                        blocks, seconds = chunk_span(top)
+                    else:
+                        draws = chunk_intervals(top)
+                        if ts + len(draws) * low >= t or ts + (seconds := interval_total(draws)) >= t:
+                            break
+                        blocks = len(draws)
+                    base += blocks
+                    ts += seconds
                 chunk = list(accumulate(draws, initial=ts))
                 i = 0
             i = bisect_left(chunk, t, i)

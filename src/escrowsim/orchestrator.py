@@ -98,7 +98,12 @@ class SessionOrchestrator:
         ballot: Optional[AgreementContract] = None,  # consensus kind: required, enacted
         flexible: Optional[FlexibleTerms] = None,
     ) -> SessionRecord:
-        """Price the request and deploy its agreement contract in QUOTED state."""
+        """Price the request and deploy its agreement contract in QUOTED state.
+
+        An income-division request also deploys its division contract and
+        records the shares: the owner must hold all three fees before the
+        first, so a request that is rejected leaves no contract or fee behind.
+        """
         multiplier_bp = sc.IDENTITY_MULTIPLIER_BP
         if constraints is not None:
             if not sc.evaluate_constraints(
@@ -116,6 +121,11 @@ class SessionOrchestrator:
 
         division = None
         if kind is ContractKind.INCOME_DIVISION:
+            gas = self.ledger.gas
+            self.ledger.require_fees(
+                owner, 2 * gas.deploy_fee() + gas.call_fee(),
+                "an income division (2 deploys and a call)",
+            )
             division = AgreementContract(
                 kind=ContractKind.INCOME_DIVISION, owner=owner, end_user=end_user
             )
@@ -153,7 +163,12 @@ class SessionOrchestrator:
     # ---- auxiliary consensus contract --------------------------------------
 
     def deploy_consensus(self, owner: str, voters: set[str]) -> AgreementContract:
-        """Deploy the voting contract and register its voter set."""
+        """Deploy the voting contract and register its voter set, once the
+        owner is known to hold both fees."""
+        gas = self.ledger.gas
+        self.ledger.require_fees(
+            owner, gas.deploy_fee() + gas.call_fee(), "a ballot (a deploy and a call)"
+        )
         ballot = AgreementContract(
             kind=ContractKind.CONSENSUS_DECISION, owner=owner, end_user=""
         )

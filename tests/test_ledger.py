@@ -5,11 +5,12 @@ import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from escrowsim.contracts import AgreementContract, ContractKind
@@ -28,6 +29,8 @@ from escrowsim.ledger import (
     Block,
     GasSchedule,
     Ledger,
+    chunk_intervals,
+    chunk_span,
     interval_total,
     jitter_chunks,
 )
@@ -665,12 +668,40 @@ def test_a_full_chunk_at_the_largest_interval_totals_across_pieces():
     chunks = jitter_chunks(AllAcceptedAtTheLargestInterval())
     words = _JITTER_FIRST_CHUNK_WORDS
     while words < _JITTER_CHUNK_WORDS:
-        intervals = next(chunks)
+        top = next(chunks)
+        intervals = chunk_intervals(top)
         assert (len(intervals), interval_total(intervals)) == (words, 25 * words)
+        assert chunk_span(top) == (words, 25 * words)
         words *= 2
-    intervals = next(chunks)
+    top = next(chunks)
+    assert top == b"\xa7" * _JITTER_CHUNK_WORDS  # one top byte per word, none deleted
+    intervals = chunk_intervals(top)
     assert intervals == bytes([25]) * _JITTER_CHUNK_WORDS
     assert interval_total(intervals) == 102_400  # two pieces of at most ADLER_PIECE bytes
+    assert chunk_span(top) == (_JITTER_CHUNK_WORDS, 102_400)  # uncompacted, the same pieces
+
+
+# top bytes: 0x00 draws the smallest interval, 0xA7 the largest, 0xA8 and up are rejected
+ALL_REJECTED = b"\xa8\xff"
+# the longest run of 0/1 bytes that one Adler-32 sums without wrapping its modulus
+COUNT_PIECE = 65519
+
+
+@given(top=st.binary(max_size=3 * ADLER_PIECE))
+@example(top=b"")
+@example(top=ALL_REJECTED * 2048)
+@example(top=b"\xa7" * _JITTER_CHUNK_WORDS)
+@example(top=b"\xa7" * (ADLER_PIECE - 1))
+@example(top=b"\xa7" * ADLER_PIECE)
+@example(top=b"\xa7" * (ADLER_PIECE + 1))
+@example(top=b"\xa7\xff" * ADLER_PIECE)  # rejected words pad the pieces
+@example(top=b"\x00" * (COUNT_PIECE + 1))
+@example(top=bytes(range(256)) * 16)
+def test_chunk_span_counts_the_compacted_intervals(top):
+    intervals = chunk_intervals(top)
+    assert len(intervals) <= len(top)
+    assert set(intervals) <= set(range(JITTER_INTERVAL_RANGE[0], JITTER_INTERVAL_RANGE[1] + 1))
+    assert chunk_span(top) == (len(intervals), sum(intervals))
 
 
 def test_advance_to_at_or_before_now_builds_nothing():
@@ -792,26 +823,47 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def counting_totals(monkeypatch):
-    """The chunks the ledger and the oracle draw, and those they total, in order."""
-    drawn, totalled = [], []
+    """The chunks the ledger and the oracle draw, compact, count and total, in order.
+
+    Each list holds the drawn top bytes themselves; a total of compacted
+    intervals is listed as the chunk they came from.
+    """
+    drawn, compacted, counted, totalled = [], [], [], []
+    source = {}  # id of compacted intervals -> the chunk they came from
 
     def chunks(rng):
-        for intervals in jitter_chunks(rng):
-            drawn.append(intervals)
-            yield intervals
+        for top in jitter_chunks(rng):
+            drawn.append(top)
+            yield top
+
+    def compact(top):
+        compacted.append(top)
+        intervals = chunk_intervals(top)
+        source[id(intervals)] = (top, intervals)  # kept alive, so ids stay unique
+        return intervals
+
+    def span(top):
+        counted.append(top)
+        return chunk_span(top)
 
     def total(intervals):
-        totalled.append(intervals)
+        totalled.append(source[id(intervals)][0])
         return interval_total(intervals)
 
     for module in (ledger_module, oracle_module):
         monkeypatch.setattr(module, "jitter_chunks", chunks)
+        monkeypatch.setattr(module, "chunk_intervals", compact)
+        monkeypatch.setattr(module, "chunk_span", span)
         monkeypatch.setattr(module, "interval_total", total)
-    return drawn, totalled
+    return drawn, compacted, counted, totalled
+
+
+def ids(chunks):
+    return [id(top) for top in chunks]
 
 
 def test_a_run_whose_events_never_skip_a_chunk_totals_none(monkeypatch):
-    drawn, totalled = counting_totals(monkeypatch)
+    drawn, compacted, counted, totalled = counting_totals(monkeypatch)
     # 30 s apart: less than any chunk spans, which is at least 5 s a draw
     script = parse_scenario({
         "config": {"jitter_seed": 5},
@@ -822,15 +874,21 @@ def test_a_run_whose_events_never_skip_a_chunk_totals_none(monkeypatch):
     run_scenario(script)
     oracle_settlement(script)
     assert len(drawn) >= 6  # three chunks each, read as tapes
-    assert totalled == []
+    assert ids(compacted) == ids(drawn)  # each compacted once, to be read
+    assert counted == totalled == []
 
 
-def test_the_idle_jittered_script_totals_each_chunk_it_tests_once(monkeypatch):
+def idle_jittered_run(monkeypatch):
+    """The idle workload's jittered script, run and then checked by the oracle.
+
+    Returns the lists of ``counting_totals``, the number of entries in each
+    that the engine made, and the timestamps of the blocks the ledger built.
+    """
     workloads = load_source("bench_workloads", WORKLOADS)
     [_, jittered] = workloads.build_documents("idle", 0)
     script = parse_scenario(jittered)
-    drawn, totalled = counting_totals(monkeypatch)
-    built = []  # the timestamps of the blocks the ledger builds
+    lists = counting_totals(monkeypatch)
+    built = []
     produce_block = Ledger.produce_block
 
     def record(ledger, deliver=None):
@@ -840,22 +898,60 @@ def test_the_idle_jittered_script_totals_each_chunk_it_tests_once(monkeypatch):
 
     monkeypatch.setattr(Ledger, "produce_block", record)
     run_scenario(script)
-    engine_drawn, engine_totalled = len(drawn), len(totalled)
+    engine = [len(chunks) for chunks in lists]
     oracle_settlement(script)
-    # one total per chunk: no chunk is totalled twice
-    assert len({id(intervals) for intervals in totalled}) == len(totalled)
-    # every chunk the ledger stepped over, holding no built block, was totalled;
-    # some that the tape took without a skip were not
+    return lists, engine, built
+
+
+def stepped_chunks(drawn, built):
+    """Ids of the drawn chunks that hold no built block: those a skip stepped over."""
     stepped, start = set(), 0
-    for intervals in drawn[:engine_drawn]:
-        end = start + sum(intervals)
+    for top in drawn:
+        end = start + sum(chunk_intervals(top))
         first = bisect_right(built, start)  # the first built block after the chunk starts
         if first == len(built) or built[first] > end:
-            stepped.add(id(intervals))
+            stepped.add(id(top))
         start = end
-    assert stepped <= {id(intervals) for intervals in totalled[:engine_totalled]}
-    assert 200 <= len(stepped) <= engine_totalled < engine_drawn
-    assert len(totalled) > engine_totalled  # the oracle skips the gaps between its scripts
+    return stepped
+
+
+def test_the_idle_jittered_script_totals_each_chunk_it_tests_once(monkeypatch):
+    (drawn, _, counted, totalled), engine, built = idle_jittered_run(monkeypatch)
+    engine_drawn, _, engine_counted, engine_totalled = engine
+    # one count or one total per chunk: no chunk is tested twice
+    tested = ids(counted) + ids(totalled)
+    assert len(set(tested)) == len(tested)
+    # every chunk the ledger stepped over, holding no built block, was counted
+    # or totalled; some that the tape took without a skip were neither
+    stepped = stepped_chunks(drawn[:engine_drawn], built)
+    engine_tested = set(ids(counted[:engine_counted]) + ids(totalled[:engine_totalled]))
+    assert stepped <= engine_tested
+    assert 200 <= len(stepped) <= len(engine_tested) < engine_drawn
+    assert len(tested) > len(engine_tested)  # the oracle skips the gaps between its scripts
+
+
+def test_the_idle_jittered_script_compacts_only_chunks_that_may_cross(monkeypatch):
+    (drawn, compacted, counted, _), engine, built = idle_jittered_run(monkeypatch)
+    engine_drawn, engine_compacted, engine_counted, _ = engine
+    # each drawn chunk is compacted or counted, once: none is both
+    assert sorted(ids(compacted) + ids(counted)) == sorted(ids(drawn))
+    # A skip's target lies after the block before the next built one, and at
+    # or before that built block.  A chunk is compacted only when 25 s a word
+    # may carry it to the target, and counted only when that cannot.
+    drawn = drawn[:engine_drawn]
+    times = list(accumulate(b"".join(map(chunk_intervals, drawn)), initial=0))
+    compacted_ids, start = set(ids(compacted[:engine_compacted])), 0
+    for top in drawn:
+        next_built = built[bisect_right(built, start)]
+        before = times[bisect_left(times, next_built) - 1]
+        reach = start + JITTER_INTERVAL_RANGE[1] * len(top)
+        assert reach > before if id(top) in compacted_ids else reach < next_built
+        start += sum(chunk_intervals(top))
+    # the ledger steps over ~240 of its ~254 chunks by counting them and
+    # compacts only the few near an event or a wakeup
+    assert set(ids(counted[:engine_counted])) <= stepped_chunks(drawn, built)
+    assert engine_counted >= 200
+    assert engine_compacted <= 20
 
 
 # ---- the jitter stream against one randint per block ---------------------------
@@ -911,3 +1007,26 @@ def test_oracle_event_blocks_match_the_plain_reference(jitter_seed, interval):
     expected = [(h, reference[h]) for h in (bisect_left(reference, t) for t in at_times)]
     blocks = [(height, ts) for _, height, ts in oracle_module._Oracle(script)._event_blocks()]
     assert blocks == expected
+
+
+@pytest.mark.parametrize("jitter_seed", range(5))
+def test_a_skip_stops_in_the_chunk_that_holds_its_target(jitter_seed):
+    """Targets late in the second chunk of the largest size, which a skip from
+    genesis meets whole: its block before the last, a second before that,
+    and three quarters of its span.  A chunk is counted uncompacted only when
+    25 s a word cannot reach the target; a bound below the seconds its words
+    draw on average (about 10, since a third of them are rejected) would
+    count this chunk and step over these targets."""
+    ends = tape_chunk_ends(jitter_seed, LARGEST_CHUNK + 2)
+    start, end = ends[-2], ends[-1]
+    times = reference_block_times(jitter_seed, None, end)
+    for t in (times[-2] - 1, times[-2], start + 3 * (end - start) // 4):
+        assert_advance_to_matches_block_by_block(jitter_seed, lambda now: t)
+        script = parse_scenario({
+            "config": {"jitter_seed": jitter_seed},
+            "genesis": {"alice": "10", "bob": "10"},
+            "events": [{"at_time": t, "actor": "alice", "action": "transfer",
+                        "params": {"to": "bob", "value": "1"}}],
+        })
+        [(_, height, ts)] = oracle_module._Oracle(script)._event_blocks()
+        assert (height, ts) == (bisect_left(times, t), times[bisect_left(times, t)])

@@ -215,7 +215,13 @@ def test_largest_remainder_is_the_rational_split(charge, numerators):
 ORACLE_IMPORTS = {
     "contracts": {"ContractKind"},
     "errors": {"collector_paused"},
-    "ledger": {"JITTER_INTERVAL_RANGE", "interval_total", "jitter_chunks"},
+    "ledger": {
+        "JITTER_INTERVAL_RANGE",
+        "chunk_intervals",
+        "chunk_span",
+        "interval_total",
+        "jitter_chunks",
+    },
     "pricing": {"VIDEO_MULTIPLIER_BP"},
     "scenario": {
         "ScenarioScript",

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from escrowsim import scenario as scenario_module
 from escrowsim.cli import main
-from escrowsim.errors import ParseError, ValidationError
+from escrowsim.errors import ParseError, SimulationError, ValidationError
+from escrowsim.ledger import GasSchedule
 from escrowsim.oracle import oracle_settlement
 from escrowsim.report import write_report
 from escrowsim.scenario import (
@@ -22,13 +24,14 @@ from escrowsim.scenario import (
     EVENT_TYPES,
     KIND_NAMES,
     MAX_EVENTS,
+    MAX_WEI,
     _draws,
     _Runner,
     generate_random_script,
     parse_scenario,
     run_scenario,
 )
-from escrowsim.units import eth
+from escrowsim.units import eth, gwei
 
 from load_source import load_source
 from report_tree import report_tree
@@ -157,6 +160,37 @@ def test_genesis_amounts_must_be_decimal_strings():
         parse_scenario({"genesis": {"a": "0x10"}, "events": []})
     with pytest.raises(ValidationError):
         parse_scenario({"genesis": {"a": "-3"}, "events": []})
+
+
+@pytest.mark.parametrize(
+    "amount, balance",
+    [
+        ("0", 0),
+        ("007", 7),
+        ("9" * 77, 10**77 - 1),  # the longest amount that is below MAX_WEI by its digits
+        (str(MAX_WEI), MAX_WEI),
+        ("0" * 100 + "1", 1),
+    ],
+)
+def test_genesis_amounts_read_as_wei(amount, balance):
+    assert parse_scenario({"genesis": {"a": amount}}).genesis == {"a": balance}
+
+
+@pytest.mark.parametrize(
+    "name, amount, message",
+    [
+        ("sc-1", "1", "genesis.sc-1: the prefix 'sc-' is reserved for contract addresses"),
+        ("a", 1, "genesis.a: amount must be a decimal string"),
+        ("a", "", "genesis.a must be a decimal integer string, got ''"),
+        ("a", "١", "genesis.a must be a decimal integer string, got '١'"),
+        ("a", "-1", "genesis.a must be non-negative, got '-1'"),
+        ("a", str(MAX_WEI + 1), "genesis.a: must be <= 2**256 - 1 wei"),
+    ],
+)
+def test_genesis_entries_are_rejected_with_their_text(name, amount, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario({"genesis": {"b": "1", name: amount}})
+    assert str(exc.value) == message
 
 
 def test_kind_specific_requirements():
@@ -683,6 +717,82 @@ def test_every_settlement_is_a_view_of_the_tx_log():
     assert checked > 5000 and zero_charge_rows > 0
 
 
+TWO_CALL_EVENTS = ("income_division", "deploy_ballot")
+
+
+def owner_one_wei_short(kind):
+    """A script whose owner, oliver, holds 1 wei less than the fees of one
+    event that makes several ledger calls: an income-division request (two
+    deploys and a call) or a ballot deployment (a deploy and a call).  Then
+    oliver is paid the 1 wei, and the event comes again."""
+    gas = GasSchedule(gas_price_wei=gwei(1))
+    if kind == "income_division":
+        fees = 2 * gas.deploy_fee() + gas.call_fee()
+        event = {"actor": "alice", "action": "request_session",
+                 "params": {"session": "s", "owner": "oliver", "kind": kind,
+                            "availability_target_bp": 9_000, "video_quality": "SD",
+                            "max_period_seconds": 600,
+                            "shares": {"oliver": [1, 2], "alice": [1, 2]}}}
+    else:
+        fees = gas.deploy_fee() + gas.call_fee()
+        event = {"actor": "oliver", "action": "deploy_ballot",
+                 "params": {"ballot": "b", "voters": ["alice"]}}
+    return {
+        "config": {"gas": {"gas_price_gwei": 1}},
+        "genesis": {"alice": str(eth(10)), "oliver": str(fees - 1)},
+        "events": [
+            {"at_time": 0, **event},
+            {"at_time": 30, "actor": "alice", "action": "transfer",
+             "params": {"to": "oliver", "value": "1"}},
+            {"at_time": 60, **event},
+        ],
+    }
+
+
+def test_a_rejected_event_moves_nothing(monkeypatch):
+    """Across every event that records an error, the tx log, the contracts,
+    the fee sink and every balance stay as they were."""
+    rejected = []
+
+    def atomic(handler):
+        def apply(runner, event):
+            ledger = runner.ledger
+
+            def state():
+                return (len(ledger.tx_log), len(ledger.contracts), ledger.fee_sink,
+                        dict(ledger.accounts))
+
+            before = state()
+            try:
+                handler(runner, event)
+            except SimulationError as exc:
+                assert state() == before, (event, exc)
+                rejected.append(type(exc).__name__)
+                raise
+
+        return apply
+
+    for etype, handler in list(scenario_module._RUNNER_HANDLERS.items()):
+        monkeypatch.setitem(scenario_module._RUNNER_HANDLERS, etype, atomic(handler))
+    documents = [generate_random_script(seed) for seed in range(300)]
+    documents.append(load_source("bench_workloads", WORKLOADS).merge_scripts(list(range(1600)), 30))
+    documents += [owner_one_wei_short(kind) for kind in TWO_CALL_EVENTS]
+    for doc in documents:
+        run_scenario(parse_scenario(doc))
+    assert len(rejected) > 1000 and rejected.count("InsufficientFunds") >= 2
+
+
+@pytest.mark.parametrize("kind, fee_gas", [("income_division", 450_000), ("deploy_ballot", 250_000)])
+def test_an_owner_short_of_a_two_call_event_is_rejected_before_its_first_call(kind, fee_gas):
+    report = run_scenario(parse_scenario(owner_one_wei_short(kind))).report
+    [error] = report["event_errors"]  # the event is applied once oliver holds the fees
+    assert (error["event_index"], error["error"]) == (0, "InsufficientFunds")
+    assert error["detail"].startswith("oliver cannot pay ")
+    assert error["detail"].endswith(f", {fee_gas * gwei(1)} wei in all")
+    assert report["final_balances"]["oliver"] == "0"
+    assert len(report["contracts"]) == (2 if kind == "income_division" else 1)
+
+
 def test_quote_ttl_does_not_apply_to_quota_purchases():
     # quote_ttl_blocks 2: at t=600 (block 40) a payment for a dynamic-price
     # quote is long expired, while the quota purchase is still accepted
@@ -902,6 +1012,44 @@ def test_generator_documents_are_the_same_under_every_installed_interpreter():
             capture_output=True, text=True, check=True,
         )
         assert done.stdout.strip() == GENERATOR_SHA256[200], python
+
+
+# The standard output of ``tests/determinism.py``, one line per jittered
+# script, and its sha256.  Pinned before the jitter decoder began to step over
+# chunks by counting them uncompacted.
+DETERMINISM = Path(__file__).resolve().parent / "determinism.py"
+DETERMINISM_PINS = DETERMINISM.with_name("determinism_pins.txt")
+DETERMINISM_SHA256 = "154e6cd940cd86622cb7a4628b1f0366f0b9d4802d2bef526be6390f8813acde"
+
+
+def determinism_runs():
+    """(label, argv, environment) of each run of ``tests/determinism.py``:
+    every installed interpreter, then this one under ``-O`` and two hash seeds."""
+    runs = [(python.parents[1].name, [python, "-B", "-I"], None)
+            for python in installed_interpreters()]
+    runs.append(("-O", [sys.executable, "-B", "-I", "-O"], None))
+    for seed in ("1", "12345"):
+        runs.append((f"PYTHONHASHSEED={seed}", [sys.executable, "-B", "-s"],
+                     {**os.environ, "PYTHONHASHSEED": seed}))
+    return runs
+
+
+DETERMINISM_RUNS = determinism_runs()
+
+
+def test_the_determinism_pins_are_whole():
+    assert hashlib.sha256(DETERMINISM_PINS.read_bytes()).hexdigest() == DETERMINISM_SHA256
+
+
+@pytest.mark.parametrize("label, argv, env", DETERMINISM_RUNS, ids=[run[0] for run in DETERMINISM_RUNS])
+def test_jittered_outputs_are_the_same_under_every_interpreter_and_flag(label, argv, env):
+    done = subprocess.run(argv + [DETERMINISM, SRC], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    pinned = DETERMINISM_PINS.read_text().splitlines()
+    lines = done.stdout.splitlines()
+    for got, want in zip(lines, pinned):
+        assert got == want, f"{argv[0]} {label}: first differs at {want.split()[0]}"
+    assert len(lines) == len(pinned), f"{argv[0]} {label}: {len(lines)} scripts, not {len(pinned)}"
 
 
 def _widths(bits):
