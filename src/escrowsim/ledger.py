@@ -204,8 +204,10 @@ class Ledger:
                 raise ValidationError(
                     f"genesis account {echo(name)} uses the reserved contract prefix"
                 )
-            if type(balance) is not int or balance < 0:  # the text only on failure
-                require_amount(balance, f"genesis balance of {echo(name, str)}")
+            try:
+                require_amount(balance, "")
+            except (TypeError, ValueError) as exc:  # the name is echoed only on failure
+                raise type(exc)(f"genesis balance of {echo(name, str)}{exc}") from exc
         self.accounts: dict[str, int] = dict(genesis)
         self.contracts: dict[str, AgreementContract] = {}
         self.fee_sink: int = 0

@@ -200,7 +200,10 @@ class _Oracle:
                         blocks, seconds = chunk_span(top)
                     else:
                         draws = chunk_intervals(top)
-                        if ts + len(draws) * low >= t or ts + (seconds := interval_total(draws)) >= t:
+                        if (
+                            ts + len(draws) * low >= t
+                            or ts + (seconds := interval_total(draws)) >= t
+                        ):
                             break
                         blocks = len(draws)
                     base += blocks

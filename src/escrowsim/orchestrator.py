@@ -122,6 +122,8 @@ class SessionOrchestrator:
         division = None
         if kind is ContractKind.INCOME_DIVISION:
             gas = self.ledger.gas
+            # one fee for each ledger call of the request, edited with them: the
+            # division's deploy and shares call below, the agreement's deploy after
             self.ledger.require_fees(
                 owner, 2 * gas.deploy_fee() + gas.call_fee(),
                 "an income division (2 deploys and a call)",
@@ -166,6 +168,7 @@ class SessionOrchestrator:
         """Deploy the voting contract and register its voter set, once the
         owner is known to hold both fees."""
         gas = self.ledger.gas
+        # one fee for each ledger call below, edited with them: the deploy and the vote's init
         self.ledger.require_fees(
             owner, gas.deploy_fee() + gas.call_fee(), "a ballot (a deploy and a call)"
         )

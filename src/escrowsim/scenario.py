@@ -61,7 +61,6 @@ KIND_ONLY_PARAMS = {
 # bits, so no product the run forms is too long to write out as decimal.
 MAX_WEI = 2**256 - 1
 MAX_INT = 2**64 - 1
-_MAX_WEI_DIGITS = len(str(MAX_WEI))  # every amount of fewer digits is below it
 # Times in seconds (an event's ``at_time``, ``run_until_seconds`` and
 # ``max_period_seconds``) are at most about 3.2 years: a jittered grid draws
 # an interval for every block up to the last of them, about 6.7 million
@@ -425,25 +424,6 @@ def _wei(text: str, what: str) -> int:
     return value
 
 
-def _genesis_amount(name, amount) -> int:
-    """A genesis entry's balance, or the ``ValidationError`` that names it.
-
-    The entry's name is echoed into a text only when a check fails.
-    """
-    if type(name) is not str:
-        raise ValidationError(f"genesis: account name must be a string, got {echo(name)}")
-    if name.startswith(CONTRACT_ADDRESS_PREFIX):
-        raise ValidationError(
-            f"genesis.{echo(name, str)}: the prefix {CONTRACT_ADDRESS_PREFIX!r} is"
-            " reserved for contract addresses"
-        )
-    if type(amount) is not str:
-        raise ValidationError(f"genesis.{echo(name, str)}: amount must be a decimal string")
-    if amount.isascii() and amount.isdigit() and len(amount) < _MAX_WEI_DIGITS:
-        return int(amount)
-    return _wei(amount, f"genesis.{echo(name, str)}")
-
-
 def _payment(p: dict, where: str) -> Payment:
     value = p.get("value")
     if type(value) is not str:
@@ -688,7 +668,19 @@ def parse_scenario(document) -> ScenarioScript:
         raise ValidationError("genesis: must be a non-empty object")
     genesis: dict[str, int] = {}
     for name, amount in raw_genesis.items():
-        genesis[name] = _genesis_amount(name, amount)
+        if type(name) is not str:
+            raise ValidationError(f"genesis: account name must be a string, got {echo(name)}")
+        if name.startswith(CONTRACT_ADDRESS_PREFIX):
+            raise ValidationError(
+                f"genesis.{echo(name, str)}: the prefix {CONTRACT_ADDRESS_PREFIX!r} is reserved"
+                " for contract addresses"
+            )
+        if type(amount) is not str:
+            raise ValidationError(f"genesis.{echo(name, str)}: amount must be a decimal string")
+        try:
+            genesis[name] = _wei(amount, "")
+        except ValidationError as exc:  # the name is echoed into the text only on failure
+            raise ValidationError(f"genesis.{echo(name, str)}{exc}") from exc
 
     raw_events = document.get("events", [])
     if type(raw_events) is not list:
