@@ -218,6 +218,17 @@ def test_short_names_are_quoted_whole_in_ledger_errors():
         _funded_ledger().contract_call("a", "nobody")
 
 
+@pytest.mark.parametrize("balance, error, message", [
+    ("1", TypeError, "genesis balance of bob must be an int (wei), got str"),
+    (True, TypeError, "genesis balance of bob must be an int (wei), got bool"),
+    (-5, ValueError, "genesis balance of bob must be non-negative, got -5"),
+])
+def test_a_bad_genesis_balance_is_named_in_its_error(balance, error, message):
+    with pytest.raises(error) as raised:
+        Ledger({"alice": 1, "bob": balance})
+    assert type(raised.value) is error and str(raised.value) == message
+
+
 # ---- contract escrow accounts --------------------------------------------------------
 
 def _contract() -> AgreementContract:

@@ -167,7 +167,7 @@ def test_genesis_amounts_must_be_decimal_strings():
     [
         ("0", 0),
         ("007", 7),
-        ("9" * 77, 10**77 - 1),  # the longest amount that is below MAX_WEI by its digits
+        ("9" * 77, 10**77 - 1),  # one digit fewer than MAX_WEI
         (str(MAX_WEI), MAX_WEI),
         ("0" * 100 + "1", 1),
     ],
