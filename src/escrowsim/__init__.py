@@ -25,7 +25,7 @@ _HOMES = {
     "Quote": "pricing",
     "QuotaTerms": "contracts",
     "RateCard": "pricing",
-    "ScenarioScript": "scenario",
+    "ScenarioScript": "script",
     "SessionOrchestrator": "orchestrator",
     "Settlement": "contracts",
     "SettlementReport": "report",
@@ -33,10 +33,10 @@ _HOMES = {
     "compare_fee_methods": "pricing",
     "eth": "units",
     "format_eth": "units",
-    "generate_random_script": "scenario",
+    "generate_random_script": "script",
     "gwei": "units",
     "oracle_settlement": "oracle",
-    "parse_scenario": "scenario",
+    "parse_scenario": "script",
     "parse_wei": "units",
     "quote_price": "pricing",
     "run_scenario": "scenario",

@@ -20,7 +20,8 @@ from .errors import GasPriceOutOfRange, ParseError, ValidationError, echo
 from .oracle import oracle_settlement
 from .orchestrator import STEP_DESCRIPTIONS
 from .pricing import compare_fee_methods
-from .scenario import MAX_INT, MAX_WEI, parse_scenario, run_scenario
+from .scenario import run_scenario
+from .script import MAX_INT, MAX_WEI, parse_scenario
 from .units import format_eth
 
 

@@ -58,11 +58,6 @@ if not 1 <= _JITTER_LOW <= _JITTER_HIGH <= 255:
         "time, and each interval is one byte"
     )
 _JITTER_PIECE = 65519 // _JITTER_HIGH
-if _JITTER_PIECE * _JITTER_HIGH > 65519:
-    raise ValueError(
-        "a jitter piece must total at most 65519, or its Adler-32 sum wraps the "
-        "modulus 65521"
-    )
 _JITTER_TABLE = bytes(
     _JITTER_LOW + r if r < _JITTER_SPAN else 0
     for r in (b >> (8 - _JITTER_BITS) for b in range(256))

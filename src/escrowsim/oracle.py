@@ -7,13 +7,13 @@ price, a prorated charge, an availability in basis points, a share of a
 charge) is one floor or ceil division of Python ints, so none is rounded
 twice.
 The only shared inputs are the parsed script's configuration values and
-typed events, and the decoder of the seeded block-time draws
-(``ledger.jitter_chunks``, which the tests check against one ``randint``
-per block, with its ``JITTER_INTERVAL_RANGE``, its compaction
+typed events, from ``script`` (importing this module loads none of
+``scenario``, ``orchestrator`` and ``report``), and the decoder of the
+seeded block-time draws (``ledger.jitter_chunks``, checked against one
+``randint`` per block, with its ``JITTER_INTERVAL_RANGE``, its compaction
 ``chunk_intervals`` and its chunk counts ``chunk_span`` and
 ``interval_total``); quotes, minimum charges and settlements are computed
-here anew.  Used by the test suite to cross-check the engine on large
-randomized sweeps.
+here anew.  Used by the tests to cross-check the engine on random sweeps.
 
 The oracle re-derives the blocks of its events from the script config:
 deterministic runs tick at exact multiples of the interval, in closed form;
@@ -44,7 +44,7 @@ from .ledger import (
     jitter_chunks,
 )
 from .pricing import VIDEO_MULTIPLIER_BP
-from .scenario import (
+from .script import (
     ApproveAndPay,
     CastVote,
     Countersign,

@@ -7,7 +7,8 @@ conservation verdict, the final block, the event count, the event error rows
 and the tx digest.  Its ``contracts``, ``sessions`` and ``ballots`` lists hold
 the run's own records (each ``AgreementContract``, and ``(label, record)``
 pairs), so no row is copied out of them until the report is written.
-``settlements`` holds each contract's settlement, which the checks compare.
+``settlements`` reads each contract's settlement off those records, for the
+checks to compare.
 
 ``write_report`` writes the bytes of ``json.dumps`` with ``indent=2`` of the
 report's JSON form, reading each row straight from its record: each contract,
@@ -31,13 +32,28 @@ from .errors import collector_paused
 
 @dataclass
 class SettlementReport:
-    """Run output: the final state and the run's own records, plus per-contract settlements."""
+    """Run output: the final state and the run's own records."""
 
     # ordered; ``contracts`` holds the run's AgreementContracts in sc-1, sc-2, ...
     # order, ``sessions`` and ``ballots`` (label, SessionRecord or ballot) pairs,
     # and every other value is in ``json`` types.  ``to_json_text`` writes it.
     report: dict
-    settlements: dict[str, dict]  # address -> {charge, refund, payouts, escrow}
+
+    @property
+    @collector_paused  # thousands of acyclic dicts on bulk, which no collection frees
+    def settlements(self) -> dict[str, dict]:
+        """Address -> {charge, refund, payouts, escrow} of each contract, in
+        sc-1, sc-2, ... order; built anew, with fresh ``payouts``, on each read."""
+        settlements = {}
+        for contract in self.report["contracts"]:
+            done = contract.settlement
+            settlements[contract.address] = {
+                "charge": done.charge if done else 0,
+                "refund": done.refund if done else 0,
+                "payouts": dict(done.payouts) if done else {},
+                "escrow": contract.escrow,
+            }
+        return settlements
 
     @collector_paused
     def to_json_text(self) -> str:

@@ -16,7 +16,8 @@ from escrowsim.cli import main
 from escrowsim.contracts import AgreementContract, ContractKind, IncomeShares
 from escrowsim.ledger import GasSchedule, Ledger
 from escrowsim.oracle import oracle_settlement
-from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
+from escrowsim.scenario import run_scenario
+from escrowsim.script import generate_random_script, parse_scenario
 from escrowsim.units import eth
 
 from report_tree import report_tree

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from escrowsim.cli import main
-from escrowsim.scenario import MAX_INT, MAX_SECONDS, MAX_WEI, run_scenario
+from escrowsim.scenario import run_scenario
+from escrowsim.script import MAX_INT, MAX_SECONDS, MAX_WEI
 
 GOOD_SCENARIO = {
     "config": {"gas": {"gas_price_gwei": 1}},

@@ -15,7 +15,8 @@ import json
 import pytest
 
 from escrowsim.cli import main
-from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
+from escrowsim.scenario import run_scenario
+from escrowsim.script import generate_random_script, parse_scenario
 
 # generator seed -> (sha256 of the report JSON text, tx_digest); the trailing
 # comment names the grid: D deterministic 15 s, J jittered

@@ -35,7 +35,8 @@ from escrowsim.ledger import (
     jitter_chunks,
 )
 from escrowsim.oracle import oracle_settlement
-from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
+from escrowsim.scenario import run_scenario
+from escrowsim.script import generate_random_script, parse_scenario
 from escrowsim.units import eth, format_eth, gwei, parse_wei
 
 from load_source import load_source

@@ -34,7 +34,7 @@ from escrowsim.ledger import GasSchedule, Ledger
 from escrowsim.oracle import oracle_settlement
 from escrowsim.orchestrator import SessionOrchestrator
 from escrowsim.report import SettlementReport
-from escrowsim.scenario import generate_random_script, parse_scenario
+from escrowsim.script import RequestSession, generate_random_script, parse_scenario
 
 from load_source import load_source
 from report_tree import report_tree
@@ -106,8 +106,8 @@ def raising_calls(monkeypatch, seen):
     script = parse_scenario(generate_random_script(TIMEOUT_SEED))
     report = scenario.run_scenario(script)
     report.report["fee_sink_wei"] = 0  # an int where the writer wants a str
-    monkeypatch.setitem(scenario._RUNNER_HANDLERS, scenario.RequestSession, boom)
-    monkeypatch.setitem(oracle._ORACLE_HANDLERS, scenario.RequestSession, boom)
+    monkeypatch.setitem(scenario._RUNNER_HANDLERS, RequestSession, boom)
+    monkeypatch.setitem(oracle._ORACLE_HANDLERS, RequestSession, boom)
     return {
         "parse_scenario: ParseError": (ParseError, lambda: parse_scenario("{")),
         "parse_scenario: ValidationError": (ValidationError, lambda: parse_scenario("[]")),

@@ -15,7 +15,8 @@ import re
 import pytest
 
 from escrowsim.oracle import oracle_settlement
-from escrowsim.scenario import generate_random_script, parse_scenario, run_scenario
+from escrowsim.scenario import run_scenario
+from escrowsim.script import generate_random_script, parse_scenario
 
 from report_tree import report_tree
 

@@ -6,7 +6,9 @@ the exact quotient first, then one ``math.floor`` or ``math.ceil``.  Every
 test draws domain-valid values (wei up to 2**256 - 1, times up to
 ``MAX_SECONDS``, other integers up to ``MAX_INT``) and asserts that the two
 agree.  The oracle stays independent of the engine: it imports from the
-package only names that carry no engine logic.
+package only names that carry no engine logic
+(``tests/test_package.py`` checks that importing it loads none of the
+runner's modules).
 """
 
 import ast
@@ -22,7 +24,7 @@ from escrowsim import oracle as oracle_module
 from escrowsim.contracts import ContractKind, FlexibleTerms
 from escrowsim.oracle import _largest_remainder, _Oracle
 from escrowsim.pricing import VIDEO_MULTIPLIER_BP, QosPreferences
-from escrowsim.scenario import (
+from escrowsim.script import (
     MAX_INT,
     MAX_SECONDS,
     MAX_WEI,
@@ -223,7 +225,7 @@ ORACLE_IMPORTS = {
         "jitter_chunks",
     },
     "pricing": {"VIDEO_MULTIPLIER_BP"},
-    "scenario": {
+    "script": {
         "ScenarioScript",
         "ScriptEvent",
         "handler_table",
@@ -245,3 +247,4 @@ def test_the_oracle_imports_no_engine_logic():
     assert taken.keys() <= ORACLE_IMPORTS.keys()
     for module, names in taken.items():
         assert names <= ORACLE_IMPORTS[module], module
+

@@ -37,6 +37,14 @@ def test_importing_the_package_or_the_scenario_layer_loads_neither_oracle_nor_cl
         assert "escrowsim.scenario" in loaded
 
 
+def test_importing_the_oracle_loads_none_of_the_runner_modules():
+    loaded = modules_loaded_by("import escrowsim.oracle")
+    assert "escrowsim.oracle" in loaded
+    # the oracle reads the parsed script (``script``), never the run
+    for runner_module in ("scenario", "orchestrator", "report"):
+        assert f"escrowsim.{runner_module}" not in loaded, loaded
+
+
 def test_a_module_resolves_as_a_package_attribute_on_first_use():
     loaded = modules_loaded_by(
         "import escrowsim\n"

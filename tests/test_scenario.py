@@ -19,22 +19,22 @@ from escrowsim.errors import ParseError, SimulationError, ValidationError
 from escrowsim.ledger import GasSchedule
 from escrowsim.oracle import oracle_settlement
 from escrowsim.report import write_report
-from escrowsim.scenario import (
+from escrowsim.scenario import _Runner, run_scenario
+from escrowsim.script import (
     ACTOR_POOL,
     EVENT_TYPES,
     KIND_NAMES,
     MAX_EVENTS,
     MAX_WEI,
     _draws,
-    _Runner,
     generate_random_script,
     parse_scenario,
-    run_scenario,
 )
 from escrowsim.units import eth, gwei
 
 from load_source import load_source
 from report_tree import report_tree
+from test_golden import ORACLE_0_299, REPORTS_0_1999
 from tx_log_view import tx_log_view
 
 
@@ -974,7 +974,7 @@ GENERATOR_SHA256 = {
 GENERATOR_DIGEST_SCRIPT = """
 import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
-from escrowsim.scenario import generate_random_script
+from escrowsim.script import generate_random_script
 digest = hashlib.sha256()
 for seed in range(int(sys.argv[2])):
     digest.update(json.dumps(generate_random_script(seed)).encode() + b"\\n")
@@ -1015,21 +1015,26 @@ def test_generator_documents_are_the_same_under_every_installed_interpreter():
 
 
 # The standard output of ``tests/determinism.py``, one line per jittered
-# script, and its sha256.  Pinned before the jitter decoder began to step over
-# chunks by counting them uncompacted.
+# script and then the aggregate lines, and its sha256.  The jittered lines were
+# pinned before the jitter decoder began to step over chunks by counting them
+# uncompacted, the aggregate lines before the script format left the runner's
+# module.
 DETERMINISM = Path(__file__).resolve().parent / "determinism.py"
 DETERMINISM_PINS = DETERMINISM.with_name("determinism_pins.txt")
-DETERMINISM_SHA256 = "154e6cd940cd86622cb7a4628b1f0366f0b9d4802d2bef526be6390f8813acde"
+DETERMINISM_SHA256 = "6ab83a623e2d788425e26a864c5bb21348a1d8edd9cfbc8661768c4676e67f6a"
+FULL_RANGE_LINES = 2  # the last two pins, which ``--short`` leaves out
 
 
 def determinism_runs():
     """(label, argv, environment) of each run of ``tests/determinism.py``:
-    every installed interpreter, then this one under ``-O`` and two hash seeds."""
-    runs = [(python.parents[1].name, [python, "-B", "-I"], None)
+    every installed interpreter over the full seed ranges, then this one under
+    ``-O`` and two hash seeds over the short ones (``--short``)."""
+    runs = [(python.parents[1].name, [python, "-B", "-I", DETERMINISM, SRC], None)
             for python in installed_interpreters()]
-    runs.append(("-O", [sys.executable, "-B", "-I", "-O"], None))
+    short = [DETERMINISM, SRC, "--short"]
+    runs.append(("-O", [sys.executable, "-B", "-I", "-O", *short], None))
     for seed in ("1", "12345"):
-        runs.append((f"PYTHONHASHSEED={seed}", [sys.executable, "-B", "-s"],
+        runs.append((f"PYTHONHASHSEED={seed}", [sys.executable, "-B", "-s", *short],
                      {**os.environ, "PYTHONHASHSEED": seed}))
     return runs
 
@@ -1041,15 +1046,22 @@ def test_the_determinism_pins_are_whole():
     assert hashlib.sha256(DETERMINISM_PINS.read_bytes()).hexdigest() == DETERMINISM_SHA256
 
 
+def test_the_full_range_pins_are_the_golden_ones():
+    full = DETERMINISM_PINS.read_text().splitlines()[-FULL_RANGE_LINES:]
+    assert full == [f"reports-0..1999 {REPORTS_0_1999}", f"oracle-0..299 {ORACLE_0_299}"]
+
+
 @pytest.mark.parametrize("label, argv, env", DETERMINISM_RUNS, ids=[run[0] for run in DETERMINISM_RUNS])
 def test_jittered_outputs_are_the_same_under_every_interpreter_and_flag(label, argv, env):
-    done = subprocess.run(argv + [DETERMINISM, SRC], capture_output=True, text=True, env=env)
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     pinned = DETERMINISM_PINS.read_text().splitlines()
+    if argv[-1] == "--short":
+        pinned = pinned[:-FULL_RANGE_LINES]
     lines = done.stdout.splitlines()
     for got, want in zip(lines, pinned):
         assert got == want, f"{argv[0]} {label}: first differs at {want.split()[0]}"
-    assert len(lines) == len(pinned), f"{argv[0]} {label}: {len(lines)} scripts, not {len(pinned)}"
+    assert len(lines) == len(pinned), f"{argv[0]} {label}: {len(lines)} lines, not {len(pinned)}"
 
 
 def _widths(bits):
@@ -1088,6 +1100,21 @@ def test_generator_draws_match_random_draw_for_draw(seed, draws):
         else:
             assert randint(0, draw[1] - 1) == own.randrange(draw[1])
         assert mine.getstate() == own.getstate()
+
+
+def test_settlements_are_read_off_the_contracts_in_address_order_each_time():
+    report = run_scenario(parse_scenario(generate_random_script(0)))
+    contracts = report.report["contracts"]
+    first = report.settlements
+    assert list(first) == [f"sc-{n}" for n in range(1, len(contracts) + 1)]
+    paid = [c for c in contracts if c.settlement is not None and c.settlement.payouts]
+    assert paid
+    first[paid[0].address]["payouts"]["mallory"] = 1
+    second = report.settlements
+    assert second is not first and "mallory" not in second[paid[0].address]["payouts"]
+    assert "mallory" not in paid[0].settlement.payouts
+    with pytest.raises(AttributeError):
+        report.settlements = {}
 
 
 # ---- the report writer --------------------------------------------------------

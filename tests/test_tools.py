@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from escrowsim import contracts, orchestrator, report, scenario
+from escrowsim import contracts, orchestrator, report, script
 
 from load_source import load_source
 
@@ -50,7 +50,7 @@ def first_statement_line(module, function_name):
 
 def test_reach_lists_a_raise_no_generated_script_takes_and_not_the_parse():
     reach = load_tool("reach")
-    texts = (json.dumps(scenario.generate_random_script(seed)) for seed in range(10))
+    texts = (json.dumps(script.generate_random_script(seed)) for seed in range(10))
     tracer = sys.gettrace()
     missed = reach.unreached(texts)
     assert sys.gettrace() is tracer
@@ -60,7 +60,7 @@ def test_reach_lists_a_raise_no_generated_script_takes_and_not_the_parse():
         if line.strip() == "raise QuotaExhausted(contract.address)"
     ]
     assert quota_exhausted in missed["contracts.py"]
-    assert first_statement_line(scenario, "parse_scenario") not in missed["scenario.py"]
+    assert first_statement_line(script, "parse_scenario") not in missed["script.py"]
 
 
 def raise_lines(module):
@@ -81,7 +81,7 @@ def method_lines(module, class_name, method_name):
 
 def test_every_contract_or_orchestrator_line_generated_scripts_miss_is_a_raise():
     reach = load_tool("reach")
-    texts = (json.dumps(scenario.generate_random_script(seed)) for seed in range(50))
+    texts = (json.dumps(script.generate_random_script(seed)) for seed in range(50))
     missed = reach.unreached(texts)
     for module in (contracts, orchestrator):
         name = Path(module.__file__).name
@@ -93,7 +93,7 @@ def test_every_contract_or_orchestrator_line_generated_scripts_miss_is_a_raise()
 
 def test_mem_gives_one_row_per_stage_and_no_cyclic_garbage():
     mem = load_tool("mem")
-    texts = [json.dumps(scenario.generate_random_script(seed)) for seed in range(10)]
+    texts = [json.dumps(script.generate_random_script(seed)) for seed in range(10)]
     rows = mem.stage_rows(texts)
     assert [row.stage for row in rows] == ["parse", "run", "render", "oracle"]
     assert all(row.live_bytes > 0 for row in rows)

@@ -1,13 +1,15 @@
 """List the statement lines in the functions of ``src/escrowsim`` that a run never reaches.
 
 Builds the benchmark's inputs for seed 0 of each workload
-(``bench/workloads.build_inputs``) and runs parse, run, render and oracle on
-every script, all under ``sys.settrace``; the generator that builds the
-inputs is traced too.  For each module it then prints the statement lines
-inside functions that never ran, docstrings left out: a function that never
-ran as one line, any other one line by line.  Code that runs only while
-the package is imported (the event-type decorator, ``handler_table``) is not
-traced, so it shows as never run.  Standard library only (no coverage
+(``bench/workloads.build_inputs``) and runs parse, run, render, oracle and the
+benchmark's check (the engine's settlements against the oracle's) on every
+script, all under ``sys.settrace``; the generator that builds the inputs
+(``script.generate_random_script``, which the benchmark calls through its
+re-export in ``scenario``) is traced too.  For each module it then prints the
+statement lines inside functions that never ran, docstrings left out: a
+function that never ran as one line, any other one line by line.  Code that
+runs only while the package is imported (``script``'s event-type decorator
+and ``handler_table``) is not traced, so it shows as never run.  Standard library only (no coverage
 package needed); ``bench/`` is read and never written.
 
     python3 tools/reach.py
@@ -95,13 +97,15 @@ def _run_all(texts: Iterable[str]) -> None:
 
     for text in texts:
         script = scenario.parse_scenario(text)
-        scenario.run_scenario(script).to_json_text()
-        oracle.oracle_settlement(script)
+        report = scenario.run_scenario(script)
+        report.to_json_text()
+        if report.settlements != oracle.oracle_settlement(script):
+            raise AssertionError("the engine's settlements differ from the oracle's")
 
 
 def executed_lines(texts: Iterable[str]) -> dict[str, set[int]]:
     """Per module file name, the lines of the package that ran while parse, run,
-    render and oracle went over ``texts``.
+    render, oracle and check went over ``texts``.
 
     ``texts`` is consumed under the trace, so a lazy iterable traces what builds
     the texts as well.
@@ -141,7 +145,7 @@ def executed_lines(texts: Iterable[str]) -> dict[str, set[int]]:
 
 def unreached(texts: Iterable[str]) -> dict[str, list[int]]:
     """Per module file name, the first lines of the statements inside functions
-    that never ran while parse, run, render and oracle went over ``texts``."""
+    that never ran while parse, run, render, oracle and check went over ``texts``."""
     ran = executed_lines(texts)
     result = {}
     for path in sorted(_package().glob("*.py")):
